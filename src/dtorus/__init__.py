@@ -6,6 +6,7 @@ graphs, vanishing-sum machinery, growth-dichotomy criteria, and spectral
 zeta comparisons against the continuum torus.
 """
 
+from .arith import Factorization, factorize, semigroup_member
 from .cyclotomic import (
     ApproxReal,
     CycContext,
@@ -60,24 +61,21 @@ from .vanishing import (
 )
 from .criteria import (
     Bound24Report,
-    Factorization,
     GrowthClass,
     I0Witness,
     Table60Report,
     d2_closed_form,
     eigenvalue_growth,
-    factorize,
     in_I0,
     is_zero_eigenvalue,
     lowerbound_pq_witness,
     pq_optimality_check,
     product_inequality_check,
-    semigroup_member,
     verify_bound24,
     verify_table60,
     zero_growth,
     zero_lower_bound_family,
 )
-from .zeta import ZetaRow, ZetaValue, cjk_table, r2, zeta_continuum_partial, zeta_discrete
+from .zeta import ZetaRow, ZetaValue, cjk_table, r2_upto, zeta_continuum_partial, zeta_discrete
 
 __version__ = "0.1.0"

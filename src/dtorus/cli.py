@@ -2,7 +2,8 @@
 
 Subcommands expose every computation; ``verify`` drives the reproduction
 checks.  Exit codes: 0 pass, 1 verified-claim failure, 2 resource/budget,
-3 internal consistency violation (formula vs enumeration mismatch).
+3 internal consistency violation (formula vs enumeration mismatch),
+64 usage or input error.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -29,7 +30,7 @@ from .criteria import (
     zero_growth,
 )
 from .cyclotomic import approx_value, get_context
-from .errors import BudgetExceeded, Bound24Violated, NotApplicable, ZeroNotEigenvalue
+from .errors import BudgetExceeded, Bound24Violated, DtorusError, NotApplicable
 from .spectrum import (
     DEFAULT_BUDGET,
     SpectrumTable,
@@ -50,24 +51,6 @@ from .zeta import cjk_table, zeta_continuum_partial, zeta_discrete
 SCHEMA = 1
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Global knobs shared by all subcommands; deterministic is always on."""
-
-    budget: int = DEFAULT_BUDGET
-    precision_bits: int = 128
-    fmt: str = "json"
-    deterministic: bool = True
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(
-        budget=args.budget,
-        precision_bits=args.bits,
-        fmt=getattr(args, "format", "json"),
-    )
-
-
 def _decimal(x, digits: int = 30) -> str:
     # re-wrapping an mpf would round it to the ambient precision
     if not isinstance(x, mpmath.mpf):
@@ -75,10 +58,10 @@ def _decimal(x, digits: int = 30) -> str:
     return mpmath.nstr(x, digits)
 
 
-def _emit(payload: dict, cfg: RunConfig) -> None:
-    if cfg.fmt == "json":
+def _emit(payload: dict, fmt: str) -> None:
+    if fmt == "json":
         print(json.dumps(payload, indent=2))
-    elif cfg.fmt == "csv":
+    elif fmt == "csv":
         _emit_csv(payload)
     else:
         _emit_text(payload)
@@ -126,17 +109,16 @@ def _spectrum_rows(table: SpectrumTable, bits: int) -> list[dict]:
 
 
 def cmd_spectrum(args) -> int:
-    cfg = _config(args)
-    table = torus_spectrum(args.n, args.d, cfg.budget)
+    table = torus_spectrum(args.n, args.d, args.budget)
     payload = {
         "schema": SCHEMA,
         "command": "spectrum",
         "n": args.n,
         "d": args.d,
         "total": str(table.total),
-        "entries": _spectrum_rows(table, cfg.precision_bits),
+        "entries": _spectrum_rows(table, args.bits),
     }
-    _emit(payload, cfg)
+    _emit(payload, args.format)
     return 0
 
 
@@ -145,9 +127,8 @@ def _parse_tuple(text: str) -> tuple[int, ...]:
 
 
 def cmd_mult(args) -> int:
-    cfg = _config(args)
     ks = _parse_tuple(args.tuple)
-    mult = multiplicity_of_tuple(args.n, args.d, ks, cfg.budget)
+    mult = multiplicity_of_tuple(args.n, args.d, ks, args.budget)
     closed = d2_closed_form(args.n, *ks) if args.d == 2 else None
     key = key_of_tuple(args.n, ks)
     payload = {
@@ -158,11 +139,11 @@ def cmd_mult(args) -> int:
         "tuple": list(ks),
         "multiplicity": str(mult),
         "value_decimal": _decimal(
-            approx_value(get_context(args.n), key, cfg.precision_bits).real
+            approx_value(get_context(args.n), key, args.bits).real
         ),
         "closed_form": None if closed is None else str(closed),
     }
-    _emit(payload, cfg)
+    _emit(payload, args.format)
     if closed is not None and closed != mult:
         print(
             f"closed form {closed} disagrees with enumeration {mult}",
@@ -184,9 +165,8 @@ def _witness_payload(w) -> dict | None:
 
 
 def cmd_growth(args) -> int:
-    cfg = _config(args)
     ks = _parse_tuple(args.tuple)
-    g = eigenvalue_growth(args.n, args.d, ks, cfg.budget)
+    g = eigenvalue_growth(args.n, args.d, ks, args.budget)
     payload = {
         "schema": SCHEMA,
         "command": "growth",
@@ -198,12 +178,11 @@ def cmd_growth(args) -> int:
         "residual_dim": g.residual_dim,
         "witness": _witness_payload(g.witness),
     }
-    _emit(payload, cfg)
+    _emit(payload, args.format)
     return 0
 
 
 def cmd_zero(args) -> int:
-    cfg = _config(args)
     exists = is_zero_eigenvalue(args.n, args.d)
     growth = None
     if exists:
@@ -221,12 +200,11 @@ def cmd_zero(args) -> int:
         "is_eigenvalue": exists,
         "growth": growth,
     }
-    _emit(payload, cfg)
+    _emit(payload, args.format)
     return 0
 
 
 def cmd_cos4(args) -> int:
-    cfg = _config(args)
     angles = [Fraction(a) for a in args.angles]
     c = classify_cos4(angles)
     payload = {
@@ -238,13 +216,12 @@ def cmd_cos4(args) -> int:
         "quadruple": None if c.quadruple is None else [str(a) for a in c.quadruple],
         "overlaps": list(c.overlaps),
     }
-    _emit(payload, cfg)
+    _emit(payload, args.format)
     return 0
 
 
 def cmd_vanishing(args) -> int:
-    cfg = _config(args)
-    sums = minimal_vanishing_sums(args.n, args.max_len, cfg.budget)
+    sums = minimal_vanishing_sums(args.n, args.max_len, args.budget)
     rows = []
     for s in sums:
         try:
@@ -265,13 +242,12 @@ def cmd_vanishing(args) -> int:
         "max_len": args.max_len,
         "sums": rows,
     }
-    _emit(payload, cfg)
+    _emit(payload, args.format)
     return 0
 
 
 def cmd_zeta(args) -> int:
-    cfg = _config(args)
-    zv = zeta_discrete(args.n, args.d, args.s, cfg.precision_bits, cfg.budget)
+    zv = zeta_discrete(args.n, args.d, args.s, args.bits, args.budget)
     payload = {
         "schema": SCHEMA,
         "command": "zeta",
@@ -285,7 +261,7 @@ def cmd_zeta(args) -> int:
         payload["continuum_decimal"] = _decimal(
             zeta_continuum_partial(args.s, args.cutoff)
         )
-    _emit(payload, cfg)
+    _emit(payload, args.format)
     return 0
 
 
@@ -301,32 +277,46 @@ def _verdict(failures: list[str], passed: int) -> int:
 
 
 def verify_bound24_cmd(args) -> int:
-    cfg = _config(args)
     failures: list[str] = []
     passed = 0
     best = (0, None)
+    seen: Counter = Counter()
+    rep60 = None
     for n in range(3, args.nmax + 1):
         try:
-            rep = verify_bound24(n, cfg.budget)
+            rep = verify_bound24(n, args.budget)
         except Bound24Violated as exc:
             failures.append(f"n={n}: {exc}")
             continue
         passed += 1
+        seen[rep.max_multiplicity] += 1
+        if n == 60:
+            rep60 = rep
         if rep.max_multiplicity > best[0]:
             best = (rep.max_multiplicity, n)
+            print(f"N={n:>4}: new maximum {best[0]}")
+    print("max multiplicity -> number of N attaining it:")
+    for mult in sorted(seen):
+        print(f"  {mult:>3}: {seen[mult]}")
     print(f"max nonzero multiplicity {best[0]} first attained at N={best[1]}")
-    if args.nmax >= 60:
-        rep = verify_bound24(60, cfg.budget)
-        if rep.max_multiplicity == 24 and len(rep.attained) == 4:
+    if rep60 is not None:
+        if rep60.max_multiplicity == 24 and len(rep60.attained) == 4:
             passed += 1
         else:
-            failures.append(f"n=60: expected 24 at four keys, got {rep.max_multiplicity}")
+            failures.append(f"n=60: expected 24 at four keys, got {rep60.max_multiplicity}")
     return _verdict(failures, passed)
 
 
 def verify_table60_cmd(args) -> int:
-    cfg = _config(args)
-    rep = verify_table60(cfg.budget)
+    rep = verify_table60(args.budget)
+    # every eigenvalue above multiplicity 8, by multiplicity, then value descending
+    table = torus_spectrum(60, 2, args.budget)
+    ctx = get_context(60)
+    print(f"{'mult':>4}  {'value':>33}  representative")
+    high = [(key, e) for key, e in table.sorted_entries() if e.count > 8]
+    for key, e in sorted(high, key=lambda kv: kv[1].count):
+        value = _decimal(approx_value(ctx, key, args.bits).real)
+        print(f"{e.count:>4}  {value:>33}  {e.representative}")
     for mult in sorted(rep.printed):
         got = rep.computed.get(mult, frozenset())
         listed = rep.printed[mult]
@@ -342,14 +332,13 @@ def verify_table60_cmd(args) -> int:
 
 
 def verify_zero_cmd(args) -> int:
-    cfg = _config(args)
     failures: list[str] = []
     passed = 0
     for n in range(3, args.nmax + 1):
         zero = get_context(n).zero
         for d in range(1, args.dmax + 1):
             formula = is_zero_eigenvalue(n, d)
-            spectral = membership(n, d, zero, cfg.budget)
+            spectral = membership(n, d, zero, args.budget)
             if formula == spectral:
                 passed += 1
             else:
@@ -358,9 +347,8 @@ def verify_zero_cmd(args) -> int:
 
 
 def verify_cjk_cmd(args) -> int:
-    cfg = _config(args)
     n_list = args.n_list or [16, 32, 64, 128]
-    rows, ref = cjk_table(args.s, n_list, args.cutoff, cfg.precision_bits, cfg.budget)
+    rows, ref = cjk_table(args.s, n_list, args.cutoff, args.bits, args.budget)
     failures: list[str] = []
     passed = 0
     gaps = []
@@ -382,12 +370,11 @@ def verify_cjk_cmd(args) -> int:
 
 
 def verify_semigroup_cmd(args) -> int:
-    cfg = _config(args)
     failures: list[str] = []
     passed = 0
     for n in (5, 6, 10, 15, 21, 30):
         for length in range(1, args.lmax + 1):
-            found = find_vanishing_multiset(n, length, cfg.budget)
+            found = find_vanishing_multiset(n, length, args.budget)
             member = w_membership(n, length)[0]
             if (found is not None) == member:
                 passed += 1
@@ -410,22 +397,31 @@ def verify_semigroup_cmd(args) -> int:
     return _verdict(failures, passed)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on usage errors: argparse's own exit code 2 is the budget code."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
+    # string defaults are parsed like command-line values, so a bad
+    # DTORUS_BUDGET or DTORUS_BITS is a usage error
     common.add_argument(
         "--budget",
         type=int,
-        default=int(os.environ.get("DTORUS_BUDGET", DEFAULT_BUDGET)),
+        default=os.environ.get("DTORUS_BUDGET", str(DEFAULT_BUDGET)),
         help="max distinct eigenvalue keys per table",
     )
     common.add_argument(
         "--bits",
         type=int,
-        default=int(os.environ.get("DTORUS_BITS", 128)),
+        default=os.environ.get("DTORUS_BITS", "128"),
         help="evaluation precision in bits",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dtorus",
         description="Exact spectra and eigenvalue multiplicities of discrete tori.",
     )
@@ -508,9 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
@@ -518,9 +513,12 @@ def main(argv=None) -> int:
     except Bound24Violated as exc:
         print(f"claim violated: {exc}", file=sys.stderr)
         return 1
-    except ZeroNotEigenvalue as exc:
+    except (DtorusError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 64
+    except AssertionError as exc:
+        print(f"internal consistency violation: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import Factorization, factorize, is_prime, semigroup_member
+from .arith import factorize, is_prime, semigroup_member
 from .cyclotomic import CycElt, cos_key, get_context
 from .errors import Bound24Violated, PreconditionViolated, ZeroNotEigenvalue
 from .spectrum import (
@@ -22,27 +22,6 @@ from .spectrum import (
     multiplicity_of_tuple,
     torus_spectrum,
 )
-
-__all__ = [
-    "Factorization",
-    "factorize",
-    "semigroup_member",
-    "I0Witness",
-    "in_I0",
-    "is_zero_eigenvalue",
-    "GrowthClass",
-    "zero_growth",
-    "eigenvalue_growth",
-    "d2_closed_form",
-    "Bound24Report",
-    "verify_bound24",
-    "Table60Report",
-    "verify_table60",
-    "lowerbound_pq_witness",
-    "pq_optimality_check",
-    "product_inequality_check",
-    "zero_lower_bound_family",
-]
 
 
 @dataclass(frozen=True)
@@ -281,7 +260,9 @@ def lowerbound_pq_witness(p: int, q: int, d: int) -> tuple[int, int]:
 
     Requires odd primes p < q and 2d >= max((p-1)(q-2), p+q+1); under that
     floor any representation automatically has a coefficient >= 2.
-    Constructed via the modular inverse, with a small search as fallback.
+    Constructed via the modular inverse: k2 is the least nonnegative
+    residue of 2d / q mod p, and every representation has k2' = k2 mod p,
+    so k2' >= k2 and k1' <= k1.  Hence k1 < 0 means none exists.
     """
     if not (p < q and p % 2 and q % 2 and is_prime(p) and is_prime(q)):
         raise ValueError("need odd primes p < q")
@@ -291,14 +272,9 @@ def lowerbound_pq_witness(p: int, q: int, d: int) -> tuple[int, int]:
             f"2d = {target} below max({(p - 1) * (q - 2)}, {p + q + 1})"
         )
     k2 = (target * pow(q, -1, p)) % p
-    k1, rem = divmod(target - k2 * q, p)
-    if rem or k1 < 0:  # fallback; the construction above should always land
-        for k2 in range(target // q + 1):
-            k1, rem = divmod(target - k2 * q, p)
-            if rem == 0 and k1 >= 0:
-                break
-        else:
-            raise AssertionError(f"no representation of {target} over ({p}, {q})")
+    k1 = (target - k2 * q) // p
+    if k1 < 0:
+        raise AssertionError(f"no representation of {target} over ({p}, {q})")
     if k1 * p + k2 * q != target or max(k1, k2) < 2:
         raise AssertionError("witness postcondition failed")
     return (k1, k2)

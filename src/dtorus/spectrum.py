@@ -179,6 +179,32 @@ def multiplicity_of_tuple(n: int, d: int, ks, budget: int = DEFAULT_BUDGET) -> i
     return e.count
 
 
+def _mitm_matches(n: int, d: int, target: CycElt, budget: int):
+    """Yield count_a * count_b for each split target = key_a + key_b.
+
+    The keys come from the two half-dimension tables of T^d_n (one table
+    when d = 1; for d = 0 only the empty sum, which is zero).  The smaller
+    table is walked and the larger one probed.
+    """
+    if d == 0:
+        if target.is_zero():
+            yield 1
+        return
+    a = (d + 1) // 2
+    ta = torus_spectrum(n, a, budget)
+    if a == d:
+        e = ta.entries.get(target)
+        if e is not None:
+            yield e.count
+        return
+    tb = torus_spectrum(n, d - a, budget)
+    small, big = (ta, tb) if len(ta.entries) <= len(tb.entries) else (tb, ta)
+    for k, e in small.entries.items():
+        other = big.entries.get(target - k)
+        if other is not None:
+            yield e.count * other.count
+
+
 def key_multiplicity(n: int, d: int, target: CycElt, budget: int = DEFAULT_BUDGET) -> int:
     """Exact multiplicity of one key in T^d_n without the full d-table.
 
@@ -186,40 +212,18 @@ def key_multiplicity(n: int, d: int, target: CycElt, budget: int = DEFAULT_BUDGE
     torus_spectrum entry-by-entry (property-tested) but stays cheap for
     single-key questions in high dimension.
     """
-    if d == 0:
-        return 1 if target.is_zero() else 0
-    a = (d + 1) // 2
-    b = d - a
-    ta = torus_spectrum(n, a, budget)
-    if b == 0:
-        return ta.count_of(target)
-    tb = torus_spectrum(n, b, budget)
-    small, big = (ta, tb) if len(ta.entries) <= len(tb.entries) else (tb, ta)
-    total = 0
-    for k, e in small.entries.items():
-        other = big.entries.get(target - k)
-        if other is not None:
-            total += e.count * other.count
-    return total
+    return sum(_mitm_matches(n, d, target, budget))
 
 
 def membership(n: int, dprime: int, target: CycElt, budget: int = DEFAULT_BUDGET) -> bool:
     """Whether ``target`` is an eigenvalue of T^dprime_n.
 
     dprime = 0 accepts only the zero element (the empty sum of cosines).
+    Stops at the first split found.
     """
     if dprime < 0:
         raise ValueError("dimension must be nonnegative")
-    if dprime == 0:
-        return target.is_zero()
-    a = (dprime + 1) // 2
-    b = dprime - a
-    ta = torus_spectrum(n, a, budget)
-    if b == 0:
-        return target in ta.entries
-    tb = torus_spectrum(n, b, budget)
-    small, big = (ta, tb) if len(ta.entries) <= len(tb.entries) else (tb, ta)
-    return any((target - k) in big.entries for k in small.entries)
+    return any(_mitm_matches(n, dprime, target, budget))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import factorize, is_prime, semigroup_member
-from .cyclotomic import CycElt, cos_key, get_context, sum_reduce
+from .cyclotomic import cos_key, get_context, sum_reduce
 from .errors import BudgetExceeded, NotApplicable, ZeroEigenvalue
 from .spectrum import DEFAULT_BUDGET
 
@@ -33,13 +33,10 @@ class RootMultiset:
             self, "exponents", tuple(sorted(e % self.n for e in self.exponents))
         )
 
-    def reduced(self) -> CycElt:
-        return sum_reduce(get_context(self.n), self.exponents)
-
 
 def is_vanishing(m: RootMultiset) -> bool:
     """Whether the root-of-unity sum is exactly zero."""
-    return m.reduced().is_zero()
+    return _roots_sum_is_zero(m.n, Counter(m.exponents))
 
 
 def w_membership(n: int, length: int) -> tuple[bool, tuple[int, ...] | None]:
@@ -279,6 +276,15 @@ def _is_minimal(n: int, exponents: tuple[int, ...]) -> bool:
             return False
 
 
+def _walk_tables(n: int):
+    """phi(n), exact power residues, and float cos/sin of the n-th roots."""
+    ctx = get_context(n)
+    powers = [ctx.power_coeffs(k) for k in range(n)]
+    cos_f = [math.cos(2 * math.pi * k / n) for k in range(n)]
+    sin_f = [math.sin(2 * math.pi * k / n) for k in range(n)]
+    return ctx.phi, powers, cos_f, sin_f
+
+
 def minimal_vanishing_sums(
     n: int, max_len: int, budget: int = DEFAULT_BUDGET
 ) -> list[FoundSum]:
@@ -290,11 +296,7 @@ def minimal_vanishing_sums(
     """
     if max_len > 12:
         raise ValueError("enumeration is desk-scale only (max_len <= 12)")
-    ctx = get_context(n)
-    powers = [ctx.power_coeffs(k) for k in range(n)]
-    cos_f = [math.cos(2 * math.pi * k / n) for k in range(n)]
-    sin_f = [math.sin(2 * math.pi * k / n) for k in range(n)]
-    phi = ctx.phi
+    phi, powers, cos_f, sin_f = _walk_tables(n)
     acc = [0] * phi
     path: list[int] = []
     results: list[FoundSum] = []
@@ -341,11 +343,7 @@ def find_vanishing_multiset(
     """
     if length < 1:
         raise ValueError("length must be positive")
-    ctx = get_context(n)
-    powers = [ctx.power_coeffs(k) for k in range(n)]
-    cos_f = [math.cos(2 * math.pi * k / n) for k in range(n)]
-    sin_f = [math.sin(2 * math.pi * k / n) for k in range(n)]
-    phi = ctx.phi
+    phi, powers, cos_f, sin_f = _walk_tables(n)
     failed: set = set()
     acc = list(powers[0])
     path = [0]

@@ -12,33 +12,18 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .arith import factorize
 from .cyclotomic import approx_value, get_context
 from .spectrum import DEFAULT_BUDGET, laplacian_view, torus_spectrum
 
 
-def r2(m: int) -> int:
-    """Representations of m as an ordered sum of two integer squares.
+def r2_upto(limit: int) -> list[int]:
+    """r2(m) for 0 <= m <= limit via a smallest-prime-factor sieve.
 
-    Multiplicative formula: 4 times the product of (a+1) over primes
-    p = 1 mod 4, zero when any prime q = 3 mod 4 has odd exponent.  By
-    convention r2(0) = 1 (the origin; both zetas exclude it anyway).
+    r2(m) counts representations of m as an ordered sum of two integer
+    squares: 4 times the product of (a+1) over primes p = 1 mod 4, zero
+    when any prime q = 3 mod 4 has odd exponent.  By convention
+    r2(0) = 1 (the origin; both zetas exclude it anyway).
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if m == 0:
-        return 1
-    out = 4
-    for p, a in factorize(m).pairs:
-        if p % 4 == 1:
-            out *= a + 1
-        elif p % 4 == 3 and a % 2:
-            return 0
-    return out
-
-
-def _r2_upto(limit: int) -> list[int]:
-    """r2(m) for 0 <= m <= limit via a smallest-prime-factor sieve."""
     spf = list(range(limit + 1))
     i = 2
     while i * i <= limit:
@@ -113,7 +98,6 @@ def zeta_discrete(
         s_mp = mpmath.mpf(s)
         total = mpmath.mpf(0)
         err = mpmath.mpf(0)
-        abs_sum = mpmath.mpf(0)
         for _, key, cnt in rows:
             av = approx_value(ctx, key, bits)
             lam = av.real
@@ -121,10 +105,9 @@ def zeta_discrete(
                 raise AssertionError("nonzero Laplacian eigenvalue not separated from 0")
             term = lam ** (-s_mp)
             total += cnt * term
-            abs_sum += cnt * term
             err += cnt * s_mp * lam ** (-s_mp - 1) * av.radius
         # summation/powering rounding, a few ulps per term
-        err += (3 * len(rows) + 4) * abs_sum * mpmath.mpf(2) ** (-(bits + 28))
+        err += (3 * len(rows) + 4) * total * mpmath.mpf(2) ** (-(bits + 28))
         return ZetaValue(+total, +err)
 
 
@@ -140,7 +123,7 @@ def zeta_continuum_partial(s, cutoff: int, bits: int = 96) -> mpmath.mpf:
         raise ValueError("cutoff must be nonnegative")
     if cutoff == 0:
         return mpmath.mpf(0)
-    counts = _r2_upto(cutoff)
+    counts = r2_upto(cutoff)
     with mpmath.workprec(bits):
         s_mp = mpmath.mpf(s)
         c = 4 * mpmath.pi**2

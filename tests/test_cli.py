@@ -2,9 +2,32 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 import dtorus
 from dtorus.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# stdout recorded from the CLI; any change to these bytes is a regression
+GOLDEN = {
+    "spectrum_12x2_json": ["spectrum", "--n", "12", "--d", "2"],
+    "spectrum_12x2_csv": ["spectrum", "--n", "12", "--d", "2", "--format", "csv"],
+    "spectrum_12x2_text": ["spectrum", "--n", "12", "--d", "2", "--format", "text"],
+    "spectrum_60x2": ["spectrum", "--n", "60", "--d", "2"],
+    "spectrum_30x3": ["spectrum", "--n", "30", "--d", "3"],
+    "mult_60x2": ["mult", "--n", "60", "--d", "2", "--tuple", "24,10"],
+    "growth_15x4": ["growth", "--n", "15", "--d", "4", "--tuple", "1,0,5,10"],
+    "zero_10x3": ["zero", "--n", "10", "--d", "3"],
+    "cos4": ["cos4", "2/5", "4/5", "1/2", "1/3"],
+    "vanishing_30": ["vanishing", "--n", "30", "--max-len", "5"],
+    "zeta_16x2": ["zeta", "--n", "16", "--d", "2", "--s", "2", "--cutoff", "10000"],
+    "verify_zero": ["verify", "zero", "--nmax", "12", "--dmax", "3"],
+    "verify_semigroup": ["verify", "semigroup", "--lmax", "5"],
+    "verify_cjk": ["verify", "cjk", "--cutoff", "10000", "--n-list", "8", "16", "32"],
+}
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +124,34 @@ def test_budget_exit_code(capsys):
     assert code == 2 and "budget" in err
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["zero", "--n", "2", "--d", "1"], {}),
+        (["mult", "--n", "5", "--d", "2", "--tuple", "1,x"], {}),
+        (["spectrum", "--n", "12", "--d", "2", "--bits", "10"], {}),
+        (["spectrum", "--n", "4", "--d", "2"], {"DTORUS_BUDGET": "abc"}),
+        (["spectrum", "--n", "2"], {}),  # usage error: --d missing
+    ],
+    ids=["n-too-small", "bad-tuple", "bits-too-low", "bad-env-budget", "missing-d"],
+)
+def test_input_error_exit_code(capsys, monkeypatch, argv, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_output(capsys, name):
+    code, out, _ = run_cli(capsys, *GOLDEN[name])
+    assert code == 0
+    assert out.encode() == (GOLDEN_DIR / f"{name}.out").read_bytes()
+
+
 def test_deterministic_output(capsys):
     _, first, _ = run_cli(capsys, "spectrum", "--n", "30", "--d", "2")
     _, second, _ = run_cli(capsys, "spectrum", "--n", "30", "--d", "2")
@@ -148,12 +199,20 @@ def test_verify_table60(capsys):
     assert code == 0
     assert "summary: pass" in out
     assert "row 16" in out  # the published-row omission stays visible
+    # the dump of every eigenvalue above multiplicity 8
+    rows = [line.split() for line in out.splitlines() if line[:4].strip().isdigit()]
+    assert sorted({int(r[0]) for r in rows}) == [12, 16, 20, 24, 118]
+    assert sum(1 for r in rows if r[0] == "16") == 28
+    assert "  16    2.95629520146761127585713349574  (2, 10)" in out
 
 
 def test_verify_bound24_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "bound24", "--nmax", "61")
     assert code == 0
     assert "max nonzero multiplicity 24 first attained at N=60" in out
+    assert "N=  60: new maximum 24" in out
+    assert "max multiplicity -> number of N attaining it:" in out
+    assert "   24: 1\n" in out  # N = 60 is the only one up to 61
 
 
 def test_verify_semigroup(capsys):

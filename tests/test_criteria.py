@@ -2,16 +2,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dtorus.arith import factorize, semigroup_member
 from dtorus.criteria import (
     d2_closed_form,
     eigenvalue_growth,
-    factorize,
     in_I0,
     is_zero_eigenvalue,
     lowerbound_pq_witness,
     pq_optimality_check,
     product_inequality_check,
-    semigroup_member,
     verify_bound24,
     verify_table60,
     zero_growth,

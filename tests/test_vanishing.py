@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dtorus.criteria import factorize
+from dtorus.arith import factorize
+from dtorus.cyclotomic import get_context, sum_reduce
 from dtorus.errors import NotApplicable, ZeroEigenvalue
 from dtorus.vanishing import (
     RootMultiset,
@@ -31,6 +32,13 @@ def test_is_vanishing_examples():
     assert is_vanishing(RootMultiset(5, (0, 1, 2, 3, 4)))
     assert not is_vanishing(RootMultiset(6, (0, 1)))
     assert is_vanishing(RootMultiset(12, (1, 7)))
+    # n = 2 * 11 * 13 * 17 * 19: a CycContext of this order would hold
+    # n * phi(n), about 3e9, coefficients
+    n = 92378
+    assert is_vanishing(RootMultiset(n, tuple(range(5, n, n // 11))))
+    assert is_vanishing(RootMultiset(n, (0, 1, n // 2, n // 2 + 1)))
+    assert not is_vanishing(RootMultiset(n, (0, n // 11, n // 13)))
+    assert not is_vanishing(RootMultiset(n, tuple(range(0, n, n // 11))[:-1]))
 
 
 @given(moduli, exponent_lists, st.integers(min_value=-50, max_value=50))
@@ -139,7 +147,7 @@ def test_classify_cos4_agrees_with_exact_sum(quad):
 def test_cos_sum_is_zero_matches_context_reduction(angles):
     n = 2 * lcm(*(a.denominator for a in angles))
     exps = [s * a.numerator * (n // (2 * a.denominator)) for a in angles for s in (1, -1)]
-    assert _cos_sum_is_zero(angles) == is_vanishing(RootMultiset(n, tuple(exps)))
+    assert _cos_sum_is_zero(angles) == sum_reduce(get_context(n), exps).is_zero()
 
 
 def test_cos_sum_is_zero_large_denominators():

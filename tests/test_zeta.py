@@ -5,20 +5,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dtorus.zeta import cjk_table, r2, zeta_continuum_partial, zeta_discrete
+from dtorus.zeta import cjk_table, r2_upto, zeta_continuum_partial, zeta_discrete
 from helpers import brute_r2
 
 
 def test_r2_examples():
-    assert r2(0) == 1  # convention; excluded from both zetas
-    assert r2(1) == 4
-    assert r2(3) == 0
-    assert r2(25) == 12
+    counts = r2_upto(25)
+    assert counts[0] == 1  # convention; excluded from both zetas
+    assert counts[1] == 4
+    assert counts[3] == 0
+    assert counts[25] == 12
+    assert r2_upto(0) == [1]
 
 
-@given(st.integers(min_value=0, max_value=3000))
-def test_r2_matches_brute_force(m):
-    assert r2(m) == brute_r2(m)
+def test_r2_matches_brute_force():
+    counts = r2_upto(3000)
+    assert counts == [brute_r2(m) for m in range(3001)]
 
 
 def test_zeta_discrete_hand_values():
