@@ -205,12 +205,11 @@ def cmd_zero(args) -> int:
 
 
 def cmd_cos4(args) -> int:
-    angles = [Fraction(a) for a in args.angles]
-    c = classify_cos4(angles)
+    c = classify_cos4(args.angles)
     payload = {
         "schema": SCHEMA,
         "command": "cos4",
-        "angles": [str(a) for a in angles],
+        "angles": [str(a) for a in args.angles],
         "family": c.family,
         "parameters": [str(p) for p in c.parameters],
         "quadruple": None if c.quadruple is None else [str(a) for a in c.quadruple],
@@ -397,6 +396,23 @@ def verify_semigroup_cmd(args) -> int:
     return _verdict(failures, passed)
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"{text} is below the minimum {low}")
+        return int(text)
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises on usage errors: argparse's own exit code 2 is the budget code."""
 
@@ -416,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--bits",
-        type=int,
+        type=_int_at_least(64),
         default=os.environ.get("DTORUS_BITS", "128"),
         help="evaluation precision in bits",
     )
@@ -457,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_zero)
 
     p = sub.add_parser("cos4", parents=[common], help="classify a vanishing sum of four cosines")
-    p.add_argument("angles", nargs=4, help="rational angles in units of pi, e.g. 2/5")
+    p.add_argument("angles", nargs=4, type=_rational, help="angles in units of pi, e.g. 2/5")
     add_format(p)
     p.set_defaults(func=cmd_cos4)
 
@@ -492,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = vsub.add_parser("cjk", parents=[common])
     p.add_argument("--s", type=float, default=2.0)
-    p.add_argument("--cutoff", type=int, default=10**6)
+    p.add_argument("--cutoff", type=_int_at_least(1), default=10**6)
     p.add_argument("--n-list", type=int, nargs="*", default=None)
     p.set_defaults(func=verify_cjk_cmd)
 

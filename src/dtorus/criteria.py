@@ -182,18 +182,18 @@ def verify_bound24(n: int, budget: int = DEFAULT_BUDGET) -> Bound24Report:
     """
     t = torus_spectrum(n, 2, budget)
     best = 0
-    keys: list[CycElt] = []
+    top: list[tuple[float, CycElt]] = []  # (-approx, key): sorts without table lookups
     for key, e in t.entries.items():
         if key.is_zero():
             continue
         if e.count > best:
-            best, keys = e.count, [key]
+            best, top = e.count, [(-e.approx, key)]
         elif e.count == best:
-            keys.append(key)
+            top.append((-e.approx, key))
     if best > 24:
         raise Bound24Violated(f"nonzero multiplicity {best} > 24 at n={n}")
-    keys.sort(key=lambda k: (-t.entries[k].approx, k.coeffs))
-    return Bound24Report(n, best, tuple(keys))
+    top.sort()
+    return Bound24Report(n, best, tuple(key for _, key in top))
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,7 @@ def verify_table60(budget: int = DEFAULT_BUDGET) -> Table60Report:
     extra = tuple(
         sorted(
             computed_frozen.get(16, frozenset()) - printed[16],
-            key=lambda k: (-t.entries[k].approx, k.coeffs),
+            key=lambda k: (-t.entries[k].approx, k),
         )
     )
     return Table60Report(ok, printed, computed_frozen, extra)

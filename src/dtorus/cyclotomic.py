@@ -2,16 +2,26 @@
 
 A sum of N-th roots of unity is stored as its canonical residue modulo the
 N-th cyclotomic polynomial Phi_N.  Two sums are equal as complex numbers
-exactly when their residues agree coefficient-for-coefficient, so a residue
-doubles as a hashable dictionary key when eigenvalues get grouped into
-multiplicity tables.  Coefficients are plain Python ints and never overflow.
+exactly when their residues are, so a residue doubles as a hashable
+dictionary key when eigenvalues get grouped into multiplicity tables.
 
-Polynomials are dense coefficient sequences, constant term first.
+Only this module knows the storage format: the residue sum(c_i x^i), i < phi,
+is the int sum(c_i 2^(64 i)) with balanced 64-bit digits (Kronecker
+substitution), so residues add as ints, zero is 0 and the constant c is c.
+Every CycElt digit lies in [-2^62, 2^62), tested wherever one is formed: the
+sum of two stays one-to-one, and overflow raises instead of wrapping.
+Unchecked int sums rest on counts: powers of x have digits below 2^31 (tested
+per context), a torus key sums 2d < 2^31 powers (torus_spectrum rejects
+d >= 2^30), the vanishing searches add one power per root, and convolve adds
+two checked keys and checks each sum.  Polynomials such as Phi_N are dense
+coefficient lists, constant term first.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -57,110 +67,116 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+@functools.lru_cache(maxsize=256)
+def _layout(n: int) -> tuple[int, int, int, int]:
+    """phi(n); offset and mask: (v + offset) & mask == 0 iff v has phi digits
+    in [-2^62, 2^62); flip: (v + flip) ^ flip holds each digit in two's complement.
+    """
+    phi = len(cyclotomic_poly(n)) - 1
+    ones = int.from_bytes((1).to_bytes(8, "little") * phi, "little")
+    return phi, ones << 62, ~(((1 << 63) - 1) * ones), ones << 63
+
+
 class CycElt:
     """Canonical residue of a root-of-unity sum; immutable, hashable, exact.
 
-    ``coeffs`` has length phi(n) and represents the residue of degree
-    < phi(n) modulo Phi_n.  Instances over the same modulus are equal iff
-    their coefficient tuples are identical, which is the entire point:
-    distinct eigenvalues never collide and equal ones never split.
+    ``v`` is the packed residue; ``coeffs`` unpacks its phi(n) coefficients,
+    which also order instances.  Instances are equal iff modulus and residue
+    are: distinct eigenvalues never collide and equal ones never split.
     """
 
-    __slots__ = ("n", "coeffs", "_hash")
+    __slots__ = ("n", "v")
 
-    def __init__(self, n: int, coeffs: tuple[int, ...]):
+    def __init__(self, n: int, v: int):
+        _, offset, mask, _ = _layout(n)
+        if (v + offset) & mask:
+            raise OverflowError("cyclotomic residue overflow: a digit left [-2^62, 2^62)")
         self.n = n
-        self.coeffs = coeffs
-        self._hash = None
+        self.v = v
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        phi, _, _, flip = _layout(self.n)
+        raw = ((self.v + flip) ^ flip).to_bytes(8 * phi, sys.byteorder)
+        return tuple(array("q", raw))
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.n, self.coeffs))
-        return h
+        v = self.v
+        if v.bit_length() <= 64 * 61:
+            return hash(v)
+        # int hashes repeat every 61 digits (2^64 = 2^3 modulo 2^61 - 1)
+        return hash(v.to_bytes(v.bit_length() // 8 + 1, "little", signed=True))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CycElt):
             return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
+        return self.n == other.n and self.v == other.v
+
+    def __lt__(self, other: "CycElt") -> bool:
+        if not isinstance(other, CycElt):
+            return NotImplemented
+        return self.coeffs < other.coeffs
 
     def __repr__(self) -> str:
         return f"CycElt(n={self.n}, coeffs={list(self.coeffs)})"
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.v
 
-    def _coerce(self, other: "CycElt | int") -> "CycElt":
+    def _coerce(self, other: "CycElt | int") -> int:
         if isinstance(other, int):
-            return get_context(self.n).const(other)
+            return CycElt(1, other).v  # a constant is a residue modulo Phi_1: one digit
         if not isinstance(other, CycElt):
             raise TypeError(f"cannot combine CycElt with {type(other).__name__}")
         if other.n != self.n:
             raise ValueError(f"mixed moduli {self.n} and {other.n}")
-        return other
+        return other.v
 
     def __add__(self, other: "CycElt | int") -> "CycElt":
-        o = self._coerce(other)
-        return CycElt(self.n, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return CycElt(self.n, self.v + self._coerce(other))
 
     __radd__ = __add__
 
     def __sub__(self, other: "CycElt | int") -> "CycElt":
-        o = self._coerce(other)
-        return CycElt(self.n, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return CycElt(self.n, self.v - self._coerce(other))
 
     def __rsub__(self, other: int) -> "CycElt":
-        o = self._coerce(other)
-        return CycElt(self.n, tuple(b - a for a, b in zip(self.coeffs, o.coeffs)))
+        return CycElt(self.n, self._coerce(other) - self.v)
 
     def __neg__(self) -> "CycElt":
-        return CycElt(self.n, tuple(-a for a in self.coeffs))
+        return CycElt(self.n, -self.v)
 
 
 class CycContext:
     """Shared immutable reduction data for one modulus N.
 
-    Holds Phi_N and the canonical residues of x^k for 0 <= k < N, turning
-    root-power sums into O(phi) coefficient arithmetic.
+    Holds Phi_N and ``powers``, the packed residues of x^k for 0 <= k < N,
+    turning root-power sums into int additions.
     """
 
-    __slots__ = ("n", "phi", "phi_coeffs", "_powers", "zero", "one")
+    __slots__ = ("n", "phi", "phi_coeffs", "powers", "zero", "one")
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("modulus must be positive")
         self.n = n
-        self.phi_coeffs = cyclotomic_poly(n)
-        self.phi = len(self.phi_coeffs) - 1
-        # Phi_N must divide x^N - 1 exactly (sanity check on construction).
-        _, rem = _divmod_monic([-1] + [0] * (n - 1) + [1], self.phi_coeffs)
-        if any(rem):
-            raise AssertionError(f"Phi_{n} does not divide x^{n}-1")
-        self._powers = self._build_powers()
-        self.zero = CycElt(n, (0,) * self.phi)
-        self.one = CycElt(n, (1,) + (0,) * (self.phi - 1))
-
-    def _build_powers(self) -> tuple[tuple[int, ...], ...]:
-        phi, pc = self.phi, self.phi_coeffs
+        self.phi_coeffs = cyclotomic_poly(n)  # raises ValueError unless n >= 1
+        self.phi = phi = len(self.phi_coeffs) - 1
+        phi_packed = sum(c << (64 * i) for i, c in enumerate(self.phi_coeffs))
+        flip = _layout(n)[3]
         powers = []
-        cur = [0] * phi
-        cur[0] = 1
-        for _ in range(self.n):
-            powers.append(tuple(cur))
-            lead = cur[phi - 1]
-            nxt = [0] + cur[: phi - 1]
-            if lead:
-                for i in range(phi):
-                    nxt[i] -= lead * pc[i]
-            cur = nxt
-        return tuple(powers)
-
-    def power_coeffs(self, k: int) -> tuple[int, ...]:
-        """Raw coefficient tuple of x^k reduced modulo Phi_N."""
-        return self._powers[k % self.n]
+        cur = 1
+        for _ in range(n):
+            CycElt(n, cur << 31)  # digits below 2^31, as the module docstring needs
+            powers.append(cur)
+            cur <<= 64
+            cur -= ((cur + flip) >> (64 * phi)) * phi_packed  # cancel the digit of x^phi
+        if cur != 1:  # x^N = 1 modulo Phi_N, i.e. Phi_N divides x^N - 1
+            raise AssertionError(f"Phi_{n} does not divide x^{n}-1")
+        self.powers = tuple(powers)
+        self.zero = CycElt(n, 0)
+        self.one = CycElt(n, 1)
 
     def const(self, c: int) -> CycElt:
-        return CycElt(self.n, (c,) + (0,) * (self.phi - 1))
+        return self.zero + c
 
     def __repr__(self) -> str:
         return f"CycContext(n={self.n}, phi={self.phi})"
@@ -173,7 +189,7 @@ def get_context(n: int) -> CycContext:
 
 def root_power(ctx: CycContext, k: int) -> CycElt:
     """Canonical form of zeta_n^k (k taken modulo n)."""
-    return CycElt(ctx.n, ctx.power_coeffs(k))
+    return CycElt(ctx.n, ctx.powers[k % ctx.n])
 
 
 def cos_key(ctx: CycContext, k: int) -> CycElt:
@@ -183,9 +199,7 @@ def cos_key(ctx: CycContext, k: int) -> CycElt:
     cos_key(n, k) == cos_key(n, n - k) holds by construction.
     """
     n = ctx.n
-    a = ctx.power_coeffs(k)
-    b = ctx.power_coeffs((n - k) % n)
-    return CycElt(n, tuple(x + y for x, y in zip(a, b)))
+    return CycElt(n, ctx.powers[k % n] + ctx.powers[-k % n])
 
 
 def sum_reduce(ctx: CycContext, exponents: Iterable[int]) -> CycElt:
@@ -194,12 +208,8 @@ def sum_reduce(ctx: CycContext, exponents: Iterable[int]) -> CycElt:
     The result is the zero element exactly when the root-of-unity sum
     vanishes.
     """
-    acc = [0] * ctx.phi
-    for e in exponents:
-        for i, c in enumerate(ctx.power_coeffs(e)):
-            if c:
-                acc[i] += c
-    return CycElt(ctx.n, tuple(acc))
+    n, powers = ctx.n, ctx.powers
+    return CycElt(n, sum(powers[e % n] for e in exponents))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ import itertools
 import math
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from operator import add as _add
 
 from .cyclotomic import CycElt, cos_key, get_context, sum_reduce
 from .errors import AsymmetricGeneratingSet, BudgetExceeded
@@ -48,12 +47,12 @@ class SpectrumTable:
         return e.count if e is not None else 0
 
     def sorted_entries(self) -> list[tuple[CycElt, Entry]]:
-        """Entries by approx value descending; key bytes break float ties.
+        """Entries by approx value descending; key order breaks float ties.
 
         Distinct algebraic values whose floats coincide stay distinct rows,
         ordered by their exact coefficients.
         """
-        return sorted(self.entries.items(), key=lambda kv: (-kv[1].approx, kv[0].coeffs))
+        return sorted(self.entries.items(), key=lambda kv: (-kv[1].approx, kv[0]))
 
 
 def cn_spectrum(n: int, budget: int = DEFAULT_BUDGET) -> SpectrumTable:
@@ -87,40 +86,40 @@ def convolve(a: SpectrumTable, b: SpectrumTable, budget: int = DEFAULT_BUDGET) -
     if a.n != b.n:
         raise ValueError(f"mixed moduli {a.n} and {b.n}")
     n = a.n
-    acc: dict[tuple[int, ...], list] = {}
+    acc: dict[int, list] = {}  # packed key -> [count, representative, approx]
 
-    def bump(coeffs, cnt, rep, approx):
-        slot = acc.get(coeffs)
+    def bump(v, cnt, rep, approx):
+        slot = acc.get(v)
         if slot is None:
             if len(acc) >= budget:
                 raise BudgetExceeded(f"more than {budget} distinct keys in convolution")
-            acc[coeffs] = [cnt, rep, approx]
+            acc[v] = [cnt, rep, approx]
         else:
             slot[0] += cnt
             if rep < slot[1]:
                 slot[1] = rep
 
-    bi = [(k.coeffs, e.count, e.representative, e.approx) for k, e in b.entries.items()]
+    bi = [(k.v, e.count, e.representative, e.approx) for k, e in b.entries.items()]
     if a is b:
         # Unordered pairs; both concatenation orders attain the key, and the
         # smaller prefix wins lexicographically.
-        for i, (cx, ci, ri, fi) in enumerate(bi):
-            bump(tuple(map(_add, cx, cx)), ci * ci, ri + ri, fi + fi)
+        for i, (vx, ci, ri, fi) in enumerate(bi):
+            bump(vx + vx, ci * ci, ri + ri, fi + fi)
             for j in range(i + 1, len(bi)):
-                cy, cj, rj, fj = bi[j]
+                vy, cj, rj, fj = bi[j]
                 rep = ri + rj if ri <= rj else rj + ri
-                bump(tuple(map(_add, cx, cy)), 2 * ci * cj, rep, fi + fj)
+                bump(vx + vy, 2 * ci * cj, rep, fi + fj)
     else:
-        ai = [(k.coeffs, e.count, e.representative, e.approx) for k, e in a.entries.items()]
-        for cx, ci, ri, fi in ai:
-            for cy, cj, rj, fj in bi:
-                bump(tuple(map(_add, cx, cy)), ci * cj, ri + rj, fi + fj)
+        ai = [(k.v, e.count, e.representative, e.approx) for k, e in a.entries.items()]
+        for vx, ci, ri, fi in ai:
+            for vy, cj, rj, fj in bi:
+                bump(vx + vy, ci * cj, ri + rj, fi + fj)
 
     total = a.total * b.total
     got = sum(slot[0] for slot in acc.values())
     if got != total:
         raise AssertionError("convolution lost mass")  # unreachable
-    entries = {CycElt(n, c): Entry(cnt, rep, approx) for c, (cnt, rep, approx) in acc.items()}
+    entries = {CycElt(n, v): Entry(cnt, rep, approx) for v, (cnt, rep, approx) in acc.items()}
     return SpectrumTable(n, a.d + b.d, entries, total)
 
 
@@ -136,8 +135,8 @@ def torus_spectrum(n: int, d: int, budget: int = DEFAULT_BUDGET) -> SpectrumTabl
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    if d < 1:
-        raise ValueError("need d >= 1")
+    if not 1 <= d < 1 << 30:
+        raise ValueError("need 1 <= d < 2^30")
     t = _torus(n, d, budget)
     if len(t.entries) > budget:
         raise BudgetExceeded(f"table for (n={n}, d={d}) has {len(t.entries)} keys, budget {budget}")

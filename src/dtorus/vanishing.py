@@ -8,13 +8,14 @@ sums, admissibility, and the bound calculators used by the growth results.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import factorize, is_prime, semigroup_member
-from .cyclotomic import cos_key, get_context, sum_reduce
+from .cyclotomic import cos_key, get_context
 from .errors import BudgetExceeded, NotApplicable, ZeroEigenvalue
 from .spectrum import DEFAULT_BUDGET
 
@@ -254,35 +255,20 @@ class FoundSum:
 
 def _is_minimal(n: int, exponents: tuple[int, ...]) -> bool:
     """No proper nonempty sub-multiset vanishes."""
-    ctx = get_context(n)
+    powers = get_context(n).powers
     counts = sorted(Counter(exponents).items())
-    exps = [e for e, _ in counts]
-    maxes = [c for _, c in counts]
-    picks = [0] * len(exps)
-    total = len(exponents)
-    while True:
-        i = 0
-        while i < len(picks) and picks[i] == maxes[i]:
-            picks[i] = 0
-            i += 1
-        if i == len(picks):
-            return True
-        picks[i] += 1
-        size = sum(picks)
-        if size in (0, total) or size < 2:
-            continue
-        sub = [e for e, c in zip(exps, picks) for _ in range(c)]
-        if sum_reduce(ctx, sub).is_zero():
+    for picks in itertools.product(*(range(c + 1) for _, c in counts)):
+        sub = sum(k * powers[e] for (e, _), k in zip(counts, picks))
+        if not sub and 0 < sum(picks) < len(exponents):
             return False
+    return True
 
 
 def _walk_tables(n: int):
-    """phi(n), exact power residues, and float cos/sin of the n-th roots."""
-    ctx = get_context(n)
-    powers = [ctx.power_coeffs(k) for k in range(n)]
+    """Packed power residues and float cos/sin of the n-th roots."""
     cos_f = [math.cos(2 * math.pi * k / n) for k in range(n)]
     sin_f = [math.sin(2 * math.pi * k / n) for k in range(n)]
-    return ctx.phi, powers, cos_f, sin_f
+    return get_context(n).powers, cos_f, sin_f
 
 
 def minimal_vanishing_sums(
@@ -296,25 +282,22 @@ def minimal_vanishing_sums(
     """
     if max_len > 12:
         raise ValueError("enumeration is desk-scale only (max_len <= 12)")
-    phi, powers, cos_f, sin_f = _walk_tables(n)
-    acc = [0] * phi
+    powers, cos_f, sin_f = _walk_tables(n)
     path: list[int] = []
     results: list[FoundSum] = []
     visited = 0
 
-    def walk(start: int, re: float, im: float):
+    def walk(start: int, acc: int, re: float, im: float):
         nonlocal visited
         depth = len(path)
         for e in range(start, n):
             visited += 1
             if visited > budget:
                 raise BudgetExceeded(f"more than {budget} partial-sum states")
-            pe = powers[e]
-            for i in range(phi):
-                acc[i] += pe[i]
+            acc2 = acc + powers[e]
             path.append(e)
             re2, im2 = re + cos_f[e], im + sin_f[e]
-            if not any(acc):
+            if not acc2:
                 exps = tuple(path)
                 results.append(
                     FoundSum(RootMultiset(n, exps), _is_minimal(n, exps))
@@ -322,12 +305,10 @@ def minimal_vanishing_sums(
             remaining = max_len - depth - 1
             # a sum of `remaining` unit vectors moves the value by at most that much
             if remaining > 0 and re2 * re2 + im2 * im2 <= (remaining + 1e-9) ** 2:
-                walk(e, re2, im2)
+                walk(e, acc2, re2, im2)
             path.pop()
-            for i in range(phi):
-                acc[i] -= pe[i]
 
-    walk(0, 0.0, 0.0)
+    walk(0, 0, 0.0, 0.0)
     return results
 
 
@@ -343,35 +324,29 @@ def find_vanishing_multiset(
     """
     if length < 1:
         raise ValueError("length must be positive")
-    phi, powers, cos_f, sin_f = _walk_tables(n)
+    powers, cos_f, sin_f = _walk_tables(n)
     failed: set = set()
-    acc = list(powers[0])
     path = [0]
 
-    def walk(re: float, im: float, last: int, remaining: int) -> bool:
+    def walk(acc: int, re: float, im: float, last: int, remaining: int) -> bool:
         if remaining == 0:
-            return not any(acc)
+            return not acc
         if re * re + im * im > (remaining + 1e-9) ** 2:
             return False
-        state = (tuple(acc), last, remaining)
+        state = (acc, last, remaining)
         if state in failed:
             return False
         for e in range(last, n):
-            pe = powers[e]
-            for i in range(phi):
-                acc[i] += pe[i]
             path.append(e)
-            if walk(re + cos_f[e], im + sin_f[e], e, remaining - 1):
+            if walk(acc + powers[e], re + cos_f[e], im + sin_f[e], e, remaining - 1):
                 return True
             path.pop()
-            for i in range(phi):
-                acc[i] -= pe[i]
         if len(failed) >= budget:
             raise BudgetExceeded(f"more than {budget} memoized states")
         failed.add(state)
         return False
 
-    if walk(1.0, 0.0, 0, length - 1):
+    if walk(powers[0], 1.0, 0.0, 0, length - 1):
         return RootMultiset(n, tuple(path))
     return None
 

@@ -93,7 +93,7 @@ def zeta_discrete(
         for key, e in lap.entries.items()
         if not key.is_zero()
     ]
-    rows.sort(key=lambda r: (r[0], r[1].coeffs))
+    rows.sort(key=lambda r: (r[0], r[1]))
     with mpmath.workprec(bits + 32):
         s_mp = mpmath.mpf(s)
         total = mpmath.mpf(0)

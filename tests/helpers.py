@@ -7,15 +7,38 @@ never calls the convolution machinery it is checking.
 from itertools import product
 from math import gcd, isqrt
 
-from dtorus.cyclotomic import get_context, sum_reduce
+from dtorus.cyclotomic import cyclotomic_poly
+
+
+def reduce_mod_phi(poly, n):
+    """Coefficient tuple of poly modulo Phi_n, by long division (Phi_n is monic)."""
+    phi = cyclotomic_poly(n)
+    deg = len(phi) - 1
+    work = list(poly) + [0] * deg
+    for i in range(len(work) - 1, deg - 1, -1):
+        c = work[i]
+        if c:
+            for j, y in enumerate(phi):
+                work[i - deg + j] -= c * y
+    return tuple(work[:deg])
 
 
 def enumerate_spectrum(n, d):
-    """Eigenvalue key -> (count, smallest index tuple) over all n^d tuples."""
-    ctx = get_context(n)
+    """Key coefficients -> (count, smallest index tuple) over all n^d tuples.
+
+    Reduction is linear, so each 2-cosine x^k + x^(n-k) is divided by Phi_n
+    once and a tuple's key is the sum of its cosines' remainders; the packed
+    residues of dtorus.cyclotomic are never used.
+    """
+    cos = []
+    for k in range(n):
+        poly = [0] * n
+        poly[k] += 1
+        poly[-k % n] += 1
+        cos.append(reduce_mod_phi(poly, n))
     out = {}
     for t in product(range(n), repeat=d):
-        key = sum_reduce(ctx, (e for k in t for e in (k, (n - k) % n)))
+        key = tuple(map(sum, zip(*(cos[k] for k in t))))
         hit = out.get(key)
         if hit is None:
             out[key] = (1, t)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import dtorus
+from dtorus import cli
 from dtorus.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -132,8 +133,18 @@ def test_budget_exit_code(capsys):
         (["spectrum", "--n", "12", "--d", "2", "--bits", "10"], {}),
         (["spectrum", "--n", "4", "--d", "2"], {"DTORUS_BUDGET": "abc"}),
         (["spectrum", "--n", "2"], {}),  # usage error: --d missing
+        (["cos4", "1/0", "1", "1", "1"], {}),
+        (["verify", "cjk", "--cutoff", "0"], {}),
     ],
-    ids=["n-too-small", "bad-tuple", "bits-too-low", "bad-env-budget", "missing-d"],
+    ids=[
+        "n-too-small",
+        "bad-tuple",
+        "bits-too-low",
+        "bad-env-budget",
+        "missing-d",
+        "zero-denominator",
+        "cutoff-zero",
+    ],
 )
 def test_input_error_exit_code(capsys, monkeypatch, argv, env):
     for name, value in env.items():
@@ -143,6 +154,17 @@ def test_input_error_exit_code(capsys, monkeypatch, argv, env):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("arg", [["--bits", "10"], ["--cutoff", "0"]])
+def test_cjk_arguments_checked_before_work(capsys, monkeypatch, arg):
+    def unreachable(*args, **kwargs):
+        raise RuntimeError("cjk_table ran before the arguments were checked")
+
+    monkeypatch.setattr(cli, "cjk_table", unreachable)
+    code, out, err = run_cli(capsys, "verify", "cjk", "--cutoff", "1000000", *arg)
+    assert code == 64 and out == ""
+    assert err.startswith("error: argument ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

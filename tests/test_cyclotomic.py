@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dtorus.cyclotomic import (
+    CycElt,
     approx_value,
     cos_key,
     cyclotomic_poly,
@@ -13,7 +14,8 @@ from dtorus.cyclotomic import (
     root_power,
     sum_reduce,
 )
-from helpers import phi_brute
+from dtorus.spectrum import Entry, SpectrumTable
+from helpers import phi_brute, reduce_mod_phi
 
 moduli = st.integers(min_value=1, max_value=60)
 
@@ -83,6 +85,79 @@ def test_sum_reduce_additive(n, a, b):
         x + y for x, y in zip(sum_reduce(ctx, a).coeffs, sum_reduce(ctx, b).coeffs)
     )
     assert lhs.coeffs == rhs_coeffs
+
+
+def pack(coeffs):
+    """The packed format written out: sum of c_i * 2^(64 i)."""
+    return sum(c << (64 * i) for i, c in enumerate(coeffs))
+
+
+TOP = 2**62  # CycElt digits lie in [-TOP, TOP)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (0, 0, 0, 0),
+        (-1, 1, 0, 0),  # the low digit borrows from the next one
+        (1, -1, 0, 0),
+        (0, 0, 0, -1),  # the packed int is negative
+        (-1, -1, -1, -1),
+        (TOP - 1, -(TOP - 1), TOP - 1, -(TOP - 1)),
+        (-TOP, TOP - 1, -TOP, TOP - 1),
+    ],
+)
+def test_pack_round_trip(coeffs):
+    e = CycElt(5, pack(coeffs))
+    assert e.coeffs == coeffs
+    assert (e + 0).coeffs == coeffs and (e - e).is_zero()
+
+
+@given(moduli, st.lists(st.integers(min_value=-TOP, max_value=TOP - 1), max_size=20))
+def test_pack_round_trip_random(n, digits):
+    phi = get_context(n).phi
+    coeffs = tuple(digits[:phi]) + (0,) * max(0, phi - len(digits))
+    assert CycElt(n, pack(coeffs)).coeffs == coeffs
+
+
+@given(moduli, st.integers(min_value=0, max_value=400))
+def test_root_power_matches_division(n, k):
+    poly = [0] * k + [1]
+    assert root_power(get_context(n), k).coeffs == reduce_mod_phi(poly, n)
+
+
+def test_digit_guard():
+    ctx = get_context(5)
+    x = root_power(ctx, 1)
+    assert x.v == 2**64
+    for make in (
+        lambda: ctx.const(2**64),
+        lambda: ctx.one + 2**64,
+        lambda: 2**64 - ctx.one,
+        lambda: CycElt(5, pack((TOP,))),
+        lambda: CycElt(5, pack((0, 0, 0, -TOP - 1))),
+        lambda: CycElt(5, pack((0, 0, 0, 0, 1))),  # a fifth digit: not reduced
+        lambda: -CycElt(5, pack((-TOP,))),
+    ):
+        with pytest.raises(OverflowError):
+            make()
+    e = ctx.const(2**30)
+    doublings = 0
+    with pytest.raises(OverflowError):
+        for doublings in range(40):
+            e = e + e
+            assert e != x
+    assert doublings == 31 and e.coeffs == (2**61, 0, 0, 0)
+
+
+def test_sorted_entries_breaks_ties_in_coefficient_order():
+    # coefficient order puts b first; ordering by the packed int or by the
+    # top digit first would put a first
+    a = CycElt(5, pack((1, -1, 0, 0)))
+    b = CycElt(5, pack((0, 1, 0, 0)))
+    assert b < a and not a < b
+    table = SpectrumTable(5, 1, {a: Entry(1, (0,), 0.5), b: Entry(1, (1,), 0.5)}, 2)
+    assert [k for k, _ in table.sorted_entries()] == [b, a]
 
 
 def test_elt_arithmetic_int_promotion():
