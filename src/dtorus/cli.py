@@ -246,6 +246,8 @@ def cmd_vanishing(args) -> int:
 
 
 def cmd_zeta(args) -> int:
+    if args.cutoff is not None and not args.s > 1:
+        raise ValueError("the continuum partial sum (--cutoff) needs s > 1")
     zv = zeta_discrete(args.n, args.d, args.s, args.bits, args.budget)
     payload = {
         "schema": SCHEMA,
@@ -346,8 +348,7 @@ def verify_zero_cmd(args) -> int:
 
 
 def verify_cjk_cmd(args) -> int:
-    n_list = args.n_list or [16, 32, 64, 128]
-    rows, ref = cjk_table(args.s, n_list, args.cutoff, args.bits, args.budget)
+    rows, ref = cjk_table(args.s, args.n_list, args.cutoff, args.bits, args.budget)
     failures: list[str] = []
     passed = 0
     gaps = []
@@ -487,29 +488,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--s", type=float, required=True)
-    p.add_argument("--cutoff", type=int, default=None, help="also print the continuum partial sum")
+    p.add_argument("--cutoff", type=_int_at_least(0), help="also print the continuum partial sum")
     add_format(p)
     p.set_defaults(func=cmd_zeta)
 
     v = sub.add_parser("verify", help="reproduction checks")
     vsub = v.add_subparsers(dest="check", required=True)
 
+    # an empty range would check nothing and still pass
     p = vsub.add_parser("bound24", parents=[common])
-    p.add_argument("--nmax", type=int, default=420)
+    p.add_argument("--nmax", type=_int_at_least(3), default=420)
     p.set_defaults(func=verify_bound24_cmd)
 
     p = vsub.add_parser("table60", parents=[common])
     p.set_defaults(func=verify_table60_cmd)
 
     p = vsub.add_parser("zero", parents=[common])
-    p.add_argument("--nmax", type=int, default=60)
-    p.add_argument("--dmax", type=int, default=6)
+    p.add_argument("--nmax", type=_int_at_least(3), default=60)
+    p.add_argument("--dmax", type=_int_at_least(1), default=6)
     p.set_defaults(func=verify_zero_cmd)
 
     p = vsub.add_parser("cjk", parents=[common])
     p.add_argument("--s", type=float, default=2.0)
     p.add_argument("--cutoff", type=_int_at_least(1), default=10**6)
-    p.add_argument("--n-list", type=int, nargs="*", default=None)
+    p.add_argument("--n-list", type=_int_at_least(3), nargs="+", default=[16, 32, 64, 128])
     p.set_defaults(func=verify_cjk_cmd)
 
     p = vsub.add_parser("semigroup", parents=[common])

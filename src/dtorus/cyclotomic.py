@@ -20,12 +20,14 @@ coefficient lists, constant term first.
 from __future__ import annotations
 
 import functools
+import operator
 import sys
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import mpmath
+from mpmath import libmp
 
 
 def _divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -216,10 +218,11 @@ def sum_reduce(ctx: CycContext, exponents: Iterable[int]) -> CycElt:
 class ApproxReal:
     """Certified enclosure of the complex embedding of a residue.
 
-    ``real`` is the midpoint of a rigorous enclosure of the real part and
-    ``radius`` its half-width.  ``imag_bound`` bounds the absolute value of
-    the imaginary part; for eigenvalue keys (conjugation-symmetric sums) it
-    is of the same size as ``radius``.
+    ``real`` is a fixed-point midpoint for the real part and ``radius`` a
+    rigorous bound on its error: the sum of the coefficients' absolute
+    values, in units of the last fixed-point bit.  ``imag_bound`` bounds the
+    absolute value of the imaginary part; for eigenvalue keys
+    (conjugation-symmetric sums) it is of the same size as ``radius``.
     """
 
     real: mpmath.mpf
@@ -231,77 +234,58 @@ class ApproxReal:
 
 
 @functools.lru_cache(maxsize=8)
-def _trig_tables(n: int, prec: int):
-    """Interval enclosures of cos/sin(2 pi k / n) for 0 <= k < n."""
+def _fixed_tables(n: int, prec: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Integers within 1 of 2^prec cos(2 pi k / n) and 2^prec sin(2 pi k / n), k < n.
+
+    Each entry is the integer nearest the midpoint of one interval
+    enclosure at prec + 32 bits, whose width is asserted to be at most 1.
+    """
     iv = mpmath.iv
     old = iv.prec
     try:
-        iv.prec = prec
-        two_pi = 2 * iv.pi
-        cos_t = []
-        sin_t = []
-        for k in range(n):
-            ang = two_pi * k / n
-            cos_t.append(iv.cos(ang))
-            sin_t.append(iv.sin(ang))
+        iv.prec = prec + 32
+        angles = [2 * iv.pi * k / n for k in range(n)]
+        cosines, sines = [iv.cos(a) for a in angles], [iv.sin(a) for a in angles]
     finally:
         iv.prec = old
-    return tuple(cos_t), tuple(sin_t)
 
+    def nearest(x) -> int:
+        lo, hi = (mpmath.mp.make_mpf(end) for end in x._mpi_)
+        if not mpmath.ldexp(mpmath.fsub(hi, lo, exact=True), prec) <= 1:
+            raise AssertionError(f"cos/sin enclosure wider than 2^-{prec}")
+        mid = mpmath.ldexp(mpmath.fadd(lo, hi, exact=True), prec - 1)
+        return int(mpmath.nint(mid))
 
-def _interval_parts(e: CycElt, prec: int):
-    iv = mpmath.iv
-    cos_t, sin_t = _trig_tables(e.n, prec)
-    old = iv.prec
-    try:
-        iv.prec = prec
-        re = iv.mpf(0)
-        im = iv.mpf(0)
-        for j, a in enumerate(e.coeffs):
-            if a:
-                re += a * cos_t[j]
-                im += a * sin_t[j]
-    finally:
-        iv.prec = old
-    return re, im
-
-
-def _endpoints(x) -> tuple[mpmath.mpf, mpmath.mpf]:
-    # make_mpf wraps the raw endpoint data without rounding it to the
-    # ambient precision; a plain mpf() call here could collapse the
-    # interval and report a zero radius.
-    a, b = x._mpi_
-    return mpmath.mp.make_mpf(a), mpmath.mp.make_mpf(b)
+    # the sum and the shifts are exact; nint rounds to the working precision,
+    # which must hold the (prec + 1)-bit result (the ambient 53 bits would not)
+    with mpmath.workprec(prec + 96):
+        return tuple(map(nearest, cosines)), tuple(map(nearest, sines))
 
 
 def approx_value(ctx: CycContext, e: CycElt, bits: int = 128) -> ApproxReal:
     """Evaluate the residue at e^{2 pi i / n} with a rigorous error radius.
 
-    Interval arithmetic gives the enclosure; the working precision starts
-    at 128 bits (or above the request) and doubles until the radius drops
-    below 2^-bits.
+    Fixed point at prec = bits + 64 bits: with integers C_j, S_j within 1 of
+    2^prec cos(2 pi j / n), 2^prec sin(2 pi j / n) (``_fixed_tables``) and
+    w = sum |a_j|, the real part is sum a_j C_j / 2^prec with radius
+    w / 2^prec, and |imag| <= (|sum a_j S_j| + w) / 2^prec.  prec doubles
+    while w > 2^(prec - bits), so the radius is at most 2^-bits.
     """
     if bits < 64:
         raise ValueError("need at least 64 bits")
     if e.n != ctx.n:
         raise ValueError("element does not belong to this context")
-    target = mpmath.mpf(2) ** (-bits)
-    prec = max(128, bits + 32)
-    while True:
-        re, im = _interval_parts(e, prec)
-        lo, hi = _endpoints(re)
-        with mpmath.workprec(prec + 64):
-            # endpoints are prec-bit dyadics, so these combinations are exact
-            radius = (hi - lo) / 2
-            mid = (lo + hi) / 2
-        if radius <= target:
-            break
-        if prec > 1 << 22:  # pragma: no cover - would need absurd inputs
-            raise RuntimeError("interval evaluation failed to converge")
+    coeffs = e.coeffs
+    w = sum(map(abs, coeffs))
+    prec = bits + 64
+    while w > 1 << (prec - bits):
         prec *= 2
-    ilo, ihi = _endpoints(im)
-    return ApproxReal(
-        real=mid,
-        radius=radius,
-        imag_bound=max(abs(ilo), abs(ihi)),
-    )
+    cos_t, sin_t = _fixed_tables(ctx.n, prec)
+    re = sum(map(operator.mul, coeffs, cos_t))
+    im = sum(map(operator.mul, coeffs, sin_t))
+
+    def fixed(m: int) -> mpmath.mpf:
+        # exact: mpf((m, -prec)) would round m to the ambient 53 bits
+        return mpmath.mp.make_mpf(libmp.from_man_exp(m, -prec))
+
+    return ApproxReal(real=fixed(re), radius=fixed(w), imag_bound=fixed(abs(im) + w))

@@ -9,47 +9,32 @@ Real s only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import mpmath
+from mpmath.libmp import fzero, mpf_add, mpf_mul_int, mpf_pow, mpf_pow_int, mpf_rdiv_int
+from mpmath.libmp import round_nearest as rnd
 
 from .cyclotomic import approx_value, get_context
 from .spectrum import DEFAULT_BUDGET, laplacian_view, torus_spectrum
 
 
 def r2_upto(limit: int) -> list[int]:
-    """r2(m) for 0 <= m <= limit via a smallest-prime-factor sieve.
+    """r2(m) for 0 <= m <= limit by counting lattice points.
 
     r2(m) counts representations of m as an ordered sum of two integer
-    squares: 4 times the product of (a+1) over primes p = 1 mod 4, zero
-    when any prime q = 3 mod 4 has odd exponent.  By convention
-    r2(0) = 1 (the origin; both zetas exclude it anyway).
+    squares.  Rotation by 90 degrees splits the nonzero lattice points into
+    orbits of four, each with exactly one point a >= 1, b >= 0, so every
+    such point with a^2 + b^2 <= limit adds 4.  By convention r2(0) = 1
+    (the origin; both zetas exclude it anyway).
     """
-    spf = list(range(limit + 1))
-    i = 2
-    while i * i <= limit:
-        if spf[i] == i:
-            for j in range(i * i, limit + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
-        i += 1
-    out = [0] * (limit + 1)
-    if limit >= 0:
-        out[0] = 1
-    for m in range(1, limit + 1):
-        x = m
-        val = 4
-        while x > 1:
-            p = spf[x]
-            a = 0
-            while x % p == 0:
-                x //= p
-                a += 1
-            if p % 4 == 1:
-                val *= a + 1
-            elif p % 4 == 3 and a % 2:
-                val = 0
-                break
-        out[m] = val
+    if limit < 0:
+        return []
+    out = [1] + [0] * limit
+    for a in range(1, isqrt(limit) + 1):
+        a2 = a * a
+        for b in range(isqrt(limit - a2) + 1):
+            out[a2 + b * b] += 4
     return out
 
 
@@ -121,24 +106,26 @@ def zeta_continuum_partial(s, cutoff: int, bits: int = 96) -> mpmath.mpf:
         raise ValueError("need s > 1")
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    if cutoff == 0:
-        return mpmath.mpf(0)
     counts = r2_upto(cutoff)
     with mpmath.workprec(bits):
-        s_mp = mpmath.mpf(s)
-        c = 4 * mpmath.pi**2
-        total = mpmath.mpf(0)
-        s_int = int(s) if s == int(s) else None
-        for m in range(1, cutoff + 1):
-            rm = counts[m]
-            if not rm:
-                continue
-            base = c * m
-            if s_int is not None:
-                total += rm / base**s_int
-            else:
-                total += rm * base ** (-s_mp)
-        return +total
+        c = (4 * mpmath.pi**2)._mpf_
+        neg_s = (-mpmath.mpf(s))._mpf_
+    s_int = int(s) if s == int(s) else None
+    # the libmp calls that the mpf operators of rm / (c*m)**s_int and
+    # rm * (c*m)**-s make, in the same order and rounding: the sum is the
+    # same to the bit, without the operator overhead
+    total = fzero
+    for m in range(1, cutoff + 1):
+        rm = counts[m]
+        if not rm:
+            continue
+        base = mpf_mul_int(c, m, bits, rnd)
+        if s_int is not None:
+            term = mpf_rdiv_int(rm, mpf_pow_int(base, s_int, bits, rnd), bits, rnd)
+        else:
+            term = mpf_mul_int(mpf_pow(base, neg_s, bits, rnd), rm, bits, rnd)
+        total = mpf_add(total, term, bits, rnd)
+    return mpmath.mp.make_mpf(total)
 
 
 def cjk_table(

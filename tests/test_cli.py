@@ -135,6 +135,10 @@ def test_budget_exit_code(capsys):
         (["spectrum", "--n", "2"], {}),  # usage error: --d missing
         (["cos4", "1/0", "1", "1", "1"], {}),
         (["verify", "cjk", "--cutoff", "0"], {}),
+        (["verify", "bound24", "--nmax", "2"], {}),
+        (["verify", "zero", "--nmax", "2"], {}),
+        (["verify", "zero", "--dmax", "0"], {}),
+        (["verify", "cjk", "--n-list"], {}),
     ],
     ids=[
         "n-too-small",
@@ -144,6 +148,10 @@ def test_budget_exit_code(capsys):
         "missing-d",
         "zero-denominator",
         "cutoff-zero",
+        "bound24-empty-range",
+        "zero-empty-n-range",
+        "zero-empty-d-range",
+        "cjk-empty-n-list",
     ],
 )
 def test_input_error_exit_code(capsys, monkeypatch, argv, env):
@@ -165,6 +173,17 @@ def test_cjk_arguments_checked_before_work(capsys, monkeypatch, arg):
     code, out, err = run_cli(capsys, "verify", "cjk", "--cutoff", "1000000", *arg)
     assert code == 64 and out == ""
     assert err.startswith("error: argument ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("arg", [["--s", "0.5", "--cutoff", "10"], ["--s", "2", "--cutoff", "-1"]])
+def test_zeta_arguments_checked_before_work(capsys, monkeypatch, arg):
+    def unreachable(*args, **kwargs):
+        raise RuntimeError("zeta_discrete ran before the arguments were checked")
+
+    monkeypatch.setattr(cli, "zeta_discrete", unreachable)
+    code, out, err = run_cli(capsys, "zeta", "--n", "16", "--d", "2", *arg)
+    assert code == 64 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -2,11 +2,12 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dtorus.cyclotomic import (
     CycElt,
+    _fixed_tables,
     approx_value,
     cos_key,
     cyclotomic_poly,
@@ -217,6 +218,55 @@ def test_approx_rejects_low_bits():
     ctx = get_context(5)
     with pytest.raises(ValueError):
         approx_value(ctx, ctx.one, bits=32)
+
+
+def iv_enclosures(n, prec, coeffs=None):
+    """Raw (lo, hi) mpf pairs of interval enclosures at ``prec`` bits: of
+    (cos, sin)(2 pi k / n) for every k < n, or of the real and imaginary
+    parts of sum c_j zeta_n^j when ``coeffs`` is given."""
+    iv = mpmath.iv
+    old = iv.prec
+    try:
+        iv.prec = prec
+        angles = [2 * iv.pi * k / n for k in range(n)]
+        parts = [(iv.cos(a), iv.sin(a)) for a in angles]
+        if coeffs is not None:
+            re = sum((c * cos for c, (cos, _) in zip(coeffs, parts)), iv.mpf(0))
+            im = sum((c * sin for c, (_, sin) in zip(coeffs, parts)), iv.mpf(0))
+            parts = [(re, im)]
+    finally:
+        iv.prec = old
+    return [[tuple(mpmath.mp.make_mpf(x) for x in part._mpi_) for part in pair] for pair in parts]
+
+
+@given(
+    st.integers(min_value=1, max_value=120),
+    st.lists(st.integers(min_value=-1000, max_value=1000), max_size=40),
+    st.integers(min_value=64, max_value=256),
+)
+@example(16, [TOP - 1] * 8, 64)  # sum |a_j| > 2^64: the precision doubles
+def test_approx_encloses_interval_reference(n, digits, bits):
+    ctx = get_context(n)
+    coeffs = tuple(digits[: ctx.phi]) + (0,) * max(0, ctx.phi - len(digits))
+    av = approx_value(ctx, CycElt(n, pack(coeffs)), bits)
+    # four times the fixed-point precision approx_value starts from
+    [((re_lo, re_hi), (im_lo, im_hi))] = iv_enclosures(n, 4 * (bits + 64), coeffs)
+    assert av.radius <= mpmath.ldexp(1, -bits)
+    assert mpmath.fsub(av.real, av.radius, exact=True) <= re_lo
+    assert re_hi <= mpmath.fadd(av.real, av.radius, exact=True)
+    # exact: unary minus and abs() round to the ambient 53 bits
+    assert mpmath.fneg(im_lo, exact=True) <= av.imag_bound and im_hi <= av.imag_bound
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7, 27, 32, 97, 360, 420])
+@pytest.mark.parametrize("prec", [128, 192])
+def test_fixed_tables_within_one(n, prec):
+    tables = _fixed_tables(n, prec)
+    assert len(tables[0]) == len(tables[1]) == n
+    for k, pair in enumerate(iv_enclosures(n, 4 * prec)):
+        for table, (lo, hi) in zip(tables, pair):
+            assert table[k] - 1 <= mpmath.ldexp(lo, prec)
+            assert mpmath.ldexp(hi, prec) <= table[k] + 1
 
 
 def test_phi_divides_x_n_minus_1():

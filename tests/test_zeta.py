@@ -49,6 +49,17 @@ def test_zeta_discrete_matches_enumeration(n, d, s):
     assert abs(float(z.value) - brute) < 1e-8 * max(1.0, brute)
 
 
+@pytest.mark.parametrize("s", [2, 2.5])
+@pytest.mark.parametrize("n", range(3, 13))
+def test_zeta_discrete_error_bound_holds(n, s):
+    z = zeta_discrete(n, 2, s)  # evaluated at 128 bits
+    with mpmath.workprec(4 * 128):
+        cos = [2 * mpmath.cos(2 * mpmath.pi * k / n) for k in range(n)]
+        lams = [4 - cos[a] - cos[b] for a in range(n) for b in range(n) if a or b]
+        reference = mpmath.fsum(lam ** -mpmath.mpf(s) for lam in lams)
+        assert abs(z.value - reference) <= z.error
+
+
 def test_zeta_discrete_matches_enumeration_n24():
     z = zeta_discrete(24, 2, 2)
     brute = 0.0
@@ -72,6 +83,25 @@ def test_zeta_continuum_monotone_in_cutoff():
     vals = [zeta_continuum_partial(2, c) for c in (0, 1, 10, 100, 1000)]
     for a, b in zip(vals, vals[1:]):
         assert b >= a
+
+
+# zeta_continuum_partial(s, cutoff)._mpf_ recorded from the loop written with
+# mpf operators (total += rm / (c*m)**s); the libmp calls must match every bit.
+CONTINUUM_PINNED = {
+    (1.5, 10**4): (0, 22922432229257034327925650083, -99, 95),
+    (1.5, 10**5): (0, 11516106081242210027379912119, -98, 94),
+    (2, 10**4): (0, 78426906432685286948649494047, -104, 96),
+    (2, 10**5): (0, 39215292940513216001248079153, -103, 95),
+    (2.5, 10**4): (0, 5271447043443687622374035913, -103, 93),
+    (2.5, 10**5): (0, 10542898287422418177699879487, -104, 94),
+    (3, 10**4): (0, 49144505977708320385105077177, -109, 96),
+    (3, 10**5): (0, 49144506141736724325031234205, -109, 96),
+}
+
+
+@pytest.mark.parametrize("s, cutoff", sorted(CONTINUUM_PINNED))
+def test_zeta_continuum_bit_identical(s, cutoff):
+    assert zeta_continuum_partial(s, cutoff)._mpf_ == CONTINUUM_PINNED[s, cutoff]
 
 
 def test_zeta_continuum_requires_s_above_one():
