@@ -42,14 +42,33 @@ def factorize(n: int) -> Factorization:
     return Factorization(tuple(pairs))
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to every base above (Sorenson and Webster,
+# Math. Comp. 86 (2017)): below it the test is exact
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for n < 3.3 * 10^24, ValueError above."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality of {n} is not certified above {_MR_LIMIT}")
     if n < 2:
         return False
-    p = 2
-    while p * p <= n:
+    for p in _MR_BASES:
         if n % p == 0:
+            return n == p
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * odd
+    odd = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        p += 1 if p == 2 else 2
     return True
 
 

@@ -49,6 +49,9 @@ from .vanishing import (
 from .zeta import cjk_table, zeta_continuum_partial, zeta_discrete
 
 SCHEMA = 1
+# --bits cap: outputs print 30 digits, and the cost of the certified cos/sin
+# tables grows fast with the precision (100000 bits ran for minutes)
+MAX_BITS = 4096
 
 
 def _decimal(x, digits: int = 30) -> str:
@@ -314,8 +317,12 @@ def verify_table60_cmd(args) -> int:
     table = torus_spectrum(60, 2, args.budget)
     ctx = get_context(60)
     print(f"{'mult':>4}  {'value':>33}  representative")
-    high = [(key, e) for key, e in table.sorted_entries() if e.count > 8]
-    for key, e in sorted(high, key=lambda kv: kv[1].count):
+    high = sorted(
+        (e.count, -e.approx, key_of_tuple(60, e.representative), e)
+        for e in table.rows.values()
+        if e.count > 8
+    )
+    for _, _, key, e in high:
         value = _decimal(approx_value(ctx, key, args.bits).real)
         print(f"{e.count:>4}  {value:>33}  {e.representative}")
     for mult in sorted(rep.printed):
@@ -404,10 +411,12 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
-def _int_at_least(low: int):
+def _int_at_least(low: int, high: int | None = None):
     def parse(text: str) -> int:
         if int(text) < low:
             raise argparse.ArgumentTypeError(f"{text} is below the minimum {low}")
+        if high is not None and int(text) > high:
+            raise argparse.ArgumentTypeError(f"{text} is above the maximum {high}")
         return int(text)
 
     parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
@@ -433,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--bits",
-        type=_int_at_least(64),
+        type=_int_at_least(64, MAX_BITS),
         default=os.environ.get("DTORUS_BITS", "128"),
         help="evaluation precision in bits",
     )

@@ -9,6 +9,7 @@ check.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .arith import factorize, is_prime, semigroup_member
@@ -16,6 +17,7 @@ from .cyclotomic import CycElt, cos_key, get_context
 from .errors import Bound24Violated, PreconditionViolated, ZeroNotEigenvalue
 from .spectrum import (
     DEFAULT_BUDGET,
+    Entry,
     key_multiplicity,
     key_of_tuple,
     membership,
@@ -167,11 +169,21 @@ def d2_closed_form(n: int, k1: int, k2: int) -> int | None:
 
 @dataclass(frozen=True)
 class Bound24Report:
-    """Maximum multiplicity among nonzero eigenvalues of T^2_n."""
+    """Maximum multiplicity among nonzero eigenvalues of T^2_n.
+
+    ``attaining`` holds the table entries of the keys that attain it;
+    ``attained`` builds those keys, by value descending and then
+    coefficients, on first access.
+    """
 
     n: int
     max_multiplicity: int
-    attained: tuple[CycElt, ...]
+    attaining: tuple[Entry, ...]
+
+    @functools.cached_property
+    def attained(self) -> tuple[CycElt, ...]:
+        keys = sorted((-e.approx, key_of_tuple(self.n, e.representative)) for e in self.attaining)
+        return tuple(key for _, key in keys)
 
 
 def verify_bound24(n: int, budget: int = DEFAULT_BUDGET) -> Bound24Report:
@@ -182,18 +194,17 @@ def verify_bound24(n: int, budget: int = DEFAULT_BUDGET) -> Bound24Report:
     """
     t = torus_spectrum(n, 2, budget)
     best = 0
-    top: list[tuple[float, CycElt]] = []  # (-approx, key): sorts without table lookups
-    for key, e in t.entries.items():
-        if key.is_zero():
+    top: list[Entry] = []
+    for f, e in t.rows.items():
+        if not f:  # F(0) = 0, and F is injective on the keys and zero
             continue
         if e.count > best:
-            best, top = e.count, [(-e.approx, key)]
+            best, top = e.count, [e]
         elif e.count == best:
-            top.append((-e.approx, key))
+            top.append(e)
     if best > 24:
         raise Bound24Violated(f"nonzero multiplicity {best} > 24 at n={n}")
-    top.sort()
-    return Bound24Report(n, best, tuple(key for _, key in top))
+    return Bound24Report(n, best, tuple(top))
 
 
 @dataclass(frozen=True)
@@ -233,10 +244,10 @@ def verify_table60(budget: int = DEFAULT_BUDGET) -> Table60Report:
         118: frozenset({ctx.zero}),
     }
     t = torus_spectrum(60, 2, budget)
+    high = {key_of_tuple(60, e.representative): e for e in t.rows.values() if e.count > 8}
     computed: dict[int, set] = {}
-    for key, e in t.entries.items():
-        if e.count > 8:
-            computed.setdefault(e.count, set()).add(key)
+    for key, e in high.items():
+        computed.setdefault(e.count, set()).add(key)
     computed_frozen = {c: frozenset(ks) for c, ks in computed.items()}
     ok = set(computed_frozen) == set(printed)
     if ok:
@@ -249,7 +260,7 @@ def verify_table60(budget: int = DEFAULT_BUDGET) -> Table60Report:
     extra = tuple(
         sorted(
             computed_frozen.get(16, frozenset()) - printed[16],
-            key=lambda k: (-t.entries[k].approx, k),
+            key=lambda k: (-high[k].approx, k),
         )
     )
     return Table60Report(ok, printed, computed_frozen, extra)

@@ -13,8 +13,12 @@ sum of two stays one-to-one, and overflow raises instead of wrapping.
 Unchecked int sums rest on counts: powers of x have digits below 2^31 (tested
 per context), a torus key sums 2d < 2^31 powers (torus_spectrum rejects
 d >= 2^30), the vanishing searches add one power per root, and convolve adds
-two checked keys and checks each sum.  Polynomials such as Phi_N are dense
-coefficient lists, constant term first.
+two checked keys of tables without rows and checks each sum.  Polynomials
+such as Phi_N are dense coefficient lists, constant term first.
+
+ModEmbedding maps residues to short ints modulo M by a ring map; the torus
+tables key their rows by these images (key_embedding says why they stay
+exact).
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from typing import Iterable, Sequence
 
 import mpmath
 from mpmath import libmp
+
+from .arith import factorize, is_prime
 
 
 def _divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -51,7 +57,7 @@ def _divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], li
     return quot, rem
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1024)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n (monic, degree totient(n), constant term first).
 
@@ -289,3 +295,70 @@ def approx_value(ctx: CycContext, e: CycElt, bits: int = 128) -> ApproxReal:
         return mpmath.mp.make_mpf(libmp.from_man_exp(m, -prec))
 
     return ApproxReal(real=fixed(re), radius=fixed(w), imag_bound=fixed(abs(im) + w))
+
+
+@dataclass(frozen=True)
+class ModEmbedding:
+    """The ring map F: Z[zeta_n] -> Z/M sending zeta_n to omega.
+
+    M is a product of distinct primes p = 1 (mod n) and omega has exact
+    order n modulo each, so omega is a root of Phi_n and F is well defined
+    on residues.  ``powers`` holds omega^k mod M for k < n.
+    """
+
+    n: int
+    primes: tuple[int, ...]
+    modulus: int
+    omega: int
+    powers: tuple[int, ...]
+
+    def image(self, e: CycElt) -> int:
+        """F(e) in [0, M)."""
+        if e.n != self.n:
+            raise ValueError(f"mixed moduli {self.n} and {e.n}")
+        return sum(map(operator.mul, e.coeffs, self.powers)) % self.modulus
+
+    def cos_image(self, ks) -> int:
+        """F of the sum of 2 cos(2 pi k / n) over ks, i.e. of zeta^k + zeta^-k."""
+        n, w = self.n, self.powers
+        return sum(w[k % n] + w[-k % n] for k in ks) % self.modulus
+
+
+@functools.lru_cache(maxsize=256)
+def key_embedding(n: int, d: int) -> ModEmbedding:
+    """F with the fewest primes that is injective on the eigenvalue keys of T^d_n.
+
+    The primes are the largest p = 1 (mod n) below 2^62, in descending
+    order; they split completely in Q(zeta_n) (Washington, Introduction to
+    Cyclotomic Fields, Thm 2.13), so Phi_n has roots modulo each.  A key is
+    a sum of 2d values 2 cos(2 pi k / n): a real cyclotomic integer with
+    |sigma(key)| <= 2d under every embedding sigma.  If F(a) = F(b) for keys
+    a != b, then a - b lies in a degree-one prime of Z[zeta + 1/zeta] above
+    each p_i, so M divides its norm to Q, which is at most (4d)^(phi/2) in
+    absolute value: impossible once M^2 > (4d)^phi.  The same holds with the
+    zero element (an empty sum) in place of either key.
+    """
+    bound = (4 * d) ** (len(cyclotomic_poly(n)) - 1)
+    qs = factorize(n).primes
+    primes, modulus, omega = [], 1, 0
+    p = ((1 << 62) - 2) // n * n + 1
+    while modulus * modulus <= bound:
+        while not is_prime(p):
+            p -= n
+            if p < 2:
+                raise ValueError(f"too few primes p = 1 (mod {n}) below 2^62")
+        for g in range(2, p):  # an element of exact order n mod p
+            h = pow(g, (p - 1) // n, p)
+            if all(pow(h, n // q, p) != 1 for q in qs):
+                break
+        omega += modulus * ((h - omega) * pow(modulus, -1, p) % p)  # CRT
+        modulus *= p
+        primes.append(p)
+        p -= n
+    if not modulus * modulus > bound:  # the proof above; never weaken it
+        raise AssertionError(f"M^2 <= (4d)^phi for n={n}, d={d}")
+    powers, w = [], 1
+    for _ in range(n):
+        powers.append(w)
+        w = w * omega % modulus
+    return ModEmbedding(n, tuple(primes), modulus, omega, tuple(powers))

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import dtorus
-from dtorus import cli
+from dtorus import cli, cyclotomic
 from dtorus.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -131,6 +131,7 @@ def test_budget_exit_code(capsys):
         (["zero", "--n", "2", "--d", "1"], {}),
         (["mult", "--n", "5", "--d", "2", "--tuple", "1,x"], {}),
         (["spectrum", "--n", "12", "--d", "2", "--bits", "10"], {}),
+        (["mult", "--n", "60", "--d", "2", "--tuple", "24,10", "--bits", "100000"], {}),
         (["spectrum", "--n", "4", "--d", "2"], {"DTORUS_BUDGET": "abc"}),
         (["spectrum", "--n", "2"], {}),  # usage error: --d missing
         (["cos4", "1/0", "1", "1", "1"], {}),
@@ -144,6 +145,7 @@ def test_budget_exit_code(capsys):
         "n-too-small",
         "bad-tuple",
         "bits-too-low",
+        "bits-too-high",
         "bad-env-budget",
         "missing-d",
         "zero-denominator",
@@ -173,6 +175,20 @@ def test_cjk_arguments_checked_before_work(capsys, monkeypatch, arg):
     code, out, err = run_cli(capsys, "verify", "cjk", "--cutoff", "1000000", *arg)
     assert code == 64 and out == ""
     assert err.startswith("error: argument ") and err.count("\n") == 1
+
+
+def test_bits_cap_checked_before_work(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise RuntimeError("the cos/sin tables were built before --bits was checked")
+
+    monkeypatch.setattr(cyclotomic, "_fixed_tables", unreachable)
+    argv = ["mult", "--n", "60", "--d", "2", "--tuple", "24,10"]
+    code, out, err = run_cli(capsys, *argv, "--bits", str(cli.MAX_BITS + 1))
+    assert code == 64 and out == ""
+    assert err.startswith("error: argument --bits") and err.count("\n") == 1
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, *argv, "--bits", str(cli.MAX_BITS))
+    assert code == 0 and json.loads(out)["multiplicity"] == "24"
 
 
 @pytest.mark.parametrize("arg", [["--s", "0.5", "--cutoff", "10"], ["--s", "2", "--cutoff", "-1"]])

@@ -1,8 +1,10 @@
+from math import isqrt
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dtorus.arith import factorize, semigroup_member
+from dtorus.arith import factorize, is_prime, semigroup_member
 from dtorus.criteria import (
     d2_closed_form,
     eigenvalue_growth,
@@ -31,6 +33,41 @@ def test_factorize():
 @given(st.integers(min_value=1, max_value=5000))
 def test_factorize_reconstructs(n):
     assert factorize(n).value() == n
+
+
+def test_is_prime_matches_trial_division():
+    limit = 200_000
+    composite = bytearray(limit)  # sieve of Eratosthenes: trial division by every prime
+    composite[0] = composite[1] = 1
+    for p in range(2, isqrt(limit) + 1):
+        if not composite[p]:
+            composite[p * p :: p] = b"\1" * len(range(p * p, limit, p))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if not composite[n]]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        3215031751,  # least strong pseudoprimes to the first 4, 5, 6, 8 and 11 prime bases
+        2152302898747,
+        3474749660383,
+        341550071728321,
+        3825123056546413051,
+        318665857834031151167461,  # ... and to every base 2..37
+        (2**31 - 1) * (2**31 + 11),
+        (2**62 - 57) * 3,
+    ],
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_certifies_large_primes():
+    for p in (2**61 - 1, 2**62 - 57, 2**62 - 87, 2**63 - 25, 2**64 - 59):
+        assert is_prime(p)
+    assert not any(is_prime(2**62 - k) for k in range(1, 57))
+    with pytest.raises(ValueError):
+        is_prime(3317044064679887385961981)  # a strong pseudoprime to every base used
 
 
 def test_semigroup_member():

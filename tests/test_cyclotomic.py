@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from dtorus.arith import factorize, is_prime
 from dtorus.cyclotomic import (
     CycElt,
     _fixed_tables,
@@ -12,6 +13,7 @@ from dtorus.cyclotomic import (
     cos_key,
     cyclotomic_poly,
     get_context,
+    key_embedding,
     root_power,
     sum_reduce,
 )
@@ -274,3 +276,44 @@ def test_phi_divides_x_n_minus_1():
     for n in (7, 16, 30, 105):
         ctx = get_context(n)
         assert len(ctx.phi_coeffs) - 1 == ctx.phi == phi_brute(n)
+
+
+@pytest.mark.parametrize("d", [1, 2, 6])
+@pytest.mark.parametrize("n", [3, 4, 6, 5, 7, 11, 97, 127, 419, 420, 1009])
+def test_key_embedding_modulus(n, d):
+    emb = key_embedding(n, d)
+    bound = (4 * d) ** phi_brute(n)
+    # injective on the keys of T^d_n, with the fewest primes that achieve it
+    assert emb.modulus * emb.modulus > bound
+    assert math.prod(emb.primes[:-1]) ** 2 <= bound
+    assert emb.modulus == math.prod(emb.primes)
+    # the largest primes p = 1 (mod n) below 2^62, in descending order
+    assert 2**62 > emb.primes[0]
+    assert emb.primes == key_embedding(n, 100 * d).primes[: len(emb.primes)]
+    assert not any(is_prime(q) for q in range(emb.primes[0] + n, 2**62, n))
+    for hi, lo in zip(emb.primes, emb.primes[1:]):
+        assert not any(is_prime(q) for q in range(lo + n, hi, n))
+    for p in emb.primes:
+        assert p % n == 1 and is_prime(p)
+        w = emb.omega % p  # exact order n mod p
+        assert pow(w, n, p) == 1
+        assert all(pow(w, n // q, p) != 1 for q in factorize(n).primes)
+
+
+@pytest.mark.parametrize("n", [3, 8, 12, 15, 60, 97])
+def test_key_embedding_is_a_ring_map(n):
+    emb = key_embedding(n, 2)
+    ctx = get_context(n)
+    for k in range(n):
+        assert emb.image(root_power(ctx, k)) == emb.powers[k] == pow(emb.omega, k, emb.modulus)
+        assert emb.image(cos_key(ctx, k)) == emb.cos_image((k,))
+    assert emb.image(sum_reduce(ctx, range(n))) == 0  # the n-th roots sum to zero
+    assert emb.cos_image((1, 2, n - 1)) == emb.image(cos_key(ctx, 1) + cos_key(ctx, 2) + cos_key(ctx, 1))
+    with pytest.raises(ValueError):
+        emb.image(get_context(n + 1).one)
+
+
+def test_cyclotomic_poly_cache_is_bounded():
+    cyclotomic_poly(30)
+    info = cyclotomic_poly.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize

@@ -1,8 +1,12 @@
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dtorus.cyclotomic import cos_key, get_context
+from dtorus import spectrum
+from dtorus.criteria import d2_closed_form, verify_bound24
+from dtorus.cyclotomic import ModEmbedding, cos_key, get_context, root_power
 from dtorus.errors import AsymmetricGeneratingSet, BudgetExceeded
 from dtorus.spectrum import (
     CayleySpec,
@@ -173,6 +177,72 @@ def test_membership_matches_table_keys(n, d):
     for key in some_keys:
         assert membership(n, d, key)
     assert not membership(n, d, get_context(n).const(2 * d + 1))
+
+
+def element(ctx, coeffs):
+    """sum of c_i zeta^i, by repeated addition."""
+    out = ctx.zero
+    for i, c in enumerate(coeffs):
+        for _ in range(abs(c)):
+            out = out + root_power(ctx, i) if c > 0 else out - root_power(ctx, i)
+    return out
+
+
+@given(
+    st.integers(min_value=3, max_value=12),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=11),
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=12, max_size=12),
+)
+def test_probes_of_non_keys_match_enumeration(n, d, k, coeffs):
+    oracle = enumerate_spectrum(n, d)
+    ctx = get_context(n)
+    targets = [
+        ctx.const(2 * d + 1),
+        root_power(ctx, k),
+        element(ctx, coeffs[: ctx.phi]),
+        key_of_tuple(n, [k] * d) + 1,
+    ]
+    for target in targets:
+        want = oracle.get(target.coeffs, (0, None))[0]
+        assert key_multiplicity(n, d, target) == want
+        assert membership(n, d, target) == (want > 0)
+
+
+def test_probe_checks_hits_exactly(monkeypatch):
+    # 11 = 1 (mod 5) and 3 has order 5 mod 11: a valid ring map, but far too
+    # small to separate keys, so F-hits happen for targets that are no key
+    weak = ModEmbedding(5, (11,), 11, 3, tuple(pow(3, k, 11) for k in range(5)))
+    monkeypatch.setattr(spectrum, "key_embedding", lambda n, d: weak)
+    monkeypatch.setattr(spectrum, "_TORUS_CACHE", OrderedDict())
+    ctx = get_context(5)
+    zeta, three = root_power(ctx, 1), ctx.const(3)
+    cycle = spectrum.torus_spectrum(5, 1).rows
+    assert weak.image(three) in cycle  # F(3) = F(2 cos(4 pi / 5))
+    assert any((weak.image(zeta) - f) % 11 in cycle for f in cycle)
+    for target, d in ((three, 1), (zeta, 2), (zeta, 1)):
+        assert key_multiplicity(5, d, target) == 0
+        assert not membership(5, d, target)
+    assert key_multiplicity(5, 2, ctx.const(4)) == 1
+
+
+def test_torus_1009_matches_closed_form():
+    n = 1009  # 127765 keys with phi(n) = 1008: rows only, never ``entries``
+    rows = torus_spectrum(n, 2).rows
+    assert len(rows) == 505 * 506 // 2
+    assert sum(e.count for e in rows.values()) == n * n
+    assert all(e.count == d2_closed_form(n, *e.representative) for e in rows.values())
+    assert verify_bound24(n).max_multiplicity == 8
+
+
+def test_cayley_budget_checked_before_enumeration():
+    gens = ((0, 0, 0, 1), (0, 0, 0, -1))
+    with pytest.raises(BudgetExceeded):
+        cayley_spectrum(CayleySpec(1000, 4, gens))  # 10^12 characters
+    spec = CayleySpec(5, 2, ((0, 1), (0, -1)))
+    assert cayley_spectrum(spec, budget=25).total == 25
+    with pytest.raises(BudgetExceeded):
+        cayley_spectrum(spec, budget=24)
 
 
 def test_cayley_matches_cycle_graph():
