@@ -15,6 +15,7 @@ from .cyclotomic import (
     cos_key,
     cyclotomic_poly,
     get_context,
+    key_of_tuple,
     root_power,
     sum_reduce,
 )
@@ -37,8 +38,6 @@ from .spectrum import (
     cn_spectrum,
     convolve,
     key_multiplicity,
-    key_of_tuple,
-    laplacian_view,
     membership,
     multiplicity_of_tuple,
     torus_spectrum,

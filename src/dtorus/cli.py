@@ -29,12 +29,11 @@ from .criteria import (
     verify_table60,
     zero_growth,
 )
-from .cyclotomic import approx_value, get_context
+from .cyclotomic import approx_value, get_context, key_of_tuple
 from .errors import BudgetExceeded, Bound24Violated, DtorusError, NotApplicable
 from .spectrum import (
     DEFAULT_BUDGET,
     SpectrumTable,
-    key_of_tuple,
     membership,
     multiplicity_of_tuple,
     torus_spectrum,
@@ -313,16 +312,9 @@ def verify_bound24_cmd(args) -> int:
 
 def verify_table60_cmd(args) -> int:
     rep = verify_table60(args.budget)
-    # every eigenvalue above multiplicity 8, by multiplicity, then value descending
-    table = torus_spectrum(60, 2, args.budget)
     ctx = get_context(60)
     print(f"{'mult':>4}  {'value':>33}  representative")
-    high = sorted(
-        (e.count, -e.approx, key_of_tuple(60, e.representative), e)
-        for e in table.rows.values()
-        if e.count > 8
-    )
-    for _, _, key, e in high:
+    for key, e in rep.high:
         value = _decimal(approx_value(ctx, key, args.bits).real)
         print(f"{e.count:>4}  {value:>33}  {e.representative}")
     for mult in sorted(rep.printed):
@@ -524,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=verify_cjk_cmd)
 
     p = vsub.add_parser("semigroup", parents=[common])
-    p.add_argument("--lmax", type=int, default=8)
+    p.add_argument("--lmax", type=_int_at_least(1), default=8)
     p.set_defaults(func=verify_semigroup_cmd)
 
     return parser

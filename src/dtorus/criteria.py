@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import groupby
 
 from .arith import factorize, is_prime, semigroup_member
-from .cyclotomic import CycElt, cos_key, get_context
+from .cyclotomic import CycElt, cos_key, get_context, key_of_tuple
 from .errors import Bound24Violated, PreconditionViolated, ZeroNotEigenvalue
 from .spectrum import (
     DEFAULT_BUDGET,
     Entry,
     key_multiplicity,
-    key_of_tuple,
     membership,
     multiplicity_of_tuple,
     torus_spectrum,
@@ -125,6 +125,8 @@ def eigenvalue_growth(n: int, d: int, ks, budget: int = DEFAULT_BUDGET) -> Growt
     growth witness and the eigenvalue already occurs in T^(d-r)_n; the
     smallest such r is returned.
     """
+    if n < 3:
+        raise ValueError("need n >= 3")
     ks = tuple(ks)
     if len(ks) != d:
         raise ValueError(f"expected {d} indices, got {len(ks)}")
@@ -218,13 +220,16 @@ class Table60Report:
     eigenvalues the published row omits (the computation finds 28 in
     total, e.g. 2cos(pi/30) via cos(pi/30) = cos(3pi/10) + cos(11pi/30));
     it is reported rather than folded into ``ok`` because the omission is
-    a defect of the published row, not of the computation.
+    a defect of the published row, not of the computation.  ``high`` holds
+    every (key, entry) above multiplicity 8, by multiplicity and then value
+    descending.
     """
 
     ok: bool
     printed: dict
     computed: dict
     row16_extra: tuple[CycElt, ...]
+    high: tuple[tuple[CycElt, Entry], ...]
 
 
 def verify_table60(budget: int = DEFAULT_BUDGET) -> Table60Report:
@@ -244,26 +249,22 @@ def verify_table60(budget: int = DEFAULT_BUDGET) -> Table60Report:
         118: frozenset({ctx.zero}),
     }
     t = torus_spectrum(60, 2, budget)
-    high = {key_of_tuple(60, e.representative): e for e in t.rows.values() if e.count > 8}
-    computed: dict[int, set] = {}
-    for key, e in high.items():
-        computed.setdefault(e.count, set()).add(key)
-    computed_frozen = {c: frozenset(ks) for c, ks in computed.items()}
-    ok = set(computed_frozen) == set(printed)
+    high = sorted(
+        (e.count, -e.approx, key_of_tuple(60, e.representative), e)
+        for e in t.rows.values()
+        if e.count > 8
+    )
+    computed = {c: frozenset(row[2] for row in rows) for c, rows in groupby(high, lambda row: row[0])}
+    ok = set(computed) == set(printed)
     if ok:
         for mult, keys in printed.items():
-            if not keys <= computed_frozen[mult]:
+            if not keys <= computed[mult]:
                 ok = False
         for mult in (12, 20, 24, 118):
-            if computed_frozen[mult] != printed[mult]:
+            if computed[mult] != printed[mult]:
                 ok = False
-    extra = tuple(
-        sorted(
-            computed_frozen.get(16, frozenset()) - printed[16],
-            key=lambda k: (-high[k].approx, k),
-        )
-    )
-    return Table60Report(ok, printed, computed_frozen, extra)
+    extra = tuple(key for count, _, key, _ in high if count == 16 and key not in printed[16])
+    return Table60Report(ok, printed, computed, extra, tuple((key, e) for _, _, key, e in high))
 
 
 def lowerbound_pq_witness(p: int, q: int, d: int) -> tuple[int, int]:

@@ -12,8 +12,7 @@ Every CycElt digit lies in [-2^62, 2^62), tested wherever one is formed: the
 sum of two stays one-to-one, and overflow raises instead of wrapping.
 Unchecked int sums rest on counts: powers of x have digits below 2^31 (tested
 per context), a torus key sums 2d < 2^31 powers (torus_spectrum rejects
-d >= 2^30), the vanishing searches add one power per root, and convolve adds
-two checked keys of tables without rows and checks each sum.  Polynomials
+d >= 2^30) and the vanishing searches add one power per root.  Polynomials
 such as Phi_N are dense coefficient lists, constant term first.
 
 ModEmbedding maps residues to short ints modulo M by a ring map; the torus
@@ -208,6 +207,12 @@ def cos_key(ctx: CycContext, k: int) -> CycElt:
     """
     n = ctx.n
     return CycElt(n, ctx.powers[k % n] + ctx.powers[-k % n])
+
+
+def key_of_tuple(n: int, ks: Iterable[int]) -> CycElt:
+    """Eigenvalue key of an index tuple: the sum of its 2-cosine values."""
+    powers = get_context(n).powers
+    return CycElt(n, sum(powers[k % n] + powers[-k % n] for k in ks))
 
 
 def sum_reduce(ctx: CycContext, exponents: Iterable[int]) -> CycElt:

@@ -8,8 +8,9 @@ keeps things like the 4-dimensional torus over Z/105Z comfortably cheap.
 A torus table keys its rows by F(key) = key(omega) mod M, the image under a
 ring map Z[zeta_n] -> Z/M that is injective on the keys of T^d_n for the
 largest d the table serves (cyclotomic.key_embedding).  Keys then add as
-ints mod M, and the CycElt keys are rebuilt from the representatives only
-when ``entries`` is first read.
+ints mod M, lookups probe the rows at F(key) and confirm the hit exactly,
+and the CycElt keys are rebuilt from the representatives only when
+``entries`` is first read.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cyclotomic import CycElt, ModEmbedding, get_context, key_embedding, sum_reduce
+from .cyclotomic import CycElt, ModEmbedding, get_context, key_embedding, key_of_tuple, sum_reduce
 from .errors import AsymmetricGeneratingSet, BudgetExceeded
 
 DEFAULT_BUDGET = 10**7
@@ -47,7 +48,7 @@ class SpectrumTable:
     torus table also holds ``rows``, F(key) -> Entry under ``embedding`` in
     ascending representative order, and builds ``entries`` from the
     representatives on first access.  Tables given ``entries`` directly
-    (by hand, Cayley and Laplacian tables) have no rows.
+    (by hand and Cayley tables) have no rows.
     """
 
     n: int
@@ -65,7 +66,10 @@ class SpectrumTable:
         return self._entries
 
     def count_of(self, key: CycElt) -> int:
-        e = self.entries.get(key)
+        if self.rows is None:
+            e = self._entries.get(key)
+        else:  # a key of another modulus is no key of this table
+            e = _exact_row(self, key) if key.n == self.n else None
         return e.count if e is not None else 0
 
     def sorted_entries(self) -> list[tuple[CycElt, Entry]]:
@@ -104,11 +108,12 @@ def cn_spectrum(
 def convolve(a: SpectrumTable, b: SpectrumTable, budget: int = DEFAULT_BUDGET) -> SpectrumTable:
     """Spectrum of the product graph: keys add, counts multiply-accumulate.
 
-    Torus tables add F images mod M, under the inputs' common embedding if
-    it serves dimension a.d + b.d and under key_embedding(n, a.d + b.d)
-    otherwise; a table without rows takes part through its exact packed
-    residues.  Rows are visited in ascending representative order, so the
-    first pair that reaches a key holds its smallest representative.
+    Both inputs need rows under one embedding with at least as many primes
+    as key_embedding(n, a.d + b.d), as torus_spectrum builds them (more
+    primes give a multiple of that M, which serves a.d + b.d too); anything
+    else raises ValueError.  F images add mod M.  Rows are visited in
+    ascending representative order, so the first pair that reaches a key
+    holds its smallest representative.
 
     Raises BudgetExceeded as soon as the accumulator would hold more than
     ``budget`` distinct keys.  Conservation (sum of counts equals the
@@ -117,16 +122,12 @@ def convolve(a: SpectrumTable, b: SpectrumTable, budget: int = DEFAULT_BUDGET) -
     if a.n != b.n:
         raise ValueError(f"mixed moduli {a.n} and {b.n}")
     n, d = a.n, a.d + b.d
-    if a.rows is None or b.rows is None:
-        emb, modulus = None, math.inf  # packed residues add exactly
-    else:
-        emb = a.embedding
-        want = key_embedding(n, d)
-        if emb != b.embedding or len(emb.primes) < len(want.primes):
-            emb = want  # more primes give a multiple of M, which serves d too
-        modulus = emb.modulus
+    emb = a.embedding  # None exactly when a has no rows
+    if emb is None or emb != b.embedding or len(emb.primes) < len(key_embedding(n, d).primes):
+        raise ValueError(f"convolve needs rows under one embedding serving d={d}; use torus_spectrum")
+    modulus = emb.modulus
     acc: dict[int, Entry] = {}  # F image -> Entry
-    xs = _keyed_rows(a, emb)
+    xs = [(f, *e) for f, e in a.rows.items()]
     if a is b:
         # unordered pairs i <= j; the smaller representative comes first
         for i, x in enumerate(xs):
@@ -134,7 +135,7 @@ def convolve(a: SpectrumTable, b: SpectrumTable, budget: int = DEFAULT_BUDGET) -
             _accumulate(acc, f, c, r, approx, (x,), modulus, budget)
             _accumulate(acc, f, 2 * c, r, approx, itertools.islice(xs, i + 1, None), modulus, budget)
     else:
-        ys = _keyed_rows(b, emb)
+        ys = [(f, *e) for f, e in b.rows.items()]
         for x in xs:
             _accumulate(acc, *x, ys, modulus, budget)
 
@@ -142,8 +143,6 @@ def convolve(a: SpectrumTable, b: SpectrumTable, budget: int = DEFAULT_BUDGET) -
     got = sum(e.count for e in acc.values())
     if got != total:
         raise AssertionError("convolution lost mass")  # unreachable
-    if emb is None:
-        return SpectrumTable(n, d, {CycElt(n, v): e for v, e in acc.items()}, total)
     return SpectrumTable(n, d, None, total, acc, emb)
 
 
@@ -163,18 +162,16 @@ def _accumulate(acc, fx, cx, rx, ax, ys, modulus, budget) -> None:
             acc[s] = Entry(slot.count + cx * cy, slot.representative, slot.approx)
 
 
-def _keyed_rows(t: SpectrumTable, emb: ModEmbedding | None) -> list[tuple]:
-    """(F(key), count, representative, approx) by ascending representative.
+def _exact_row(t: SpectrumTable, key: CycElt) -> Entry | None:
+    """The row of torus table t whose key is ``key``, or None.
 
-    With emb None, the exact packed residue stands in for F(key).
+    The row at F(key) is confirmed exactly: F is injective on the keys of
+    t, but ``key`` need not be one.
     """
-    if emb is None:
-        items = sorted(((k.v, e) for k, e in t.entries.items()), key=lambda ke: ke[1].representative)
-    elif t.embedding == emb:
-        items = t.rows.items()
-    else:  # a torus table: each key is the sum over its representative
-        items = ((emb.cos_image(e.representative), e) for e in t.rows.values())
-    return [(f, *e) for f, e in items]
+    e = t.rows.get(t.embedding.image(key))
+    if e is not None and key_of_tuple(t.n, e.representative) == key:
+        return e
+    return None
 
 
 _TORUS_CACHE: OrderedDict[tuple[int, int, int], SpectrumTable] = OrderedDict()
@@ -192,38 +189,25 @@ def torus_spectrum(n: int, d: int, budget: int = DEFAULT_BUDGET) -> SpectrumTabl
         raise ValueError("need n >= 3")
     if not 1 <= d < 1 << 30:
         raise ValueError("need 1 <= d < 2^30")
-    return _table(n, d, key_embedding(n, d), budget)
-
-
-def _table(n: int, d: int, emb: ModEmbedding, budget: int) -> SpectrumTable:
-    """T^d_n with rows under emb; the budget also applies to cached tables."""
-    t = _torus(n, d, emb, budget)
-    if len(t.rows) > budget:
-        raise BudgetExceeded(f"table for (n={n}, d={d}) has {len(t.rows)} keys, budget {budget}")
-    return t
+    return _torus(n, d, key_embedding(n, d), budget)
 
 
 def _torus(n: int, d: int, emb: ModEmbedding, budget: int) -> SpectrumTable:
+    """T^d_n with rows under emb; the budget also applies to cached tables."""
     key = (n, d, len(emb.primes))
-    hit = _TORUS_CACHE.get(key)
-    if hit is not None:
-        _TORUS_CACHE.move_to_end(key)
-        return hit
-    if d == 1:
-        t = cn_spectrum(n, budget, emb)
-    else:
-        lo = d // 2
-        t = convolve(_torus(n, d - lo, emb, budget), _torus(n, lo, emb, budget), budget)
+    t = _TORUS_CACHE.pop(key, None)  # re-inserted below as the most recent
+    if t is None:
+        if d == 1:
+            t = cn_spectrum(n, budget, emb)
+        else:
+            lo = d // 2
+            t = convolve(_torus(n, d - lo, emb, budget), _torus(n, lo, emb, budget), budget)
     _TORUS_CACHE[key] = t
     while len(_TORUS_CACHE) > _TORUS_CACHE_SIZE:
         _TORUS_CACHE.popitem(last=False)
+    if len(t.rows) > budget:
+        raise BudgetExceeded(f"table for (n={n}, d={d}) has {len(t.rows)} keys, budget {budget}")
     return t
-
-
-def key_of_tuple(n: int, ks) -> CycElt:
-    """Eigenvalue key of an index tuple: the sum of its 2-cosine values."""
-    ctx = get_context(n)
-    return sum_reduce(ctx, (e for k in ks for e in (k % n, (n - k) % n)))
 
 
 def multiplicity_of_tuple(n: int, d: int, ks, budget: int = DEFAULT_BUDGET) -> int:
@@ -256,13 +240,13 @@ def _mitm_matches(n: int, d: int, target: CycElt, budget: int):
     emb = key_embedding(n, d)
     goal, modulus = emb.image(target), emb.modulus
     a = (d + 1) // 2
-    ta = _table(n, a, emb, budget)
+    ta = _torus(n, a, emb, budget)
     if a == d:
-        e = ta.rows.get(goal)
-        if e is not None and key_of_tuple(n, e.representative) == target:
+        e = _exact_row(ta, target)
+        if e is not None:
             yield e.count
         return
-    tb = _table(n, d - a, emb, budget)
+    tb = _torus(n, d - a, emb, budget)
     small, big = (ta, tb) if len(ta.rows) <= len(tb.rows) else (tb, ta)
     probe = big.rows.get
     exact = False
@@ -343,16 +327,3 @@ def cayley_spectrum(spec: CayleySpec, budget: int = DEFAULT_BUDGET) -> SpectrumT
             entries[key] = Entry(e.count + 1, e.representative, e.approx)
     return SpectrumTable(n, d, entries, n**d)
 
-
-def laplacian_view(t: SpectrumTable, degree: int) -> SpectrumTable:
-    """Map adjacency keys mu to Laplacian keys degree - mu, counts kept.
-
-    Only meaningful when the table came from a ``degree``-regular graph.
-    """
-    entries = {
-        degree - key: Entry(e.count, e.representative, degree - e.approx)
-        for key, e in t.entries.items()
-    }
-    if len(entries) != len(t.entries):
-        raise AssertionError("affine key map cannot merge entries")
-    return SpectrumTable(t.n, t.d, entries, t.total)

@@ -16,7 +16,7 @@ from mpmath.libmp import fzero, mpf_add, mpf_mul_int, mpf_pow, mpf_pow_int, mpf_
 from mpmath.libmp import round_nearest as rnd
 
 from .cyclotomic import approx_value, get_context
-from .spectrum import DEFAULT_BUDGET, laplacian_view, torus_spectrum
+from .spectrum import DEFAULT_BUDGET, torus_spectrum
 
 
 def r2_upto(limit: int) -> list[int]:
@@ -63,21 +63,20 @@ def zeta_discrete(
 ) -> ZetaValue:
     """Sum of lambda^-s over the nonzero Laplacian eigenvalues of T^d_n.
 
-    Eigenvalues come from exact keys evaluated at ``bits`` precision;
-    the error bound tracks the evaluation radii to first order plus
-    summation rounding.  Terms are added in ascending eigenvalue order
-    so output is deterministic.
+    Eigenvalues are the exact keys 2d - mu of the adjacency keys mu,
+    evaluated at ``bits`` precision; the error bound tracks the evaluation
+    radii to first order plus summation rounding.  Terms are added in
+    ascending eigenvalue order so output is deterministic.
     """
     if not s > 0:
         raise ValueError("need s > 0")
     t = torus_spectrum(n, d, budget)
-    lap = laplacian_view(t, 2 * d)
     ctx = get_context(n)
-    rows = [
-        (e.approx, key, e.count)
-        for key, e in lap.entries.items()
-        if not key.is_zero()
-    ]
+    rows = []
+    for mu, e in t.entries.items():
+        lam = 2 * d - mu
+        if not lam.is_zero():
+            rows.append((2 * d - e.approx, lam, e.count))
     rows.sort(key=lambda r: (r[0], r[1]))
     with mpmath.workprec(bits + 32):
         s_mp = mpmath.mpf(s)

@@ -28,6 +28,8 @@ GOLDEN = {
     "verify_zero": ["verify", "zero", "--nmax", "12", "--dmax", "3"],
     "verify_semigroup": ["verify", "semigroup", "--lmax", "5"],
     "verify_cjk": ["verify", "cjk", "--cutoff", "10000", "--n-list", "8", "16", "32"],
+    "verify_table60": ["verify", "table60"],
+    "verify_bound24": ["verify", "bound24", "--nmax", "70"],
 }
 
 
@@ -140,6 +142,10 @@ def test_budget_exit_code(capsys):
         (["verify", "zero", "--nmax", "2"], {}),
         (["verify", "zero", "--dmax", "0"], {}),
         (["verify", "cjk", "--n-list"], {}),
+        (["verify", "semigroup", "--lmax", "0"], {}),
+        (["verify", "semigroup", "--lmax", "-3"], {}),
+        (["growth", "--n", "2", "--d", "2", "--tuple", "1,1"], {}),
+        (["growth", "--n", "1", "--d", "1", "--tuple", "0"], {}),
     ],
     ids=[
         "n-too-small",
@@ -154,6 +160,10 @@ def test_budget_exit_code(capsys):
         "zero-empty-n-range",
         "zero-empty-d-range",
         "cjk-empty-n-list",
+        "semigroup-lmax-zero",
+        "semigroup-lmax-negative",
+        "growth-n-two",
+        "growth-n-one",
     ],
 )
 def test_input_error_exit_code(capsys, monkeypatch, argv, env):

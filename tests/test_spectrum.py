@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from dtorus import spectrum
 from dtorus.criteria import d2_closed_form, verify_bound24
-from dtorus.cyclotomic import ModEmbedding, cos_key, get_context, root_power
+from dtorus.cyclotomic import ModEmbedding, cos_key, get_context, key_embedding, root_power
 from dtorus.errors import AsymmetricGeneratingSet, BudgetExceeded
 from dtorus.spectrum import (
     CayleySpec,
@@ -17,7 +17,6 @@ from dtorus.spectrum import (
     convolve,
     key_multiplicity,
     key_of_tuple,
-    laplacian_view,
     membership,
     multiplicity_of_tuple,
     torus_spectrum,
@@ -61,10 +60,26 @@ def test_convolve_examples():
 
 def test_convolve_point_mass_identity():
     t = cn_spectrum(7)
-    ctx = get_context(7)
-    point = SpectrumTable(7, 1, {ctx.zero: Entry(1, (0,), 0.0)}, 1)
+    point = SpectrumTable(7, 0, None, 1, {0: Entry(1, (), 0.0)}, t.embedding)  # T^0: the empty sum
     out = convolve(t, point)
     assert {k: e.count for k, e in out.entries.items()} == counts_by_key(t)
+
+
+def test_convolve_needs_rows_serving_the_product():
+    t = cn_spectrum(7)
+    ctx = get_context(7)
+    no_rows = SpectrumTable(7, 0, {ctx.zero: Entry(1, (), 0.0)}, 1)
+    for a, b in ((t, no_rows), (no_rows, t), (no_rows, no_rows)):
+        with pytest.raises(ValueError, match="torus_spectrum"):
+            convolve(a, b)
+    # T^1_419 is keyed under 7 primes; T^2_419 needs 11
+    t419 = cn_spectrum(419)
+    wide = cn_spectrum(419, embedding=key_embedding(419, 2))
+    assert len(t419.embedding.primes) == 7 and len(wide.embedding.primes) == 11
+    for a, b in ((t419, t419), (t419, wide), (wide, t419)):
+        with pytest.raises(ValueError, match="torus_spectrum"):
+            convolve(a, b)
+    assert convolve(wide, wide).total == 419**2
 
 
 def test_convolve_budget():
@@ -217,13 +232,32 @@ def test_probe_checks_hits_exactly(monkeypatch):
     monkeypatch.setattr(spectrum, "_TORUS_CACHE", OrderedDict())
     ctx = get_context(5)
     zeta, three = root_power(ctx, 1), ctx.const(3)
-    cycle = spectrum.torus_spectrum(5, 1).rows
+    table = spectrum.torus_spectrum(5, 1)
+    cycle = table.rows
     assert weak.image(three) in cycle  # F(3) = F(2 cos(4 pi / 5))
     assert any((weak.image(zeta) - f) % 11 in cycle for f in cycle)
     for target, d in ((three, 1), (zeta, 2), (zeta, 1)):
         assert key_multiplicity(5, d, target) == 0
         assert not membership(5, d, target)
     assert key_multiplicity(5, 2, ctx.const(4)) == 1
+    assert weak.image(zeta) in cycle  # F(zeta) = F(2 cos(4 pi / 5)) too
+    for non_key in (three, zeta):
+        assert table.count_of(non_key) == 0
+    assert table.count_of(cos_key(ctx, 2)) == 2
+
+
+def test_count_of_probes_rows(monkeypatch):
+    monkeypatch.setattr(spectrum, "_TORUS_CACHE", OrderedDict())
+    n = 419
+    t = torus_spectrum(n, 2)
+    ctx = get_context(n)
+    assert t.count_of(ctx.zero) == 0  # odd n: zero is no eigenvalue
+    assert t.count_of(ctx.const(4)) == 1
+    for ks in ((3, 17), (0, 5), (7, 7), (0, 209)):
+        assert t.count_of(key_of_tuple(n, ks)) == d2_closed_form(n, *ks)
+    assert t.count_of(ctx.const(5)) == 0  # above the top eigenvalue 4
+    assert t.count_of(get_context(7).zero) == 0  # a key of another modulus
+    assert t._entries is None  # no exact key was built
 
 
 def test_torus_1009_matches_closed_form():
@@ -268,17 +302,6 @@ def test_cayley_standard_generators_match_torus(n):
 def test_cayley_rejects_asymmetric_set():
     with pytest.raises(AsymmetricGeneratingSet):
         cayley_spectrum(CayleySpec(5, 1, ((1,), (2,))))
-
-
-def test_laplacian_view():
-    t = torus_spectrum(4, 2)
-    lap = laplacian_view(t, 4)
-    ctx = get_context(4)
-    # adjacency mu = 2 at (1, 0) maps to lambda = 2 = 4 sin^2(pi/4) + 0
-    assert lap.count_of(ctx.const(2)) == t.count_of(ctx.const(2))
-    # top adjacency value 2d maps to lambda = 0 with multiplicity 1
-    assert lap.count_of(ctx.zero) == 1
-    assert sum(e.count for e in lap.entries.values()) == 16
 
 
 def test_sorted_entries_descending():
