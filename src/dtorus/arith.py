@@ -75,12 +75,32 @@ def is_prime(n: int) -> bool:
 def semigroup_member(length: int, primes) -> tuple[bool, tuple[int, ...] | None]:
     """Membership of ``length`` in the semigroup generated by ``primes``.
 
-    Dynamic programming with parent pointers; the witness coefficients b
-    satisfy sum(b[i] * primes[i]) == length when membership holds.
+    ``primes`` are distinct primes p_1 < ... < p_k; the witness coefficients
+    b satisfy sum(b[i] * primes[i]) == length when membership holds.  At a
+    length L >= p_1 p_k, L - p_1 is a member exactly when L is (for k >= 2
+    it exceeds the Frobenius number p_1 p_k - p_1 - p_k of <p_1, p_k>, for
+    k = 1 it is L's residue class), so the dynamic program's parent pointer
+    at L is p_1.  L is therefore first brought below p_1 p_k by steps of p_1,
+    which come back as b[0]: time and memory are O(p_1 p_k), not O(L), and
+    the answer and witness are those of the plain dynamic program.
     """
     primes = tuple(primes)
     if length < 0:
         raise ValueError("length must be nonnegative")
+    if list(primes) != sorted(set(primes)):
+        raise ValueError("primes must be distinct and increasing")
+    steps = 0
+    if primes and length >= primes[0] * primes[-1]:
+        steps = (length - primes[0] * primes[-1]) // primes[0] + 1
+        length -= steps * primes[0]
+    ok, coeffs = _semigroup_dp(length, primes)
+    if ok and steps:
+        coeffs = (coeffs[0] + steps,) + coeffs[1:]
+    return ok, coeffs
+
+
+def _semigroup_dp(length: int, primes: tuple[int, ...]) -> tuple[bool, tuple[int, ...] | None]:
+    """semigroup_member by dynamic programming with parent pointers, O(length)."""
     if length == 0:
         return True, (0,) * len(primes)
     if not primes:

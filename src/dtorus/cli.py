@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -51,6 +52,8 @@ SCHEMA = 1
 # --bits cap: outputs print 30 digits, and the cost of the certified cos/sin
 # tables grows fast with the precision (100000 bits ran for minutes)
 MAX_BITS = 4096
+# no flag sizes the cyclotomic context of a modulus: cyclotomic.MAX_CONTEXT_DIGITS
+# caps it, and a larger one exits 2 (BudgetExceeded) before allocating
 
 
 def _decimal(x, digits: int = 30) -> str:
@@ -96,12 +99,11 @@ def _emit_text(payload: dict) -> None:
 
 
 def _spectrum_rows(table: SpectrumTable, bits: int) -> list[dict]:
-    ctx = get_context(table.n)
     rows = []
-    for key, e in table.sorted_entries():
+    for value, key, e in table.sorted_entries(bits):
         rows.append(
             {
-                "value_decimal": _decimal(approx_value(ctx, key, bits).real),
+                "value_decimal": _decimal(value.real),
                 "key_coeffs": list(key.coeffs),
                 "multiplicity": str(e.count),
                 "representative": list(e.representative),
@@ -303,7 +305,7 @@ def verify_bound24_cmd(args) -> int:
         print(f"  {mult:>3}: {seen[mult]}")
     print(f"max nonzero multiplicity {best[0]} first attained at N={best[1]}")
     if rep60 is not None:
-        if rep60.max_multiplicity == 24 and len(rep60.attained) == 4:
+        if rep60.max_multiplicity == 24 and len(rep60.attaining) == 4:
             passed += 1
         else:
             failures.append(f"n=60: expected 24 at four keys, got {rep60.max_multiplicity}")
@@ -403,6 +405,16 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
+def _finite_float(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{text} is not a finite number")
+    return x
+
+
+_finite_float.__name__ = "float"  # argparse names the type in its "invalid float value" message
+
+
 def _int_at_least(low: int, high: int | None = None):
     def parse(text: str) -> int:
         if int(text) < low:
@@ -488,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zeta", parents=[common], help="discrete spectral zeta value")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--s", type=float, required=True)
+    p.add_argument("--s", type=_finite_float, required=True)
     p.add_argument("--cutoff", type=_int_at_least(0), help="also print the continuum partial sum")
     add_format(p)
     p.set_defaults(func=cmd_zeta)
@@ -510,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=verify_zero_cmd)
 
     p = vsub.add_parser("cjk", parents=[common])
-    p.add_argument("--s", type=float, default=2.0)
+    p.add_argument("--s", type=_finite_float, default=2.0)
     p.add_argument("--cutoff", type=_int_at_least(1), default=10**6)
     p.add_argument("--n-list", type=_int_at_least(3), nargs="+", default=[16, 32, 64, 128])
     p.set_defaults(func=verify_cjk_cmd)

@@ -19,6 +19,7 @@ from .errors import Bound24Violated, PreconditionViolated, ZeroNotEigenvalue
 from .spectrum import (
     DEFAULT_BUDGET,
     Entry,
+    by_value,
     key_multiplicity,
     membership,
     multiplicity_of_tuple,
@@ -184,8 +185,9 @@ class Bound24Report:
 
     @functools.cached_property
     def attained(self) -> tuple[CycElt, ...]:
-        keys = sorted((-e.approx, key_of_tuple(self.n, e.representative)) for e in self.attaining)
-        return tuple(key for _, key in keys)
+        n = self.n
+        rows = by_value(n, ((key_of_tuple(n, e.representative), e) for e in self.attaining))
+        return tuple(key for _, key, _ in rows)
 
 
 def verify_bound24(n: int, budget: int = DEFAULT_BUDGET) -> Bound24Report:
@@ -249,12 +251,10 @@ def verify_table60(budget: int = DEFAULT_BUDGET) -> Table60Report:
         118: frozenset({ctx.zero}),
     }
     t = torus_spectrum(60, 2, budget)
-    high = sorted(
-        (e.count, -e.approx, key_of_tuple(60, e.representative), e)
-        for e in t.rows.values()
-        if e.count > 8
-    )
-    computed = {c: frozenset(row[2] for row in rows) for c, rows in groupby(high, lambda row: row[0])}
+    rows = ((key_of_tuple(60, e.representative), e) for e in t.rows.values() if e.count > 8)
+    # sorted is stable: by_value's order holds within each multiplicity
+    high = sorted(((key, e) for _, key, e in by_value(60, rows)), key=lambda row: row[1].count)
+    computed = {c: frozenset(k for k, _ in g) for c, g in groupby(high, lambda row: row[1].count)}
     ok = set(computed) == set(printed)
     if ok:
         for mult, keys in printed.items():
@@ -263,8 +263,8 @@ def verify_table60(budget: int = DEFAULT_BUDGET) -> Table60Report:
         for mult in (12, 20, 24, 118):
             if computed[mult] != printed[mult]:
                 ok = False
-    extra = tuple(key for count, _, key, _ in high if count == 16 and key not in printed[16])
-    return Table60Report(ok, printed, computed, extra, tuple((key, e) for _, _, key, e in high))
+    extra = tuple(key for key, e in high if e.count == 16 and key not in printed[16])
+    return Table60Report(ok, printed, computed, extra, tuple(high))
 
 
 def lowerbound_pq_witness(p: int, q: int, d: int) -> tuple[int, int]:

@@ -33,6 +33,11 @@ import mpmath
 from mpmath import libmp
 
 from .arith import factorize, is_prime
+from .errors import BudgetExceeded
+
+# CycContext holds N packed powers of phi(N) 64-bit digits: at most this many
+# digits (128 MiB), which admits every N up to 4096
+MAX_CONTEXT_DIGITS = 1 << 24
 
 
 def _divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -158,14 +163,22 @@ class CycContext:
     """Shared immutable reduction data for one modulus N.
 
     Holds Phi_N and ``powers``, the packed residues of x^k for 0 <= k < N,
-    turning root-power sums into int additions.
+    turning root-power sums into int additions.  Raises BudgetExceeded,
+    before any allocation, when N * phi(N) exceeds MAX_CONTEXT_DIGITS.
     """
 
     __slots__ = ("n", "phi", "phi_coeffs", "powers", "zero", "one")
 
     def __init__(self, n: int):
+        totient = n
+        for p in factorize(n).primes:  # raises ValueError unless n >= 1
+            totient -= totient // p
+        if n * totient > MAX_CONTEXT_DIGITS:
+            raise BudgetExceeded(
+                f"cyclotomic context for n={n} needs {n * totient} digits, cap {MAX_CONTEXT_DIGITS}"
+            )
         self.n = n
-        self.phi_coeffs = cyclotomic_poly(n)  # raises ValueError unless n >= 1
+        self.phi_coeffs = cyclotomic_poly(n)
         self.phi = phi = len(self.phi_coeffs) - 1
         phi_packed = sum(c << (64 * i) for i, c in enumerate(self.phi_coeffs))
         flip = _layout(n)[3]

@@ -16,28 +16,26 @@ and the CycElt keys are rebuilt from the representatives only when
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cyclotomic import CycElt, ModEmbedding, get_context, key_embedding, key_of_tuple, sum_reduce
+from .cyclotomic import ApproxReal, CycElt, ModEmbedding, approx_value, get_context, key_embedding
+from .cyclotomic import key_of_tuple, sum_reduce
 from .errors import AsymmetricGeneratingSet, BudgetExceeded
 
 DEFAULT_BUDGET = 10**7
 
 
 class Entry(NamedTuple):
-    """One eigenvalue: exact count, a witness index tuple, display float.
+    """One eigenvalue: exact count and a witness index tuple.
 
     ``representative`` is the lexicographically smallest index tuple
-    attaining the key, so table contents are deterministic.  ``approx`` is
-    for display and ordering only; grouping never touches it.
+    attaining the key, so table contents are deterministic.
     """
 
     count: int
     representative: tuple[int, ...]
-    approx: float
 
 
 @dataclass
@@ -72,13 +70,22 @@ class SpectrumTable:
             e = _exact_row(self, key) if key.n == self.n else None
         return e.count if e is not None else 0
 
-    def sorted_entries(self) -> list[tuple[CycElt, Entry]]:
-        """Entries by approx value descending; key order breaks float ties.
+    def sorted_entries(self, bits: int = 128) -> list[tuple[ApproxReal, CycElt, Entry]]:
+        """(value, key, entry) for every entry, by value descending (by_value)."""
+        return by_value(self.n, self.entries.items(), bits)
 
-        Distinct algebraic values whose floats coincide stay distinct rows,
-        ordered by their exact coefficients.
-        """
-        return sorted(self.entries.items(), key=lambda kv: (-kv[1].approx, kv[0]))
+
+def by_value(n: int, items, bits: int = 128) -> list[tuple[ApproxReal, CycElt, Entry]]:
+    """(value, key, entry) for the (key, entry) pairs ``items``, value descending.
+
+    Each key is evaluated once by approx_value; rows sort on the float of its
+    certified midpoint, and distinct values whose floats coincide stay
+    distinct rows, ordered by their exact coefficients.
+    """
+    ctx = get_context(n)
+    rows = [(approx_value(ctx, key, bits), key, e) for key, e in items]
+    rows.sort(key=lambda row: (-float(row[0]), row[1]))
+    return rows
 
 
 def cn_spectrum(
@@ -99,7 +106,7 @@ def cn_spectrum(
     rows: dict[int, Entry] = {}
     for k in range(half + 1):
         mult = 1 if k == 0 or (n % 2 == 0 and k == half) else 2
-        rows[emb.cos_image((k,))] = Entry(mult, (k,), 2 * math.cos(2 * math.pi * k / n))
+        rows[emb.cos_image((k,))] = Entry(mult, (k,))
     if len(rows) != half + 1:
         raise AssertionError("cycle eigenvalues must be pairwise distinct")
     return SpectrumTable(n, 1, None, n, rows, emb)
@@ -131,9 +138,9 @@ def convolve(a: SpectrumTable, b: SpectrumTable, budget: int = DEFAULT_BUDGET) -
     if a is b:
         # unordered pairs i <= j; the smaller representative comes first
         for i, x in enumerate(xs):
-            f, c, r, approx = x
-            _accumulate(acc, f, c, r, approx, (x,), modulus, budget)
-            _accumulate(acc, f, 2 * c, r, approx, itertools.islice(xs, i + 1, None), modulus, budget)
+            f, c, r = x
+            _accumulate(acc, f, c, r, (x,), modulus, budget)
+            _accumulate(acc, f, 2 * c, r, itertools.islice(xs, i + 1, None), modulus, budget)
     else:
         ys = [(f, *e) for f, e in b.rows.items()]
         for x in xs:
@@ -146,10 +153,10 @@ def convolve(a: SpectrumTable, b: SpectrumTable, budget: int = DEFAULT_BUDGET) -
     return SpectrumTable(n, d, None, total, acc, emb)
 
 
-def _accumulate(acc, fx, cx, rx, ax, ys, modulus, budget) -> None:
+def _accumulate(acc, fx, cx, rx, ys, modulus, budget) -> None:
     """Add the pairs (x, y), y in ys: key fx + fy mod modulus, count cx * cy."""
     get = acc.get
-    for fy, cy, ry, ay in ys:
+    for fy, cy, ry in ys:
         s = fx + fy
         if s >= modulus:
             s -= modulus
@@ -157,9 +164,9 @@ def _accumulate(acc, fx, cx, rx, ax, ys, modulus, budget) -> None:
         if slot is None:
             if len(acc) >= budget:
                 raise BudgetExceeded(f"more than {budget} distinct keys in convolution")
-            acc[s] = Entry(cx * cy, rx + ry, ax + ay)
+            acc[s] = Entry(cx * cy, rx + ry)
         else:
-            acc[s] = Entry(slot.count + cx * cy, slot.representative, slot.approx)
+            acc[s] = Entry(slot.count + cx * cy, slot.representative)
 
 
 def _exact_row(t: SpectrumTable, key: CycElt) -> Entry | None:
@@ -313,7 +320,6 @@ def cayley_spectrum(spec: CayleySpec, budget: int = DEFAULT_BUDGET) -> SpectrumT
     if n**d > budget:
         raise BudgetExceeded(f"{n}^{d} characters to enumerate, budget {budget}")
     ctx = get_context(n)
-    cos_f = [math.cos(2 * math.pi * k / n) for k in range(n)]
     entries: dict[CycElt, Entry] = {}
     for t in itertools.product(range(n), repeat=d):
         exps = [sum(ti * gi for ti, gi in zip(t, g)) % n for g in gens]
@@ -322,8 +328,8 @@ def cayley_spectrum(spec: CayleySpec, budget: int = DEFAULT_BUDGET) -> SpectrumT
         if e is None:
             if len(entries) >= budget:
                 raise BudgetExceeded(f"more than {budget} distinct keys in Cayley table")
-            entries[key] = Entry(1, t, sum(cos_f[x] for x in exps))
+            entries[key] = Entry(1, t)
         else:
-            entries[key] = Entry(e.count + 1, e.representative, e.approx)
+            entries[key] = Entry(e.count + 1, e.representative)
     return SpectrumTable(n, d, entries, n**d)
 

@@ -3,7 +3,7 @@
 The discrete zeta sums lambda^-s over nonzero Laplacian eigenvalues taken
 from exact spectrum tables; the continuum reference sums over lattice
 shells 4 pi^2 (m^2 + n^2) using the two-squares representation count.
-Real s only.
+Finite real s only.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import mpmath
 from mpmath.libmp import fzero, mpf_add, mpf_mul_int, mpf_pow, mpf_pow_int, mpf_rdiv_int
 from mpmath.libmp import round_nearest as rnd
 
-from .cyclotomic import approx_value, get_context
-from .spectrum import DEFAULT_BUDGET, torus_spectrum
+from .spectrum import DEFAULT_BUDGET, by_value, torus_spectrum
 
 
 def r2_upto(limit: int) -> list[int]:
@@ -66,25 +65,20 @@ def zeta_discrete(
     Eigenvalues are the exact keys 2d - mu of the adjacency keys mu,
     evaluated at ``bits`` precision; the error bound tracks the evaluation
     radii to first order plus summation rounding.  Terms are added in
-    ascending eigenvalue order so output is deterministic.
+    ascending eigenvalue order (by_value, reversed), so output is
+    deterministic.
     """
-    if not s > 0:
-        raise ValueError("need s > 0")
+    if not (s > 0 and mpmath.isfinite(s)):
+        raise ValueError("need finite s > 0")
     t = torus_spectrum(n, d, budget)
-    ctx = get_context(n)
-    rows = []
-    for mu, e in t.entries.items():
-        lam = 2 * d - mu
-        if not lam.is_zero():
-            rows.append((2 * d - e.approx, lam, e.count))
-    rows.sort(key=lambda r: (r[0], r[1]))
+    lams = ((2 * d - mu, e) for mu, e in t.entries.items())
+    rows = by_value(n, ((lam, e) for lam, e in lams if not lam.is_zero()), bits)
     with mpmath.workprec(bits + 32):
         s_mp = mpmath.mpf(s)
         total = mpmath.mpf(0)
         err = mpmath.mpf(0)
-        for _, key, cnt in rows:
-            av = approx_value(ctx, key, bits)
-            lam = av.real
+        for av, _, e in reversed(rows):
+            lam, cnt = av.real, e.count
             if not lam > av.radius:
                 raise AssertionError("nonzero Laplacian eigenvalue not separated from 0")
             term = lam ** (-s_mp)
@@ -101,8 +95,8 @@ def zeta_continuum_partial(s, cutoff: int, bits: int = 96) -> mpmath.mpf:
     Each shell M contributes r2(M) * (4 pi^2 M)^-s; requires s > 1 (where
     the full series converges).
     """
-    if not s > 1:
-        raise ValueError("need s > 1")
+    if not (s > 1 and mpmath.isfinite(s)):
+        raise ValueError("need finite s > 1")
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     counts = r2_upto(cutoff)
@@ -135,8 +129,8 @@ def cjk_table(
     Returns (rows, reference) with rows (N, N^(-2s) zeta_{T^2_N}(s)); no
     convergence assertion is made here, callers compare as they see fit.
     """
-    if not s > 1:
-        raise ValueError("need s > 1")
+    if not (s > 1 and mpmath.isfinite(s)):
+        raise ValueError("need finite s > 1")
     reference = zeta_continuum_partial(s, cutoff)
     rows = []
     for n in n_list:

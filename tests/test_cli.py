@@ -125,6 +125,11 @@ def test_zeta_command(capsys):
 def test_budget_exit_code(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--n", "12", "--d", "2", "--budget", "3")
     assert code == 2 and "budget" in err
+    code, out, err = run_cli(capsys, "vanishing", "--n", "30", "--max-len", "6", "--budget", "100")
+    assert code == 2 and out == "" and err.startswith("budget exceeded: ") and err.count("\n") == 1
+    # the cyclotomic context cap: 10007 * 10006 digits
+    code, out, err = run_cli(capsys, "growth", "--n", "10007", "--d", "1", "--tuple", "1")
+    assert code == 2 and out == "" and err.startswith("budget exceeded: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -146,6 +151,10 @@ def test_budget_exit_code(capsys):
         (["verify", "semigroup", "--lmax", "-3"], {}),
         (["growth", "--n", "2", "--d", "2", "--tuple", "1,1"], {}),
         (["growth", "--n", "1", "--d", "1", "--tuple", "0"], {}),
+        (["zeta", "--n", "16", "--d", "2", "--s", "2", "--cutoff", "10", "--s", "inf"], {}),
+        (["zeta", "--n", "16", "--d", "2", "--s", "inf"], {}),
+        (["zeta", "--n", "16", "--d", "2", "--s", "nan"], {}),
+        (["verify", "cjk", "--s", "inf", "--cutoff", "10", "--n-list", "4"], {}),
     ],
     ids=[
         "n-too-small",
@@ -164,6 +173,10 @@ def test_budget_exit_code(capsys):
         "semigroup-lmax-negative",
         "growth-n-two",
         "growth-n-one",
+        "zeta-s-inf-cutoff",
+        "zeta-s-inf",
+        "zeta-s-nan",
+        "cjk-s-inf",
     ],
 )
 def test_input_error_exit_code(capsys, monkeypatch, argv, env):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dtorus import arith
 from dtorus.arith import factorize, is_prime, semigroup_member
 from dtorus.criteria import (
     d2_closed_form,
@@ -90,6 +91,37 @@ def test_semigroup_witness_valid(length, primes)  :
         for _ in range(length):
             reachable |= {x + p for x in reachable for p in primes if x + p <= length}
         assert length not in reachable
+
+
+def test_semigroup_reduction_matches_dp():
+    # the plain dynamic program is the reference; the reduction starts at p_1 p_k
+    for n in range(2, 50):
+        primes = factorize(n).primes
+        start = primes[0] * primes[-1]
+        lengths = set(range(40)) | set(range(max(0, start - 2 * primes[0]), start + 3 * primes[0]))
+        for length in sorted(lengths):
+            assert semigroup_member(length, primes) == arith._semigroup_dp(length, primes), (n, length)
+
+
+def test_semigroup_member_runs_below_p1_pk(monkeypatch):
+    seen = []
+    dp = arith._semigroup_dp
+
+    def recording(length, primes):
+        seen.append(length)
+        return dp(length, primes)
+
+    monkeypatch.setattr(arith, "_semigroup_dp", recording)
+    assert semigroup_member(6_000_000, (3, 5)) == (True, (2_000_000, 0))
+    assert semigroup_member(2**31, (5,)) == (False, None)
+    assert semigroup_member(2**31 + 3, (2, 3, 5)) == (True, (2**30, 1, 0))
+    assert max(seen) < 5 * 5  # below p_1 p_k in every call
+
+
+def test_semigroup_member_needs_increasing_primes():
+    for primes in ((5, 3), (3, 3, 5)):
+        with pytest.raises(ValueError):
+            semigroup_member(8, primes)
 
 
 def test_in_I0_examples():

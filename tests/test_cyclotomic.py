@@ -6,7 +6,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dtorus.arith import factorize, is_prime
+from dtorus import cyclotomic, spectrum
 from dtorus.cyclotomic import (
+    ApproxReal,
     CycElt,
     _fixed_tables,
     approx_value,
@@ -17,6 +19,7 @@ from dtorus.cyclotomic import (
     root_power,
     sum_reduce,
 )
+from dtorus.errors import BudgetExceeded
 from dtorus.spectrum import Entry, SpectrumTable
 from helpers import phi_brute, reduce_mod_phi
 
@@ -153,14 +156,27 @@ def test_digit_guard():
     assert doublings == 31 and e.coeffs == (2**61, 0, 0, 0)
 
 
-def test_sorted_entries_breaks_ties_in_coefficient_order():
+def test_sorted_entries_breaks_ties_in_coefficient_order(monkeypatch):
     # coefficient order puts b first; ordering by the packed int or by the
     # top digit first would put a first
     a = CycElt(5, pack((1, -1, 0, 0)))
     b = CycElt(5, pack((0, 1, 0, 0)))
     assert b < a and not a < b
-    table = SpectrumTable(5, 1, {a: Entry(1, (0,), 0.5), b: Entry(1, (1,), 0.5)}, 2)
-    assert [k for k, _ in table.sorted_entries()] == [b, a]
+    # force equal values, so only the key order can decide
+    half = mpmath.mpf(0.5)
+    monkeypatch.setattr(spectrum, "approx_value", lambda ctx, key, bits: ApproxReal(half, half, half))
+    table = SpectrumTable(5, 1, {a: Entry(1, (0,)), b: Entry(1, (1,))}, 2)
+    assert [k for _, k, _ in table.sorted_entries()] == [b, a]
+
+
+def test_context_cap_raises_before_allocating(monkeypatch):
+    def unreachable(n):
+        raise RuntimeError("Phi_n was built before the cap was checked")
+
+    monkeypatch.setattr(cyclotomic, "cyclotomic_poly", unreachable)
+    with pytest.raises(BudgetExceeded, match="10007"):
+        get_context(10007)
+    assert 4001 * 4000 <= cyclotomic.MAX_CONTEXT_DIGITS < 10007 * 10006
 
 
 def test_elt_arithmetic_int_promotion():

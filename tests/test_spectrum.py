@@ -1,5 +1,6 @@
 from collections import OrderedDict
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -60,7 +61,7 @@ def test_convolve_examples():
 
 def test_convolve_point_mass_identity():
     t = cn_spectrum(7)
-    point = SpectrumTable(7, 0, None, 1, {0: Entry(1, (), 0.0)}, t.embedding)  # T^0: the empty sum
+    point = SpectrumTable(7, 0, None, 1, {0: Entry(1, ())}, t.embedding)  # T^0: the empty sum
     out = convolve(t, point)
     assert {k: e.count for k, e in out.entries.items()} == counts_by_key(t)
 
@@ -68,7 +69,7 @@ def test_convolve_point_mass_identity():
 def test_convolve_needs_rows_serving_the_product():
     t = cn_spectrum(7)
     ctx = get_context(7)
-    no_rows = SpectrumTable(7, 0, {ctx.zero: Entry(1, (), 0.0)}, 1)
+    no_rows = SpectrumTable(7, 0, {ctx.zero: Entry(1, ())}, 1)
     for a, b in ((t, no_rows), (no_rows, t), (no_rows, no_rows)):
         with pytest.raises(ValueError, match="torus_spectrum"):
             convolve(a, b)
@@ -306,5 +307,18 @@ def test_cayley_rejects_asymmetric_set():
 
 def test_sorted_entries_descending():
     t = torus_spectrum(12, 2)
-    values = [e.approx for _, e in t.sorted_entries()]
+    values = [float(value) for value, _, _ in t.sorted_entries()]
     assert values == sorted(values, reverse=True)
+
+
+@pytest.mark.parametrize("n", [12, 60, 97])  # phi(97) = 96 digits
+def test_sorted_entries_order_matches_reference(n):
+    # independent reference: mpmath's 2cos(2 pi k / n), summed over each row's
+    # representative at 200 bits; distinct keys have distinct values
+    rows = torus_spectrum(n, 2).sorted_entries()
+    with mpmath.workprec(200):
+        two_cos = [2 * mpmath.cos(2 * mpmath.pi * k / n) for k in range(n)]
+        refs = [sum(two_cos[k] for k in e.representative) for _, _, e in rows]
+        assert all(a > b for a, b in zip(refs, refs[1:]))
+        for (value, _, _), ref in zip(rows, refs):
+            assert abs(value.real - ref) <= value.radius + mpmath.mpf(2) ** -190

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dtorus.arith import factorize
 from dtorus.cyclotomic import get_context, sum_reduce
-from dtorus.errors import NotApplicable, ZeroEigenvalue
+from dtorus.errors import BudgetExceeded, NotApplicable, ZeroEigenvalue
 from dtorus.vanishing import (
     RootMultiset,
     classify_cos4,
@@ -245,3 +245,10 @@ def test_cp_delta_always_vanishes(p, delta):
     angles = cp_delta(p, delta)
     assert len(angles) == p
     assert _cos_sum_is_zero(angles)
+
+
+def test_searches_stop_at_their_budget():
+    with pytest.raises(BudgetExceeded):
+        minimal_vanishing_sums(30, 6, budget=100)
+    with pytest.raises(BudgetExceeded):
+        find_vanishing_multiset(27, 7, budget=100)

@@ -109,6 +109,16 @@ def test_zeta_continuum_requires_s_above_one():
         zeta_continuum_partial(1.0, 10)
 
 
+@pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan, mpmath.inf])
+def test_zeta_rejects_non_finite_s(s):
+    with pytest.raises(ValueError, match="finite"):
+        zeta_discrete(4, 2, s)
+    with pytest.raises(ValueError, match="finite"):
+        zeta_continuum_partial(s, 10)
+    with pytest.raises(ValueError, match="finite"):
+        cjk_table(s, [4], 10)
+
+
 def test_zeta_continuum_cauchy_tail():
     # The tail between cutoffs X and 2X shrinks like pi/(2X (4 pi^2)^2),
     # about 1e-7 at X = 1e4; the measured value must sit near it.
