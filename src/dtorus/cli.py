@@ -113,6 +113,7 @@ def _spectrum_rows(table: SpectrumTable, bits: int) -> list[dict]:
 
 
 def cmd_spectrum(args) -> int:
+    get_context(args.n)  # refuses a modulus over the context cap before any table work
     table = torus_spectrum(args.n, args.d, args.budget)
     payload = {
         "schema": SCHEMA,
@@ -132,6 +133,7 @@ def _parse_tuple(text: str) -> tuple[int, ...]:
 
 def cmd_mult(args) -> int:
     ks = _parse_tuple(args.tuple)
+    ctx = get_context(args.n)  # refuses a modulus over the context cap before any table work
     mult = multiplicity_of_tuple(args.n, args.d, ks, args.budget)
     closed = d2_closed_form(args.n, *ks) if args.d == 2 else None
     key = key_of_tuple(args.n, ks)
@@ -142,9 +144,7 @@ def cmd_mult(args) -> int:
         "d": args.d,
         "tuple": list(ks),
         "multiplicity": str(mult),
-        "value_decimal": _decimal(
-            approx_value(get_context(args.n), key, args.bits).real
-        ),
+        "value_decimal": _decimal(approx_value(ctx, key, args.bits).real),
         "closed_form": None if closed is None else str(closed),
     }
     _emit(payload, args.format)
@@ -252,6 +252,7 @@ def cmd_vanishing(args) -> int:
 def cmd_zeta(args) -> int:
     if args.cutoff is not None and not args.s > 1:
         raise ValueError("the continuum partial sum (--cutoff) needs s > 1")
+    get_context(args.n)  # refuses a modulus over the context cap before any table work
     zv = zeta_discrete(args.n, args.d, args.s, args.bits, args.budget)
     payload = {
         "schema": SCHEMA,
@@ -313,12 +314,10 @@ def verify_bound24_cmd(args) -> int:
 
 
 def verify_table60_cmd(args) -> int:
-    rep = verify_table60(args.budget)
-    ctx = get_context(60)
+    rep = verify_table60(args.budget, args.bits)
     print(f"{'mult':>4}  {'value':>33}  representative")
-    for key, e in rep.high:
-        value = _decimal(approx_value(ctx, key, args.bits).real)
-        print(f"{e.count:>4}  {value:>33}  {e.representative}")
+    for value, _, e in rep.high:
+        print(f"{e.count:>4}  {_decimal(value.real):>33}  {e.representative}")
     for mult in sorted(rep.printed):
         got = rep.computed.get(mult, frozenset())
         listed = rep.printed[mult]
@@ -440,9 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
     # DTORUS_BUDGET or DTORUS_BITS is a usage error
     common.add_argument(
         "--budget",
-        type=int,
+        type=_int_at_least(1),
         default=os.environ.get("DTORUS_BUDGET", str(DEFAULT_BUDGET)),
-        help="max distinct eigenvalue keys per table",
+        help="max distinct eigenvalue keys per table, or states a vanishing search visits",
     )
     common.add_argument(
         "--bits",
@@ -493,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vanishing", parents=[common], help="enumerate vanishing root multisets")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=_int_at_least(1), required=True)
     add_format(p)
     p.set_defaults(func=cmd_vanishing)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .arith import factorize, is_prime, semigroup_member
-from .cyclotomic import CycElt, cos_key, get_context, key_of_tuple
+from .cyclotomic import ApproxReal, CycElt, cos_key, get_context, key_of_tuple
 from .errors import Bound24Violated, PreconditionViolated, ZeroNotEigenvalue
 from .spectrum import (
     DEFAULT_BUDGET,
@@ -223,18 +223,18 @@ class Table60Report:
     total, e.g. 2cos(pi/30) via cos(pi/30) = cos(3pi/10) + cos(11pi/30));
     it is reported rather than folded into ``ok`` because the omission is
     a defect of the published row, not of the computation.  ``high`` holds
-    every (key, entry) above multiplicity 8, by multiplicity and then value
-    descending.
+    by_value's (value, key, entry) for every key above multiplicity 8, by
+    multiplicity and then value descending.
     """
 
     ok: bool
     printed: dict
     computed: dict
     row16_extra: tuple[CycElt, ...]
-    high: tuple[tuple[CycElt, Entry], ...]
+    high: tuple[tuple[ApproxReal, CycElt, Entry], ...]
 
 
-def verify_table60(budget: int = DEFAULT_BUDGET) -> Table60Report:
+def verify_table60(budget: int = DEFAULT_BUDGET, bits: int = 128) -> Table60Report:
     """Check the multiplicities above 8 for the 60 x 60 torus.
 
     Printed rows: 12 at +-(2cos(pi/5)+1) and +-(2cos(2pi/5)-1), 16 at
@@ -253,8 +253,8 @@ def verify_table60(budget: int = DEFAULT_BUDGET) -> Table60Report:
     t = torus_spectrum(60, 2, budget)
     rows = ((key_of_tuple(60, e.representative), e) for e in t.rows.values() if e.count > 8)
     # sorted is stable: by_value's order holds within each multiplicity
-    high = sorted(((key, e) for _, key, e in by_value(60, rows)), key=lambda row: row[1].count)
-    computed = {c: frozenset(k for k, _ in g) for c, g in groupby(high, lambda row: row[1].count)}
+    high = sorted(by_value(60, rows, bits), key=lambda row: row[2].count)
+    computed = {c: frozenset(k for _, k, _ in g) for c, g in groupby(high, lambda row: row[2].count)}
     ok = set(computed) == set(printed)
     if ok:
         for mult, keys in printed.items():
@@ -263,7 +263,7 @@ def verify_table60(budget: int = DEFAULT_BUDGET) -> Table60Report:
         for mult in (12, 20, 24, 118):
             if computed[mult] != printed[mult]:
                 ok = False
-    extra = tuple(key for key, e in high if e.count == 16 and key not in printed[16])
+    extra = tuple(key for _, key, e in high if e.count == 16 and key not in printed[16])
     return Table60Report(ok, printed, computed, extra, tuple(high))
 
 

@@ -264,11 +264,45 @@ def _is_minimal(n: int, exponents: tuple[int, ...]) -> bool:
     return True
 
 
-def _walk_tables(n: int):
-    """Packed power residues and float cos/sin of the n-th roots."""
+def _vanishing_tuples(n: int, max_len: int, budget: int, first: int | None = None):
+    """Every vanishing nondecreasing exponent tuple of length <= max_len.
+
+    Yields in depth-first, hence lexicographic, order; ``first`` pins the
+    smallest exponent.  Vanishing is decided exactly on packed powers; the
+    float cos/sin only prune a partial sum too far from zero for the roots
+    still to come to cancel.  The budget counts visited partial-sum states,
+    and memory stays O(max_len).
+    """
+    powers = get_context(n).powers
     cos_f = [math.cos(2 * math.pi * k / n) for k in range(n)]
     sin_f = [math.sin(2 * math.pi * k / n) for k in range(n)]
-    return get_context(n).powers, cos_f, sin_f
+    path: list[int] = []
+    # partial sums (packed residue, re, im) of each prefix of path
+    sums = [(0, 0.0, 0.0)]
+    levels = [iter(range(n) if first is None else (first,))]
+    visited = 0
+    while levels:
+        acc, re, im = sums[-1]
+        remaining = max_len - len(path) - 1
+        for e in levels[-1]:
+            visited += 1
+            if visited > budget:
+                raise BudgetExceeded(f"more than {budget} partial-sum states")
+            acc2, re2, im2 = acc + powers[e], re + cos_f[e], im + sin_f[e]
+            path.append(e)
+            if not acc2:
+                yield tuple(path)
+            # a sum of `remaining` unit vectors moves the value by at most that much
+            if remaining > 0 and re2 * re2 + im2 * im2 <= (remaining + 1e-9) ** 2:
+                sums.append((acc2, re2, im2))
+                levels.append(iter(range(e, n)))
+                break
+            path.pop()
+        else:
+            levels.pop()
+            sums.pop()
+            if path:
+                path.pop()
 
 
 def minimal_vanishing_sums(
@@ -280,36 +314,14 @@ def minimal_vanishing_sums(
     minimal when no proper nonempty sub-multiset vanishes.  The budget
     counts visited partial-sum states.
     """
+    if max_len < 1:
+        raise ValueError("max_len must be positive")
     if max_len > 12:
         raise ValueError("enumeration is desk-scale only (max_len <= 12)")
-    powers, cos_f, sin_f = _walk_tables(n)
-    path: list[int] = []
-    results: list[FoundSum] = []
-    visited = 0
-
-    def walk(start: int, acc: int, re: float, im: float):
-        nonlocal visited
-        depth = len(path)
-        for e in range(start, n):
-            visited += 1
-            if visited > budget:
-                raise BudgetExceeded(f"more than {budget} partial-sum states")
-            acc2 = acc + powers[e]
-            path.append(e)
-            re2, im2 = re + cos_f[e], im + sin_f[e]
-            if not acc2:
-                exps = tuple(path)
-                results.append(
-                    FoundSum(RootMultiset(n, exps), _is_minimal(n, exps))
-                )
-            remaining = max_len - depth - 1
-            # a sum of `remaining` unit vectors moves the value by at most that much
-            if remaining > 0 and re2 * re2 + im2 * im2 <= (remaining + 1e-9) ** 2:
-                walk(e, acc2, re2, im2)
-            path.pop()
-
-    walk(0, 0, 0.0, 0.0)
-    return results
+    return [
+        FoundSum(RootMultiset(n, exps), _is_minimal(n, exps))
+        for exps in _vanishing_tuples(n, max_len, budget)
+    ]
 
 
 def find_vanishing_multiset(
@@ -317,37 +329,15 @@ def find_vanishing_multiset(
 ) -> RootMultiset | None:
     """Some vanishing multiset of exactly the given size, or None.
 
-    Rotation invariance pins the smallest exponent to 0; failed states are
-    memoized on (partial value, last exponent, remaining length) and the
-    search prunes whenever the partial value is too far from zero to be
-    cancelled by the remaining roots.
+    Rotation invariance pins the smallest exponent to 0, and the answer is
+    the lexicographically least such multiset.  The budget counts visited
+    partial-sum states.
     """
     if length < 1:
         raise ValueError("length must be positive")
-    powers, cos_f, sin_f = _walk_tables(n)
-    failed: set = set()
-    path = [0]
-
-    def walk(acc: int, re: float, im: float, last: int, remaining: int) -> bool:
-        if remaining == 0:
-            return not acc
-        if re * re + im * im > (remaining + 1e-9) ** 2:
-            return False
-        state = (acc, last, remaining)
-        if state in failed:
-            return False
-        for e in range(last, n):
-            path.append(e)
-            if walk(acc + powers[e], re + cos_f[e], im + sin_f[e], e, remaining - 1):
-                return True
-            path.pop()
-        if len(failed) >= budget:
-            raise BudgetExceeded(f"more than {budget} memoized states")
-        failed.add(state)
-        return False
-
-    if walk(powers[0], 1.0, 0.0, 0, length - 1):
-        return RootMultiset(n, tuple(path))
+    for exps in _vanishing_tuples(n, length, budget, first=0):
+        if len(exps) == length:
+            return RootMultiset(n, exps)
     return None
 
 

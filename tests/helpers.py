@@ -4,7 +4,7 @@ Everything here enumerates index tuples or lattice points directly and
 never calls the convolution machinery it is checking.
 """
 
-from itertools import product
+from itertools import combinations, combinations_with_replacement, product
 from math import gcd, isqrt
 
 from dtorus.cyclotomic import cyclotomic_poly
@@ -73,3 +73,26 @@ def brute_r2_upto(limit):
 
 def phi_brute(n):
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+def brute_vanishing_sums(n, max_len):
+    """(exponents, minimal) for every vanishing nondecreasing exponent tuple
+    over the n-th roots of length <= max_len, in lexicographic order.
+
+    A tuple vanishes when sum(x^e) reduces to 0 modulo Phi_n; it is minimal
+    when no proper nonempty sub-multiset vanishes.
+    """
+
+    def vanishes(exps):
+        poly = [0] * n
+        for e in exps:
+            poly[e] += 1
+        return not any(reduce_mod_phi(poly, n))
+
+    out = []
+    for length in range(1, max_len + 1):
+        for exps in combinations_with_replacement(range(n), length):
+            if vanishes(exps):
+                subs = (sub for k in range(1, length) for sub in combinations(exps, k))
+                out.append((exps, not any(vanishes(sub) for sub in subs)))
+    return sorted(out)

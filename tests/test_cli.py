@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import dtorus
-from dtorus import cli, cyclotomic
+from dtorus import cli, cyclotomic, spectrum
 from dtorus.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -122,14 +122,24 @@ def test_zeta_command(capsys):
     assert payload["value_decimal"].startswith("2.0")
 
 
-def test_budget_exit_code(capsys):
+def test_budget_exit_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "spectrum", "--n", "12", "--d", "2", "--budget", "3")
     assert code == 2 and "budget" in err
     code, out, err = run_cli(capsys, "vanishing", "--n", "30", "--max-len", "6", "--budget", "100")
     assert code == 2 and out == "" and err.startswith("budget exceeded: ") and err.count("\n") == 1
-    # the cyclotomic context cap: 10007 * 10006 digits
-    code, out, err = run_cli(capsys, "growth", "--n", "10007", "--d", "1", "--tuple", "1")
-    assert code == 2 and out == "" and err.startswith("budget exceeded: ") and err.count("\n") == 1
+    # the cyclotomic context cap: 10007 * 10006 digits, refused before any table work
+    def unreachable(*args, **kwargs):
+        raise RuntimeError("a table was started before the context cap was checked")
+
+    monkeypatch.setattr(spectrum, "key_embedding", unreachable)
+    for argv in (
+        ["growth", "--n", "10007", "--d", "1", "--tuple", "1"],
+        ["spectrum", "--n", "10007", "--d", "1"],
+        ["mult", "--n", "10007", "--d", "1", "--tuple", "1"],
+        ["zeta", "--n", "10007", "--d", "1", "--s", "2"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("budget exceeded: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -155,6 +165,11 @@ def test_budget_exit_code(capsys):
         (["zeta", "--n", "16", "--d", "2", "--s", "inf"], {}),
         (["zeta", "--n", "16", "--d", "2", "--s", "nan"], {}),
         (["verify", "cjk", "--s", "inf", "--cutoff", "10", "--n-list", "4"], {}),
+        (["spectrum", "--n", "4", "--d", "2", "--budget", "0"], {}),
+        (["spectrum", "--n", "4", "--d", "2", "--budget", "-5"], {}),
+        (["spectrum", "--n", "4", "--d", "2"], {"DTORUS_BUDGET": "0"}),
+        (["vanishing", "--n", "6", "--max-len", "0"], {}),
+        (["vanishing", "--n", "6", "--max-len", "-2"], {}),
     ],
     ids=[
         "n-too-small",
@@ -177,6 +192,11 @@ def test_budget_exit_code(capsys):
         "zeta-s-inf",
         "zeta-s-nan",
         "cjk-s-inf",
+        "budget-zero",
+        "budget-negative",
+        "env-budget-zero",
+        "max-len-zero",
+        "max-len-negative",
     ],
 )
 def test_input_error_exit_code(capsys, monkeypatch, argv, env):

@@ -15,3 +15,17 @@ def test_float_trig_only_in_vanishing_pruning():
     assert {"spectrum.py", "vanishing.py"} <= {p.name for p in sources}
     offenders = [p.name for p in sources if p.name != "vanishing.py" and FLOAT_TRIG.search(p.read_text())]
     assert offenders == []
+
+
+UNBOUNDED_CACHE = re.compile(
+    r"\bfunctools\.cache\b|\bfrom functools import\b[^\n]*\bcache\b|\blru_cache\(\s*(maxsize\s*=\s*)?None\b"
+)
+
+
+def test_every_cache_is_bounded():
+    # a cache without a size bound grows for the life of the process
+    sources = sorted(Path(dtorus.__file__).parent.glob("*.py"))
+    assert [p.name for p in sources if UNBOUNDED_CACHE.search(p.read_text())] == []
+    assert UNBOUNDED_CACHE.search("@functools.lru_cache(maxsize=None)")
+    assert UNBOUNDED_CACHE.search("@functools.cache")
+    assert not UNBOUNDED_CACHE.search("@functools.lru_cache(maxsize=64)\n@functools.cached_property")

@@ -24,6 +24,8 @@ from dtorus.vanishing import (
     _cos_sum_is_zero,
 )
 
+from helpers import brute_vanishing_sums
+
 moduli = st.integers(min_value=2, max_value=40)
 exponent_lists = st.lists(st.integers(min_value=0, max_value=200), min_size=1, max_size=8)
 
@@ -202,6 +204,31 @@ def test_minimal_vanishing_sums_tags_decomposable():
     by_exps = {s.multiset.exponents: s.minimal for s in found}
     assert by_exps[(0, 1, 3, 4)] is False  # two antipodal pairs
     assert by_exps[(0, 3)] is True
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_searches_match_brute_force(n):
+    oracle = brute_vanishing_sums(n, 5)
+    for max_len in range(1, 6):
+        found = minimal_vanishing_sums(n, max_len)
+        want = [row for row in oracle if len(row[0]) <= max_len]
+        assert [(s.multiset.exponents, s.minimal) for s in found] == want
+        # the lexicographically least vanishing tuple of this length through 0
+        least = next((exps for exps, _ in oracle if len(exps) == max_len and exps[0] == 0), None)
+        got = find_vanishing_multiset(n, max_len)
+        assert (None if got is None else got.exponents) == least
+
+
+def test_search_has_no_recursion_limit():
+    m = find_vanishing_multiset(6, 1100)
+    assert len(m.exponents) == 1100 and is_vanishing(m)
+
+
+def test_search_lengths_must_be_positive():
+    with pytest.raises(ValueError):
+        minimal_vanishing_sums(6, 0)
+    with pytest.raises(ValueError):
+        find_vanishing_multiset(6, 0)
 
 
 def test_symmetric_rotation():
