@@ -46,7 +46,7 @@ from .vanishing import (
     minimal_vanishing_sums,
     w_membership,
 )
-from .zeta import cjk_table, zeta_continuum_partial, zeta_discrete
+from .zeta import check_cutoff, cjk_table, zeta_continuum_partial, zeta_discrete
 
 SCHEMA = 1
 # --bits cap: outputs print 30 digits, and the cost of the certified cos/sin
@@ -250,8 +250,10 @@ def cmd_vanishing(args) -> int:
 
 
 def cmd_zeta(args) -> int:
-    if args.cutoff is not None and not args.s > 1:
-        raise ValueError("the continuum partial sum (--cutoff) needs s > 1")
+    if args.cutoff is not None:
+        if not args.s > 1:
+            raise ValueError("the continuum partial sum (--cutoff) needs s > 1")
+        check_cutoff(args.cutoff, args.budget)
     get_context(args.n)  # refuses a modulus over the context cap before any table work
     zv = zeta_discrete(args.n, args.d, args.s, args.bits, args.budget)
     payload = {
@@ -265,7 +267,7 @@ def cmd_zeta(args) -> int:
     }
     if args.cutoff is not None:
         payload["continuum_decimal"] = _decimal(
-            zeta_continuum_partial(args.s, args.cutoff)
+            zeta_continuum_partial(args.s, args.cutoff, args.budget)
         )
     _emit(payload, args.format)
     return 0
@@ -441,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=_int_at_least(1),
         default=os.environ.get("DTORUS_BUDGET", str(DEFAULT_BUDGET)),
-        help="max distinct eigenvalue keys per table, or states a vanishing search visits",
+        help="max distinct eigenvalue keys per table, states a vanishing search visits, "
+        "or continuum zeta cutoff",
     )
     common.add_argument(
         "--bits",

@@ -9,13 +9,30 @@ Finite real s only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import isqrt
 
 import mpmath
-from mpmath.libmp import fzero, mpf_add, mpf_mul_int, mpf_pow, mpf_pow_int, mpf_rdiv_int
+from mpmath.libmp import fzero, mpf_pow, mpf_pow_int
 from mpmath.libmp import round_nearest as rnd
 
+from .errors import BudgetExceeded
 from .spectrum import DEFAULT_BUDGET, by_value, torus_spectrum
+
+# working precision of the continuum partial sum, in bits
+PREC = 96
+# rm << _QUOT_SHIFT over a mantissa below 2^(PREC+1) is at least 2^(PREC+2):
+# the quotient keeps the round bit and two guard bits above the remainder
+_QUOT_SHIFT = 2 * PREC + 3
+# a mantissa below 2^(PREC+1) whose exponent is more than this many bits
+# under that of a nonzero PREC-bit number is below a quarter of its ulp
+_NEGLIGIBLE_SHIFT = 2 * PREC + 1
+
+
+def check_cutoff(cutoff: int, budget: int) -> None:
+    """Refuse a continuum cutoff above the budget: its r2 list holds cutoff + 1 ints."""
+    if cutoff > budget:
+        raise BudgetExceeded(f"continuum cutoff {cutoff} exceeds the budget {budget}")
 
 
 def r2_upto(limit: int) -> list[int]:
@@ -23,17 +40,23 @@ def r2_upto(limit: int) -> list[int]:
 
     r2(m) counts representations of m as an ordered sum of two integer
     squares.  Rotation by 90 degrees splits the nonzero lattice points into
-    orbits of four, each with exactly one point a >= 1, b >= 0, so every
-    such point with a^2 + b^2 <= limit adds 4.  By convention r2(0) = 1
-    (the origin; both zetas exclude it anyway).
+    orbits of four, each with exactly one point a >= 1, b >= 0; swapping a
+    and b pairs the points with 1 <= b < a with those with 1 <= a < b.  So
+    each point with 1 <= b < a and a^2 + b^2 <= limit adds 8, and the points
+    (a, 0) and (a, a) add 4.  By convention r2(0) = 1 (the origin; both
+    zetas exclude it anyway).
     """
     if limit < 0:
         return []
     out = [1] + [0] * limit
-    for a in range(1, isqrt(limit) + 1):
-        a2 = a * a
-        for b in range(isqrt(limit - a2) + 1):
-            out[a2 + b * b] += 4
+    squares = [b * b for b in range(isqrt(limit) + 1)]
+    for a in range(1, len(squares)):
+        a2 = squares[a]
+        out[a2] += 4
+        if 2 * a2 <= limit:
+            out[2 * a2] += 4
+        for b2 in squares[1 : min(a, isqrt(limit - a2) + 1)]:
+            out[a2 + b2] += 8
     return out
 
 
@@ -89,36 +112,92 @@ def zeta_discrete(
         return ZetaValue(+total, +err)
 
 
-def zeta_continuum_partial(s, cutoff: int, bits: int = 96) -> mpmath.mpf:
+def _round(man: int, exp: int) -> tuple[int, int]:
+    """man * 2^exp (man >= 0) rounded to PREC bits, half to even.
+
+    The rounding of libmp's normalize in round_nearest, without its
+    stripping of trailing zero bits: the value is the same.
+    """
+    n = man.bit_length() - PREC
+    if n <= 0:
+        return man, exp
+    t = man >> (n - 1)
+    if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+        return (t >> 1) + 1, exp + n
+    return t >> 1, exp + n
+
+
+def _add(am: int, ae: int, bm: int, be: int) -> tuple[int, int]:
+    """am * 2^ae + bm * 2^be rounded as libmp's mpf_add rounds it at PREC
+    bits in round-nearest; both are PREC-bit numbers as _round returns them."""
+    if ae < be:
+        am, ae, bm, be = bm, be, am, ae
+    shift = ae - be
+    if shift > _NEGLIGIBLE_SHIFT and am:
+        return am, ae  # round-nearest drops the smaller one, so skip the long shift
+    return _round((am << shift) + bm, be)
+
+
+def _mpf(man: int, exp: int) -> tuple:
+    """The normalized libmp tuple of man * 2^exp (man >= 0)."""
+    if not man:
+        return fzero
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return (0, man, exp + zeros, man.bit_length())
+
+
+def _shell_terms(s, shells):
+    """(man, exp) of rm * (4 pi^2 m)^-s for each (m, rm) in shells with rm != 0.
+
+    Each step is rounded as libmp's mpf_mul_int, mpf_pow_int (mpf_pow for
+    non-integer s), and mpf_rdiv_int (mpf_mul_int) round it at PREC bits
+    in round-nearest, so every term is theirs to the bit.
+    """
+    with mpmath.workprec(PREC):
+        _, cm, ce, _ = (4 * mpmath.pi**2)._mpf_
+        neg_s = (-mpmath.mpf(s))._mpf_
+    s_int = int(s) if s == int(s) else None
+    # mpf_pow_int powers exactly while bc * s < 1000 and rounds in a fixed
+    # direction beyond; s * PREC < 1000 keeps every base on the exact side
+    exact_pow = s_int is not None and s_int * PREC < 1000
+    for m, rm in shells:
+        if not rm:
+            continue
+        bm, be = _round(cm * m, ce)  # mpf_mul_int(c, m)
+        if s_int is None:
+            _, pm, pe, _ = mpf_pow(_mpf(bm, be), neg_s, PREC, rnd)
+            yield _round(pm * rm, pe)  # mpf_mul_int(base^-s, rm)
+            continue
+        if exact_pow:
+            pm, pe = _round(bm**s_int, be * s_int)
+        else:
+            _, pm, pe, _ = mpf_pow_int(_mpf(bm, be), s_int, PREC, rnd)
+        # mpf_rdiv_int(rm, base^s), the remainder as a sticky bit
+        q, r = divmod(rm << _QUOT_SHIFT, pm)
+        yield _round(q << 1 | (r != 0), -pe - _QUOT_SHIFT - 1)
+
+
+def zeta_continuum_partial(s, cutoff: int, budget: int = DEFAULT_BUDGET) -> mpmath.mpf:
     """Partial sum of the continuum torus zeta over shells 0 < m^2+n^2 <= cutoff.
 
     Each shell M contributes r2(M) * (4 pi^2 M)^-s; requires s > 1 (where
-    the full series converges).
+    the full series converges).  Terms are added in shell order, each sum
+    rounded as libmp's mpf_add rounds it at PREC bits, so the result is
+    the libmp loop's to the bit (README, "How the continuum partial sum is
+    computed").  Raises BudgetExceeded when cutoff exceeds budget, before
+    the r2 list of cutoff + 1 ints is built.
     """
     if not (s > 1 and mpmath.isfinite(s)):
         raise ValueError("need finite s > 1")
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
+    check_cutoff(cutoff, budget)
     counts = r2_upto(cutoff)
-    with mpmath.workprec(bits):
-        c = (4 * mpmath.pi**2)._mpf_
-        neg_s = (-mpmath.mpf(s))._mpf_
-    s_int = int(s) if s == int(s) else None
-    # the libmp calls that the mpf operators of rm / (c*m)**s_int and
-    # rm * (c*m)**-s make, in the same order and rounding: the sum is the
-    # same to the bit, without the operator overhead
-    total = fzero
-    for m in range(1, cutoff + 1):
-        rm = counts[m]
-        if not rm:
-            continue
-        base = mpf_mul_int(c, m, bits, rnd)
-        if s_int is not None:
-            term = mpf_rdiv_int(rm, mpf_pow_int(base, s_int, bits, rnd), bits, rnd)
-        else:
-            term = mpf_mul_int(mpf_pow(base, neg_s, bits, rnd), rm, bits, rnd)
-        total = mpf_add(total, term, bits, rnd)
-    return mpmath.mp.make_mpf(total)
+    total = 0, 0
+    for term in _shell_terms(s, islice(enumerate(counts), 1, None)):
+        total = _add(*total, *term)
+    return mpmath.mp.make_mpf(_mpf(*total))
 
 
 def cjk_table(
@@ -131,11 +210,11 @@ def cjk_table(
     """
     if not (s > 1 and mpmath.isfinite(s)):
         raise ValueError("need finite s > 1")
-    reference = zeta_continuum_partial(s, cutoff)
+    if any(n < 3 for n in n_list):
+        raise ValueError("need n >= 3")
+    reference = zeta_continuum_partial(s, cutoff, budget)
     rows = []
     for n in n_list:
-        if n < 3:
-            raise ValueError("need n >= 3")
         zv = zeta_discrete(n, 2, s, bits, budget)
         with mpmath.workprec(bits + 32):
             scale = mpmath.mpf(n) ** (-2 * mpmath.mpf(s))

@@ -7,6 +7,10 @@ never calls the convolution machinery it is checking.
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd, isqrt
 
+import mpmath
+from mpmath.libmp import fzero, mpf_add, mpf_mul_int, mpf_pow, mpf_pow_int, mpf_rdiv_int
+from mpmath.libmp import round_nearest as rnd
+
 from dtorus.cyclotomic import cyclotomic_poly
 
 
@@ -96,3 +100,39 @@ def brute_vanishing_sums(n, max_len):
                 subs = (sub for k in range(1, length) for sub in combinations(exps, k))
                 out.append((exps, not any(vanishes(sub) for sub in subs)))
     return sorted(out)
+
+
+def libmp_shell_terms(s, shells, bits=96):
+    """Raw mpf term rm * (4 pi^2 m)^-s of each (m, rm) in shells with rm != 0.
+
+    The per-shell libmp calls of the loop dtorus.zeta used before its
+    integer-mantissa rewrite: mpf_mul_int, then mpf_pow_int and
+    mpf_rdiv_int (mpf_pow and mpf_mul_int for non-integer s), all at
+    ``bits`` in round-nearest.
+    """
+    with mpmath.workprec(bits):
+        c = (4 * mpmath.pi**2)._mpf_
+        neg_s = (-mpmath.mpf(s))._mpf_
+    s_int = int(s) if s == int(s) else None
+    for m, rm in shells:
+        if not rm:
+            continue
+        base = mpf_mul_int(c, m, bits, rnd)
+        if s_int is not None:
+            yield mpf_rdiv_int(rm, mpf_pow_int(base, s_int, bits, rnd), bits, rnd)
+        else:
+            yield mpf_mul_int(mpf_pow(base, neg_s, bits, rnd), rm, bits, rnd)
+
+
+def libmp_continuum_partial(s, cutoff, bits=96):
+    """The continuum partial sum over shells 0 < m <= cutoff as libmp computes it.
+
+    The terms of libmp_shell_terms, with the lattice counts of
+    brute_r2_upto, added in shell order with mpf_add at ``bits``.
+    Returns the raw ``_mpf_`` tuple.
+    """
+    counts = brute_r2_upto(cutoff)
+    total = fzero
+    for term in libmp_shell_terms(s, enumerate(counts[1:], 1), bits):
+        total = mpf_add(total, term, bits, rnd)
+    return total

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import dtorus
-from dtorus import cli, cyclotomic, spectrum
+from dtorus import cli, cyclotomic, spectrum, zeta
 from dtorus.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -243,6 +243,26 @@ def test_zeta_arguments_checked_before_work(capsys, monkeypatch, arg):
     code, out, err = run_cli(capsys, "zeta", "--n", "16", "--d", "2", *arg)
     assert code == 64 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", "--n", "16", "--d", "2", "--s", "2", "--cutoff", "10000001"],
+        ["zeta", "--n", "16", "--d", "2", "--s", "2", "--cutoff", "101", "--budget", "100"],
+        ["verify", "cjk", "--cutoff", "10000001", "--n-list", "8"],
+    ],
+)
+def test_zeta_cutoff_over_budget_refused_before_work(capsys, monkeypatch, argv):
+    def unreachable(*args, **kwargs):
+        raise RuntimeError("work started before the cutoff was checked against the budget")
+
+    monkeypatch.setattr(zeta, "r2_upto", unreachable)
+    monkeypatch.setattr(cli, "zeta_discrete", unreachable)
+    monkeypatch.setattr(zeta, "zeta_discrete", unreachable)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("budget exceeded: continuum cutoff ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

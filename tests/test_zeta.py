@@ -1,12 +1,16 @@
 import math
+import random
 
 import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from mpmath.libmp import mpf_add, round_nearest
 
+from dtorus import zeta
+from dtorus.errors import BudgetExceeded
 from dtorus.zeta import cjk_table, r2_upto, zeta_continuum_partial, zeta_discrete
-from helpers import brute_r2
+from helpers import brute_r2, libmp_continuum_partial, libmp_shell_terms
 
 
 def test_r2_examples():
@@ -86,8 +90,12 @@ def test_zeta_continuum_monotone_in_cutoff():
 
 
 # zeta_continuum_partial(s, cutoff)._mpf_ recorded from the loop written with
-# mpf operators (total += rm / (c*m)**s); the libmp calls must match every bit.
+# mpf operators (total += rm / (c*m)**s); (2, 10**6), the benchmark's emit
+# input, and (11, 10**4) recorded from the libmp loop (helpers); the integer
+# loop must match every bit.
 CONTINUUM_PINNED = {
+    (2, 10**6): (0, 78430953784530813436117770083, -104, 96),
+    (11, 10**4): (0, 62932408901980599530507650487, -152, 96),
     (1.5, 10**4): (0, 22922432229257034327925650083, -99, 95),
     (1.5, 10**5): (0, 11516106081242210027379912119, -98, 94),
     (2, 10**4): (0, 78426906432685286948649494047, -104, 96),
@@ -102,6 +110,73 @@ CONTINUUM_PINNED = {
 @pytest.mark.parametrize("s, cutoff", sorted(CONTINUUM_PINNED))
 def test_zeta_continuum_bit_identical(s, cutoff):
     assert zeta_continuum_partial(s, cutoff)._mpf_ == CONTINUUM_PINNED[s, cutoff]
+
+
+# s >= 11 reaches mpf_pow_int's directed rounding, non-integer s mpf_pow
+@pytest.mark.parametrize("cutoff", [0, 1, 2, 3, 5, 25, 1000])
+@pytest.mark.parametrize("s", [1.5, 2, 2.5, 3, 4, 7.25, 10, 11, 12, 13])
+def test_zeta_continuum_matches_libmp(s, cutoff):
+    assert zeta_continuum_partial(s, cutoff)._mpf_ == libmp_continuum_partial(s, cutoff)
+
+
+# shells m where mpf_pow_int's directed rounding at s >= 11 gives another
+# base^s than the exact power rounded once (found by search over m)
+DIRECTED_POW_SHELLS = {11: 164011, 12: 117833, 13: 130961}
+
+
+@pytest.mark.parametrize("s", [1.5, 2, 2.5, 3, 4, 7.25, 10, 11, 12, 13])
+def test_shell_terms_match_libmp(s):
+    # every m up to 3000 with counts 1..7, so that rounding ties occur
+    shells = [(m, 1 + m % 7) for m in range(1, 3001)]
+    shells += [(m, 1) for m in DIRECTED_POW_SHELLS.values()]
+    terms = [zeta._mpf(man, exp) for man, exp in zeta._shell_terms(s, shells)]
+    assert terms == list(libmp_shell_terms(s, shells))
+
+
+def test_add_matches_mpf_add():
+    # short mantissas (1, 3) make the ulp small next to the leading bit, so
+    # a shift up to 2 * PREC still matters; shifts near 0 give exact ties
+    rng = random.Random(7)
+    shifts = [*range(-4, 5), *range(90, 100), *range(185, 200), 300, 1000]
+    for shift in shifts:
+        for _ in range(40):
+            am, bm = (
+                rng.choice([1, 3, 2**95 + 1, 2**96 - 1, rng.getrandbits(rng.randint(1, 96)) | 1])
+                for _ in range(2)
+            )
+            ae = rng.randint(-300, 100)
+            got = zeta._add(am, ae, bm, ae - shift)
+            want = mpf_add(zeta._mpf(am, ae), zeta._mpf(bm, ae - shift), zeta.PREC, round_nearest)
+            assert zeta._mpf(*got) == want, (am, ae, bm, shift)
+
+
+@pytest.mark.parametrize("s", [30.5, 40])
+def test_zeta_continuum_negligible_terms_match_libmp(s):
+    # the terms of the larger shells lie more than 2 * PREC + 1 exponent bits
+    # under the total (from m = 32 at s = 40, m = 85 at s = 30.5): _add skips them
+    assert zeta_continuum_partial(s, 1000)._mpf_ == libmp_continuum_partial(s, 1000)
+
+
+def test_zeta_continuum_cutoff_over_budget_refused_before_work(monkeypatch):
+    def unreachable(limit):
+        raise RuntimeError("r2_upto ran before the cutoff was checked")
+
+    monkeypatch.setattr(zeta, "r2_upto", unreachable)
+    with pytest.raises(BudgetExceeded, match="cutoff 10000001"):
+        zeta_continuum_partial(2, 10**7 + 1)
+    with pytest.raises(BudgetExceeded, match="cutoff 101"):
+        zeta_continuum_partial(2, 101, budget=100)
+    with pytest.raises(BudgetExceeded):
+        cjk_table(2, [8], 101, budget=100)
+
+
+def test_cjk_table_checks_n_list_before_work(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise RuntimeError("the continuum reference was computed before n_list was checked")
+
+    monkeypatch.setattr(zeta, "zeta_continuum_partial", unreachable)
+    with pytest.raises(ValueError, match="n >= 3"):
+        cjk_table(2, [8, 2], 10**6)
 
 
 def test_zeta_continuum_requires_s_above_one():
