@@ -47,12 +47,8 @@ from .vanishing import (
     FoundSum,
     RootMultiset,
     classify_cos4,
-    cp_delta,
-    evertse_bound,
     find_cos4_partners,
     find_vanishing_multiset,
-    fmvs_bound,
-    is_admissible,
     is_symmetric_rotation,
     is_vanishing,
     minimal_vanishing_sums,

@@ -15,9 +15,9 @@ per context), a torus key sums 2d < 2^31 powers (torus_spectrum rejects
 d >= 2^30) and the vanishing searches add one power per root.  Polynomials
 such as Phi_N are dense coefficient lists, constant term first.
 
-ModEmbedding maps residues to short ints modulo M by a ring map; the torus
-tables key their rows by these images (key_embedding says why they stay
-exact).
+ModEmbedding maps residues to short ints modulo M by a ring map; the
+spectrum tables key their rows by these images (key_embedding says why they
+stay exact).
 """
 
 from __future__ import annotations
@@ -343,20 +343,24 @@ class ModEmbedding:
 
 
 @functools.lru_cache(maxsize=256)
-def key_embedding(n: int, d: int) -> ModEmbedding:
-    """F with the fewest primes that is injective on the eigenvalue keys of T^d_n.
+def key_embedding(n: int, roots: int) -> ModEmbedding:
+    """F with the fewest primes that is injective on real sums of ``roots`` n-th roots.
 
-    The primes are the largest p = 1 (mod n) below 2^62, in descending
-    order; they split completely in Q(zeta_n) (Washington, Introduction to
-    Cyclotomic Fields, Thm 2.13), so Phi_n has roots modulo each.  A key is
-    a sum of 2d values 2 cos(2 pi k / n): a real cyclotomic integer with
-    |sigma(key)| <= 2d under every embedding sigma.  If F(a) = F(b) for keys
-    a != b, then a - b lies in a degree-one prime of Z[zeta + 1/zeta] above
-    each p_i, so M divides its norm to Q, which is at most (4d)^(phi/2) in
-    absolute value: impossible once M^2 > (4d)^phi.  The same holds with the
+    A torus key of T^d_n is such a sum with roots = 2d, and a key of a Cayley
+    graph with a symmetric generating multiset of g elements one with
+    roots = g.  The primes are the largest p = 1 (mod n) below 2^62, in
+    descending order; they split completely in Q(zeta_n) (Washington,
+    Introduction to Cyclotomic Fields, Thm 2.13), so Phi_n has roots modulo
+    each.  A key is a real cyclotomic integer with |sigma(key)| <= roots
+    under every embedding sigma.  If F(a) = F(b) for keys a != b, then a - b
+    lies in a degree-one prime of the real subring above each p_i, so M
+    divides its norm to Q.  For n >= 3 that subring is Z[zeta + 1/zeta] of
+    degree phi/2 and the norm is at most (2 roots)^(phi/2) in absolute value;
+    for n <= 2 it is Z itself (phi = 1) and |a - b| <= 2 roots.  Both are
+    impossible once M^2 > (2 roots)^max(phi, 2).  The same holds with the
     zero element (an empty sum) in place of either key.
     """
-    bound = (4 * d) ** (len(cyclotomic_poly(n)) - 1)
+    bound = (2 * roots) ** max(len(cyclotomic_poly(n)) - 1, 2)
     qs = factorize(n).primes
     primes, modulus, omega = [], 1, 0
     p = ((1 << 62) - 2) // n * n + 1
@@ -374,7 +378,7 @@ def key_embedding(n: int, d: int) -> ModEmbedding:
         primes.append(p)
         p -= n
     if not modulus * modulus > bound:  # the proof above; never weaken it
-        raise AssertionError(f"M^2 <= (4d)^phi for n={n}, d={d}")
+        raise AssertionError(f"M^2 <= (2 roots)^max(phi, 2) for n={n}, roots={roots}")
     powers, w = [], 1
     for _ in range(n):
         powers.append(w)

@@ -4,17 +4,20 @@ A table maps canonical eigenvalue keys (CycElt) to exact multiplicities.
 Torus tables are built by convolving distinct-value tables - roughly N/2
 keys for a cycle graph - rather than enumerating N^d index tuples, which
 keeps things like the 4-dimensional torus over Z/105Z comfortably cheap.
+Cayley tables enumerate the n^d characters.
 
-A torus table keys its rows by F(key) = key(omega) mod M, the image under a
-ring map Z[zeta_n] -> Z/M that is injective on the keys of T^d_n for the
-largest d the table serves (cyclotomic.key_embedding).  Keys then add as
-ints mod M, lookups probe the rows at F(key) and confirm the hit exactly,
-and the CycElt keys are rebuilt from the representatives only when
-``entries`` is first read.
+Every table keys its rows by F(key) = key(omega) mod M, the image under a
+ring map Z[zeta_n] -> Z/M that is injective on the table's keys
+(cyclotomic.key_embedding): sums of 2d roots for the largest d a torus
+table serves, sums of g roots for a Cayley table with g generators.  Keys
+then add as ints mod M, lookups probe the rows at F(key) and confirm the
+hit exactly, and the CycElt keys are rebuilt from the representatives only
+when ``entries`` is first read.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
@@ -42,32 +45,35 @@ class Entry(NamedTuple):
 class SpectrumTable:
     """Eigenvalue key -> Entry for one graph on n^d vertices.
 
-    ``entries`` maps CycElt keys to entries; treat both as immutable.  A
-    torus table also holds ``rows``, F(key) -> Entry under ``embedding`` in
-    ascending representative order, and builds ``entries`` from the
-    representatives on first access.  Tables given ``entries`` directly
-    (by hand and Cayley tables) have no rows.
+    ``rows`` maps F(key) under ``embedding`` to entries, in ascending
+    representative order; treat both as immutable.  ``generators`` is None
+    for a torus table, whose representatives are index tuples, and the
+    normalized generator multiset of a Cayley table, whose representatives
+    are characters.  ``entries`` maps the CycElt keys, rebuilt from the
+    representatives (key_of), to the same entries on first access.
     """
 
     n: int
     d: int
-    _entries: dict | None
     total: int
-    rows: dict[int, Entry] | None = None
-    embedding: ModEmbedding | None = None
+    rows: dict[int, Entry]
+    embedding: ModEmbedding
+    generators: tuple[tuple[int, ...], ...] | None = None
 
-    @property
-    def entries(self) -> dict:
-        if self._entries is None:
-            n = self.n
-            self._entries = {key_of_tuple(n, e.representative): e for e in self.rows.values()}
-        return self._entries
+    @functools.cached_property
+    def entries(self) -> dict[CycElt, Entry]:
+        return {self.key_of(e.representative): e for e in self.rows.values()}
+
+    def key_of(self, rep: tuple[int, ...]) -> CycElt:
+        """The key a representative stands for under this table's kind."""
+        if self.generators is None:
+            return key_of_tuple(self.n, rep)
+        exps = (sum(ti * gi for ti, gi in zip(rep, g)) for g in self.generators)
+        return sum_reduce(get_context(self.n), exps)
 
     def count_of(self, key: CycElt) -> int:
-        if self.rows is None:
-            e = self._entries.get(key)
-        else:  # a key of another modulus is no key of this table
-            e = _exact_row(self, key) if key.n == self.n else None
+        # a key of another modulus is no key of this table
+        e = _exact_row(self, key) if key.n == self.n else None
         return e.count if e is not None else 0
 
     def sorted_entries(self, bits: int = 128) -> list[tuple[ApproxReal, CycElt, Entry]]:
@@ -95,32 +101,32 @@ def cn_spectrum(
 
     Keys are cos_key(n, k) for 0 <= k <= n//2 with multiplicity 2 except at
     the endpoints k = 0 (value 2) and, for even n, k = n/2 (value -2).
-    Rows are keyed under ``embedding``, by default key_embedding(n, 1).
+    Rows are keyed under ``embedding``, by default key_embedding(n, 2).
     """
     if n < 3:
         raise ValueError("need n >= 3")
     half = n // 2
     if half + 1 > budget:
         raise BudgetExceeded(f"cycle table needs {half + 1} keys, budget {budget}")
-    emb = embedding or key_embedding(n, 1)
+    emb = embedding or key_embedding(n, 2)
     rows: dict[int, Entry] = {}
     for k in range(half + 1):
         mult = 1 if k == 0 or (n % 2 == 0 and k == half) else 2
         rows[emb.cos_image((k,))] = Entry(mult, (k,))
     if len(rows) != half + 1:
         raise AssertionError("cycle eigenvalues must be pairwise distinct")
-    return SpectrumTable(n, 1, None, n, rows, emb)
+    return SpectrumTable(n, 1, n, rows, emb)
 
 
 def convolve(a: SpectrumTable, b: SpectrumTable, budget: int = DEFAULT_BUDGET) -> SpectrumTable:
     """Spectrum of the product graph: keys add, counts multiply-accumulate.
 
-    Both inputs need rows under one embedding with at least as many primes
-    as key_embedding(n, a.d + b.d), as torus_spectrum builds them (more
-    primes give a multiple of that M, which serves a.d + b.d too); anything
-    else raises ValueError.  F images add mod M.  Rows are visited in
-    ascending representative order, so the first pair that reaches a key
-    holds its smallest representative.
+    Both inputs need to be torus tables under one embedding with at least
+    as many primes as key_embedding(n, 2 (a.d + b.d)), as torus_spectrum
+    builds them (more primes give a multiple of that M, which serves a.d +
+    b.d too); anything else, Cayley tables included, raises ValueError.  F
+    images add mod M.  Rows are visited in ascending representative order,
+    so the first pair that reaches a key holds its smallest representative.
 
     Raises BudgetExceeded as soon as the accumulator would hold more than
     ``budget`` distinct keys.  Conservation (sum of counts equals the
@@ -129,9 +135,10 @@ def convolve(a: SpectrumTable, b: SpectrumTable, budget: int = DEFAULT_BUDGET) -
     if a.n != b.n:
         raise ValueError(f"mixed moduli {a.n} and {b.n}")
     n, d = a.n, a.d + b.d
-    emb = a.embedding  # None exactly when a has no rows
-    if emb is None or emb != b.embedding or len(emb.primes) < len(key_embedding(n, d).primes):
-        raise ValueError(f"convolve needs rows under one embedding serving d={d}; use torus_spectrum")
+    emb = a.embedding
+    cayley = a.generators is not None or b.generators is not None
+    if cayley or emb != b.embedding or len(emb.primes) < len(key_embedding(n, 2 * d).primes):
+        raise ValueError(f"convolve needs torus tables under one embedding serving d={d}; use torus_spectrum")
     modulus = emb.modulus
     acc: dict[int, Entry] = {}  # F image -> Entry
     xs = [(f, *e) for f, e in a.rows.items()]
@@ -150,7 +157,7 @@ def convolve(a: SpectrumTable, b: SpectrumTable, budget: int = DEFAULT_BUDGET) -
     got = sum(e.count for e in acc.values())
     if got != total:
         raise AssertionError("convolution lost mass")  # unreachable
-    return SpectrumTable(n, d, None, total, acc, emb)
+    return SpectrumTable(n, d, total, acc, emb)
 
 
 def _accumulate(acc, fx, cx, rx, ys, modulus, budget) -> None:
@@ -170,13 +177,13 @@ def _accumulate(acc, fx, cx, rx, ys, modulus, budget) -> None:
 
 
 def _exact_row(t: SpectrumTable, key: CycElt) -> Entry | None:
-    """The row of torus table t whose key is ``key``, or None.
+    """The row of table t whose key is ``key``, or None.
 
     The row at F(key) is confirmed exactly: F is injective on the keys of
     t, but ``key`` need not be one.
     """
     e = t.rows.get(t.embedding.image(key))
-    if e is not None and key_of_tuple(t.n, e.representative) == key:
+    if e is not None and t.key_of(e.representative) == key:
         return e
     return None
 
@@ -189,14 +196,14 @@ def torus_spectrum(n: int, d: int, budget: int = DEFAULT_BUDGET) -> SpectrumTabl
     """Spectrum of the d-dimensional discrete torus over Z/nZ.
 
     The d-fold convolution power of cn_spectrum(n); the sum of counts is
-    n^d.  Rows are keyed under key_embedding(n, d).  Tables are cached per
+    n^d.  Rows are keyed under key_embedding(n, 2d).  Tables are cached per
     (n, d, number of primes in M) since they are immutable.
     """
     if n < 3:
         raise ValueError("need n >= 3")
     if not 1 <= d < 1 << 30:
         raise ValueError("need 1 <= d < 2^30")
-    return _torus(n, d, key_embedding(n, d), budget)
+    return _torus(n, d, key_embedding(n, 2 * d), budget)
 
 
 def _torus(n: int, d: int, emb: ModEmbedding, budget: int) -> SpectrumTable:
@@ -234,7 +241,7 @@ def _mitm_matches(n: int, d: int, target: CycElt, budget: int):
 
     The keys come from the two half-dimension tables of T^d_n (one table
     when d = 1; for d = 0 only the empty sum, which is zero), with rows
-    under key_embedding(n, d).  The smaller table is walked and the larger
+    under key_embedding(n, 2d).  The smaller table is walked and the larger
     one probed at F(target) - F(key_a) mod M.  F never drops a true split.
     ``target`` need not be a key, so hits are checked exactly until one
     holds; then target is a key of T^d_n, every later hit differs from a
@@ -244,7 +251,7 @@ def _mitm_matches(n: int, d: int, target: CycElt, budget: int):
         if target.is_zero():
             yield 1
         return
-    emb = key_embedding(n, d)
+    emb = key_embedding(n, 2 * d)
     goal, modulus = emb.image(target), emb.modulus
     a = (d + 1) // 2
     ta = _torus(n, a, emb, budget)
@@ -306,10 +313,15 @@ def cayley_spectrum(spec: CayleySpec, budget: int = DEFAULT_BUDGET) -> SpectrumT
     """Spectrum via characters: each t in (Z/nZ)^d contributes the key
     sum of zeta^{<t, g>} over the generators g.
 
-    Representatives are character index vectors, smallest first in
-    lexicographic order.
+    Rows are keyed under key_embedding(n, g) for g generators, each F image
+    summed from the embedding's powers of omega.  Representatives are
+    character index vectors, smallest first in lexicographic order.
     """
     n, d = spec.n, spec.d
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if d < 0:
+        raise ValueError("need d >= 0")
     gens = spec.normalized()
     for g in gens:
         if len(g) != d:
@@ -319,17 +331,18 @@ def cayley_spectrum(spec: CayleySpec, budget: int = DEFAULT_BUDGET) -> SpectrumT
         raise AsymmetricGeneratingSet("generating multiset is not closed under negation")
     if n**d > budget:
         raise BudgetExceeded(f"{n}^{d} characters to enumerate, budget {budget}")
-    ctx = get_context(n)
-    entries: dict[CycElt, Entry] = {}
+    get_context(n)  # key_of needs it: an oversized modulus is refused before any work
+    emb = key_embedding(n, len(gens))
+    w, modulus = emb.powers, emb.modulus
+    rows: dict[int, Entry] = {}
     for t in itertools.product(range(n), repeat=d):
-        exps = [sum(ti * gi for ti, gi in zip(t, g)) % n for g in gens]
-        key = sum_reduce(ctx, exps)
-        e = entries.get(key)
+        f = sum(w[sum(ti * gi for ti, gi in zip(t, g)) % n] for g in gens) % modulus
+        e = rows.get(f)
         if e is None:
-            if len(entries) >= budget:
+            if len(rows) >= budget:
                 raise BudgetExceeded(f"more than {budget} distinct keys in Cayley table")
-            entries[key] = Entry(1, t)
+            rows[f] = Entry(1, t)
         else:
-            entries[key] = Entry(e.count + 1, e.representative)
-    return SpectrumTable(n, d, entries, n**d)
+            rows[f] = Entry(e.count + 1, e.representative)
+    return SpectrumTable(n, d, n**d, rows, emb, gens)
 

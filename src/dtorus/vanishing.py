@@ -2,8 +2,8 @@
 
 Covers exact vanishing tests, the length set of vanishing sums (a numerical
 semigroup over the prime divisors), brute-force enumeration of minimal sums
-at desk scale, the classical classification of vanishing four-term cosine
-sums, admissibility, and the bound calculators used by the growth results.
+at desk scale, and the classical classification of vanishing four-term
+cosine sums.
 """
 
 from __future__ import annotations
@@ -47,20 +47,6 @@ def w_membership(n: int, length: int) -> tuple[bool, tuple[int, ...] | None]:
     prime divisors of n; the witness lists one coefficient per prime.
     """
     return semigroup_member(length, factorize(n).primes)
-
-
-def evertse_bound(k: int) -> int:
-    """Count bound (k+1)^(3(k+1)^2) on non-degenerate unit equations."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return (k + 1) ** (3 * (k + 1) ** 2)
-
-
-def fmvs_bound(length: int) -> int:
-    """Bound l^(3l^2) on minimal vanishing sums of length l through a fixed root."""
-    if length < 1:
-        raise ValueError("length must be positive")
-    return length ** (3 * length**2)
 
 
 # ---------------------------------------------------------------------------
@@ -358,51 +344,3 @@ def is_symmetric_rotation(m: RootMultiset) -> tuple[int, int] | None:
     if all((e - a) % step == 0 for e in m.exponents):
         return (p, a)
     return None
-
-
-def is_admissible(m: RootMultiset) -> bool:
-    """Whether the multiset pairs into complex-conjugate couples {e, n-e}.
-
-    Self-conjugate exponents (0 and n/2) must occur an even number of
-    times; an admissible multiset of size k realizes a sum of k/2 cosines.
-    """
-    if len(m.exponents) % 2:
-        return False
-    counts = Counter(m.exponents)
-    for e, c in counts.items():
-        mate = (m.n - e) % m.n
-        if mate == e:
-            if c % 2:
-                return False
-        elif counts[mate] != c:
-            return False
-    return True
-
-
-def cp_delta(p: int, delta) -> list[Fraction]:
-    """The rotated-prime-sum family of p vanishing cosines, angles in pi units.
-
-    Rotating the full sum over the p-th roots by e^{i delta pi} and taking
-    real parts yields cos(delta) + sum over j of cos(2j/p +- delta); angles
-    are normalized into [0, 1] by cosine symmetry and duplicates are kept
-    since multiplicity matters when building eigenvalue representations.
-    """
-    if p == 2 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
-    delta = Fraction(delta)
-    if not 0 <= delta <= 1:
-        raise ValueError("delta must lie in [0, 1] (units of pi)")
-
-    def norm(t: Fraction) -> Fraction:
-        t %= 2
-        return 2 - t if t > 1 else t
-
-    angles = [norm(delta)]
-    for j in range(1, (p - 1) // 2 + 1):
-        base = Fraction(2 * j, p)
-        angles.append(norm(base + delta))
-        angles.append(norm(base - delta))
-    angles.sort()
-    if not _cos_sum_is_zero(angles):
-        raise AssertionError("rotated prime sum must vanish")  # unreachable
-    return angles

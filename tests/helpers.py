@@ -51,6 +51,27 @@ def enumerate_spectrum(n, d):
     return out
 
 
+def brute_cayley_spectrum(n, d, gens):
+    """Key coefficients -> (count, smallest character t) over all n^d characters.
+
+    Each t contributes the sum of x^<t, g> over the generator multiset, reduced
+    modulo Phi_n by long division; the packed residues of dtorus.cyclotomic
+    are never used.
+    """
+    out = {}
+    for t in product(range(n), repeat=d):
+        poly = [0] * n
+        for g in gens:
+            poly[sum(ti * gi for ti, gi in zip(t, g)) % n] += 1
+        key = reduce_mod_phi(poly, n)
+        hit = out.get(key)
+        if hit is None:
+            out[key] = (1, t)
+        else:
+            out[key] = (hit[0] + 1, min(hit[1], t))
+    return out
+
+
 def brute_r2(m):
     """Lattice count of ordered (a, b) with a^2 + b^2 = m."""
     count = 0

@@ -20,7 +20,7 @@ from dtorus.cyclotomic import (
     sum_reduce,
 )
 from dtorus.errors import BudgetExceeded
-from dtorus.spectrum import Entry, SpectrumTable
+from dtorus.spectrum import Entry
 from helpers import phi_brute, reduce_mod_phi
 
 moduli = st.integers(min_value=1, max_value=60)
@@ -165,8 +165,8 @@ def test_sorted_entries_breaks_ties_in_coefficient_order(monkeypatch):
     # force equal values, so only the key order can decide
     half = mpmath.mpf(0.5)
     monkeypatch.setattr(spectrum, "approx_value", lambda ctx, key, bits: ApproxReal(half, half, half))
-    table = SpectrumTable(5, 1, {a: Entry(1, (0,)), b: Entry(1, (1,))}, 2)
-    assert [k for _, k, _ in table.sorted_entries()] == [b, a]
+    items = [(a, Entry(1, (0,))), (b, Entry(1, (1,)))]
+    assert [k for _, k, _ in spectrum.by_value(5, items)] == [b, a]
 
 
 def test_context_cap_raises_before_allocating(monkeypatch):
@@ -297,7 +297,7 @@ def test_phi_divides_x_n_minus_1():
 @pytest.mark.parametrize("d", [1, 2, 6])
 @pytest.mark.parametrize("n", [3, 4, 6, 5, 7, 11, 97, 127, 419, 420, 1009])
 def test_key_embedding_modulus(n, d):
-    emb = key_embedding(n, d)
+    emb = key_embedding(n, 2 * d)
     bound = (4 * d) ** phi_brute(n)
     # injective on the keys of T^d_n, with the fewest primes that achieve it
     assert emb.modulus * emb.modulus > bound
@@ -305,7 +305,7 @@ def test_key_embedding_modulus(n, d):
     assert emb.modulus == math.prod(emb.primes)
     # the largest primes p = 1 (mod n) below 2^62, in descending order
     assert 2**62 > emb.primes[0]
-    assert emb.primes == key_embedding(n, 100 * d).primes[: len(emb.primes)]
+    assert emb.primes == key_embedding(n, 200 * d).primes[: len(emb.primes)]
     assert not any(is_prime(q) for q in range(emb.primes[0] + n, 2**62, n))
     for hi, lo in zip(emb.primes, emb.primes[1:]):
         assert not any(is_prime(q) for q in range(lo + n, hi, n))
@@ -314,6 +314,18 @@ def test_key_embedding_modulus(n, d):
         w = emb.omega % p  # exact order n mod p
         assert pow(w, n, p) == 1
         assert all(pow(w, n // q, p) != 1 for q in factorize(n).primes)
+
+
+@pytest.mark.parametrize("roots", [0, 1, 2, 5, 64, 2**61])
+@pytest.mark.parametrize("n", [1, 2])
+def test_key_embedding_rational_case(n, roots):
+    # phi = 1: keys are integers of size at most roots, so M > 2 roots is
+    # needed; at 2^61 roots that takes two primes below 2^62, not one
+    emb = key_embedding(n, roots)
+    assert emb.modulus == math.prod(emb.primes) > 2 * roots
+    assert not emb.primes or math.prod(emb.primes[:-1]) <= 2 * roots
+    for p in emb.primes:
+        assert (p - 1) % n == 0 and is_prime(p) and emb.omega % p == (p - 1 if n == 2 else 1)
 
 
 @pytest.mark.parametrize("n", [3, 8, 12, 15, 60, 97])

@@ -1,3 +1,4 @@
+import math
 from collections import OrderedDict
 
 import mpmath
@@ -22,7 +23,7 @@ from dtorus.spectrum import (
     multiplicity_of_tuple,
     torus_spectrum,
 )
-from helpers import enumerate_spectrum
+from helpers import brute_cayley_spectrum, enumerate_spectrum
 
 
 def counts_by_key(table):
@@ -61,21 +62,24 @@ def test_convolve_examples():
 
 def test_convolve_point_mass_identity():
     t = cn_spectrum(7)
-    point = SpectrumTable(7, 0, None, 1, {0: Entry(1, ())}, t.embedding)  # T^0: the empty sum
+    point = SpectrumTable(7, 0, 1, {0: Entry(1, ())}, t.embedding)  # T^0: the empty sum
     out = convolve(t, point)
     assert {k: e.count for k, e in out.entries.items()} == counts_by_key(t)
 
 
 def test_convolve_needs_rows_serving_the_product():
     t = cn_spectrum(7)
-    ctx = get_context(7)
-    no_rows = SpectrumTable(7, 0, {ctx.zero: Entry(1, ())}, 1)
-    for a, b in ((t, no_rows), (no_rows, t), (no_rows, no_rows)):
-        with pytest.raises(ValueError, match="torus_spectrum"):
-            convolve(a, b)
+    # Cayley tables are refused, even one keyed under the cycle's embedding
+    same_emb = cayley_spectrum(CayleySpec(7, 1, ((2,), (-2,))))
+    other = cayley_spectrum(CayleySpec(7, 1, ((1,), (-1,), (0,))))
+    assert same_emb.embedding == t.embedding
+    for c in (same_emb, other):
+        for a, b in ((t, c), (c, t), (c, c)):
+            with pytest.raises(ValueError, match="torus_spectrum"):
+                convolve(a, b)
     # T^1_419 is keyed under 7 primes; T^2_419 needs 11
     t419 = cn_spectrum(419)
-    wide = cn_spectrum(419, embedding=key_embedding(419, 2))
+    wide = cn_spectrum(419, embedding=key_embedding(419, 4))
     assert len(t419.embedding.primes) == 7 and len(wide.embedding.primes) == 11
     for a, b in ((t419, t419), (t419, wide), (wide, t419)):
         with pytest.raises(ValueError, match="torus_spectrum"):
@@ -258,7 +262,7 @@ def test_count_of_probes_rows(monkeypatch):
         assert t.count_of(key_of_tuple(n, ks)) == d2_closed_form(n, *ks)
     assert t.count_of(ctx.const(5)) == 0  # above the top eigenvalue 4
     assert t.count_of(get_context(7).zero) == 0  # a key of another modulus
-    assert t._entries is None  # no exact key was built
+    assert "entries" not in vars(t)  # no exact key was built
 
 
 def test_torus_1009_matches_closed_form():
@@ -274,6 +278,8 @@ def test_cayley_budget_checked_before_enumeration():
     gens = ((0, 0, 0, 1), (0, 0, 0, -1))
     with pytest.raises(BudgetExceeded):
         cayley_spectrum(CayleySpec(1000, 4, gens))  # 10^12 characters
+    with pytest.raises(BudgetExceeded, match="cyclotomic context"):
+        cayley_spectrum(CayleySpec(8000, 1, ((1,), (-1,))))  # above the context cap
     spec = CayleySpec(5, 2, ((0, 1), (0, -1)))
     assert cayley_spectrum(spec, budget=25).total == 25
     with pytest.raises(BudgetExceeded):
@@ -298,6 +304,45 @@ def test_cayley_standard_generators_match_torus(n):
     assert counts_by_key(cayley_spectrum(spec)) == counts_by_key(torus_spectrum(n, 2))
     spec1 = CayleySpec(n, 1, ((1,), (-1,)))
     assert counts_by_key(cayley_spectrum(spec1)) == counts_by_key(cn_spectrum(n))
+
+
+CAYLEY_CASES = [
+    (1, 1, ((0,), (0,))),  # n = 1: one character
+    (5, 1, ()),  # no generators: every key is zero
+    (5, 1, ((1,), (-1,), (1,), (-1,))),  # repeated generators
+    (6, 1, ((3,), (3,), (2,), (-2,))),  # self-inverse generators
+    (7, 0, ((), ())),  # d = 0: one character, the constant 2
+    (6, 2, ((1, 1), (-1, -1), (1, 0), (-1, 0))),  # not the torus generators
+    (7, 3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))),
+]
+
+
+def cayley_by_coeffs(table):
+    return {k.coeffs: (e.count, e.representative) for k, e in table.entries.items()}
+
+
+@pytest.mark.parametrize("n,d,gens", CAYLEY_CASES)
+def test_cayley_matches_brute_force(n, d, gens):
+    table = cayley_spectrum(CayleySpec(n, d, gens))
+    assert cayley_by_coeffs(table) == brute_cayley_spectrum(n, d, gens)
+    assert table.total == n**d
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_cayley_hypercube(d):
+    # (Z/2Z)^d with generators e_i: the eigenvalue d - 2k has count C(d, k)
+    gens = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    table = cayley_spectrum(CayleySpec(2, d, gens))
+    got = cayley_by_coeffs(table)
+    assert got == brute_cayley_spectrum(2, d, gens)
+    assert {k[0]: c for k, (c, _) in got.items()} == {d - 2 * k: math.comb(d, k) for k in range(d + 1)}
+
+
+def test_cayley_rejects_bad_modulus_and_rank():
+    with pytest.raises(ValueError, match="n >= 1"):
+        cayley_spectrum(CayleySpec(0, 1, ((1,), (-1,))))
+    with pytest.raises(ValueError, match="d >= 0"):
+        cayley_spectrum(CayleySpec(5, -1, ()))
 
 
 def test_cayley_rejects_asymmetric_set():

@@ -11,12 +11,8 @@ from dtorus.errors import BudgetExceeded, NotApplicable, ZeroEigenvalue
 from dtorus.vanishing import (
     RootMultiset,
     classify_cos4,
-    cp_delta,
-    evertse_bound,
     find_cos4_partners,
     find_vanishing_multiset,
-    fmvs_bound,
-    is_admissible,
     is_symmetric_rotation,
     is_vanishing,
     minimal_vanishing_sums,
@@ -239,39 +235,6 @@ def test_symmetric_rotation():
         is_symmetric_rotation(RootMultiset(30, (0, 1, 2, 3)))  # size 4 not prime
     with pytest.raises(NotApplicable):
         is_symmetric_rotation(RootMultiset(25, (0, 1)))  # 2 does not divide 25
-
-
-def test_admissible():
-    assert is_admissible(RootMultiset(6, (1, 5, 2, 4)))
-    assert not is_admissible(RootMultiset(6, (3, 0, 2, 4)))
-    assert is_admissible(RootMultiset(8, (0, 0)))
-    assert not is_admissible(RootMultiset(8, (1, 2, 3)))
-
-
-def test_bounds():
-    assert evertse_bound(0) == 1
-    assert evertse_bound(1) == 4096
-    assert evertse_bound(2) == 3**27
-    assert fmvs_bound(1) == 1
-    assert fmvs_bound(2) == 4096
-    assert fmvs_bound(3) == 3**27
-
-
-def test_cp_delta():
-    f = Fraction
-    assert cp_delta(3, 0) == [f(0), f(2, 3), f(2, 3)]
-    assert cp_delta(3, f(1, 6)) == [f(1, 6), f(1, 2), f(5, 6)]
-    assert cp_delta(5, 0) == [f(0), f(2, 5), f(2, 5), f(4, 5), f(4, 5)]
-
-
-@given(
-    st.sampled_from([3, 5, 7]),
-    st.fractions(min_value=0, max_value=1, max_denominator=30),
-)
-def test_cp_delta_always_vanishes(p, delta):
-    angles = cp_delta(p, delta)
-    assert len(angles) == p
-    assert _cos_sum_is_zero(angles)
 
 
 def test_searches_stop_at_their_budget():

@@ -204,8 +204,9 @@ def test_zeta_continuum_cauchy_tail():
 
 def test_zeta_continuum_cauchy_tail_at_million():
     # At X = 1e6 the same estimate gives ~1e-9 (measured 1.008e-9); a
-    # tighter bound like 1e-12 is not attainable for this series.
-    a = zeta_continuum_partial(2, 10**6)
+    # tighter bound like 1e-12 is not attainable for this series.  The sum
+    # at 1e6 is pinned, and test_zeta_continuum_bit_identical checks it.
+    a = mpmath.mp.make_mpf(CONTINUUM_PINNED[2, 10**6])
     b = zeta_continuum_partial(2, 2 * 10**6)
     assert 0 < b - a < 1e-8
 
