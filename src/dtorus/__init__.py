@@ -12,11 +12,9 @@ from .cyclotomic import (
     CycContext,
     CycElt,
     approx_value,
-    cos_key,
     cyclotomic_poly,
     get_context,
     key_of_tuple,
-    root_power,
     sum_reduce,
 )
 from .errors import (

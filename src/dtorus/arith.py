@@ -4,6 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import BudgetExceeded
+
+# fixed caps, not knobs: factorize divides by trial only by p below this, and
+# semigroup_member's table holds at most this many entries (p_1 p_k reduced)
+TRIAL_DIVISION_LIMIT = 1 << 20
+MAX_SEMIGROUP_TABLE = 1 << 24
+
 
 @dataclass(frozen=True)
 class Factorization:
@@ -23,13 +30,17 @@ class Factorization:
 
 
 def factorize(n: int) -> Factorization:
-    """Exact factorization by trial division."""
+    """Exact factorization by trial division by p < TRIAL_DIVISION_LIMIT.
+
+    A cofactor m left with p^2 <= m is kept only when is_prime certifies it
+    (so every n < 2^40 factors); otherwise BudgetExceeded.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     pairs = []
     m = n
     p = 2
-    while p * p <= m:
+    while p * p <= m and p < TRIAL_DIVISION_LIMIT:
         if m % p == 0:
             a = 0
             while m % p == 0:
@@ -38,8 +49,20 @@ def factorize(n: int) -> Factorization:
             pairs.append((p, a))
         p += 1 if p == 2 else 2
     if m > 1:
+        if p * p <= m and not (m < _MR_LIMIT and is_prime(m)):
+            raise BudgetExceeded(
+                f"cannot factor {n}: cofactor {m} has no prime factor below {TRIAL_DIVISION_LIMIT} and is not certified prime"
+            )
         pairs.append((m, 1))
     return Factorization(tuple(pairs))
+
+
+def totient(n: int) -> int:
+    """Euler's phi(n), from the factorization."""
+    out = n
+    for p in factorize(n).primes:
+        out -= out // p
+    return out
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -82,7 +105,8 @@ def semigroup_member(length: int, primes) -> tuple[bool, tuple[int, ...] | None]
     k = 1 it is L's residue class), so the dynamic program's parent pointer
     at L is p_1.  L is therefore first brought below p_1 p_k by steps of p_1,
     which come back as b[0]: time and memory are O(p_1 p_k), not O(L), and
-    the answer and witness are those of the plain dynamic program.
+    the answer and witness are those of the plain dynamic program, which
+    refuses (BudgetExceeded) a reduced length above MAX_SEMIGROUP_TABLE.
     """
     primes = tuple(primes)
     if length < 0:
@@ -93,6 +117,8 @@ def semigroup_member(length: int, primes) -> tuple[bool, tuple[int, ...] | None]
     if primes and length >= primes[0] * primes[-1]:
         steps = (length - primes[0] * primes[-1]) // primes[0] + 1
         length -= steps * primes[0]
+    if length > MAX_SEMIGROUP_TABLE:
+        raise BudgetExceeded(f"semigroup table needs {length + 1} entries, cap {MAX_SEMIGROUP_TABLE}")
     ok, coeffs = _semigroup_dp(length, primes)
     if ok and steps:
         coeffs = (coeffs[0] + steps,) + coeffs[1:]

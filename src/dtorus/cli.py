@@ -49,7 +49,7 @@ from .vanishing import (
 from .zeta import check_cutoff, cjk_table, zeta_continuum_partial, zeta_discrete
 
 SCHEMA = 1
-# --bits cap: outputs print 30 digits, and the cost of the certified cos/sin
+# --bits cap: outputs print 30 digits, and the cost of the certified cosine
 # tables grows fast with the precision (100000 bits ran for minutes)
 MAX_BITS = 4096
 # no flag sizes the cyclotomic context of a modulus: cyclotomic.MAX_CONTEXT_DIGITS

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .arith import factorize, is_prime, semigroup_member
-from .cyclotomic import ApproxReal, CycElt, cos_key, get_context, key_of_tuple
+from .cyclotomic import ApproxReal, CycElt, get_context, key_of_tuple
 from .errors import Bound24Violated, PreconditionViolated, ZeroNotEigenvalue
 from .spectrum import (
     DEFAULT_BUDGET,
@@ -242,7 +242,7 @@ def verify_table60(budget: int = DEFAULT_BUDGET, bits: int = 128) -> Table60Repo
     and 118 at 0.
     """
     ctx = get_context(60)
-    c2, c6, c12 = (cos_key(ctx, k) for k in (2, 6, 12))
+    c2, c6, c12 = (key_of_tuple(60, (k,)) for k in (2, 6, 12))
     printed = {
         12: frozenset({c6 + 1, -(c6 + 1), c12 - 1, 1 - c12}),
         16: frozenset({c2 + 1, -(c2 + 1)}),

@@ -12,8 +12,10 @@ Every CycElt digit lies in [-2^62, 2^62), tested wherever one is formed: the
 sum of two stays one-to-one, and overflow raises instead of wrapping.
 Unchecked int sums rest on counts: powers of x have digits below 2^31 (tested
 per context), a torus key sums 2d < 2^31 powers (torus_spectrum rejects
-d >= 2^30) and the vanishing searches add one power per root.  Polynomials
-such as Phi_N are dense coefficient lists, constant term first.
+d >= 2^30) and the vanishing searches add one power per root.  Phi_N is a
+dense coefficient list, constant term first, built by Moebius inversion of
+x^N - 1 = prod_{d | N} Phi_d from binomials x^k - 1 alone; phi(N) comes
+from the factorization (arith.totient), never from Phi_N.
 
 ModEmbedding maps residues to short ints modulo M by a ring map; the
 spectrum tables key their rows by these images (key_embedding says why they
@@ -27,12 +29,12 @@ import operator
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import mpmath
 from mpmath import libmp
 
-from .arith import factorize, is_prime
+from .arith import factorize, is_prime, totient
 from .errors import BudgetExceeded
 
 # CycContext holds N packed powers of phi(N) 64-bit digits: at most this many
@@ -40,42 +42,27 @@ from .errors import BudgetExceeded
 MAX_CONTEXT_DIGITS = 1 << 24
 
 
-def _divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of integer polynomials; ``den`` must be monic."""
-    if not den or den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    work = list(num)
-    dn = len(den) - 1
-    if len(work) - 1 < dn:
-        return [0], work
-    quot = [0] * (len(work) - dn)
-    for i in range(len(work) - 1, dn - 1, -1):
-        c = work[i]
-        if c:
-            quot[i - dn] = c
-            for j in range(dn + 1):
-                work[i - dn + j] -= c * den[j]
-    rem = work[:dn]
-    while len(rem) > 1 and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
-
-
 @functools.lru_cache(maxsize=1024)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n (monic, degree totient(n), constant term first).
 
-    Built by exact division of x^n - 1 by Phi_d over the proper divisors d
-    of n, so every intermediate stays an integer polynomial.
+    Phi_n = prod (x^(n/e) - 1)^mu(e) over the squarefree divisors e of n: the
+    factors with mu(e) = +1 are multiplied in, then each with mu(e) = -1 is
+    divided out by the recurrence q_i = q_(i-k) - a_i, which is exact
+    (AssertionError otherwise) exactly when x^k - 1 divides.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    coeffs: list[int] = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            coeffs, rem = _divmod_monic(coeffs, cyclotomic_poly(d))
-            if any(rem):
-                raise AssertionError(f"Phi_{d} does not divide x^{n}-1")
+    terms = [(n, 1)]  # (n / e, mu(e))
+    for p in factorize(n).primes:  # raises ValueError unless n >= 1
+        terms += [(k // p, -mu) for k, mu in terms]
+    coeffs = [1]
+    for k in (k for k, mu in terms if mu > 0):
+        coeffs = [hi - lo for hi, lo in zip([0] * k + coeffs, coeffs + [0] * k)]
+    for k in (k for k, mu in terms if mu < 0):
+        for i in range(len(coeffs)):
+            coeffs[i] = (coeffs[i - k] if i >= k else 0) - coeffs[i]
+        if any(coeffs[-k:]):
+            raise AssertionError(f"x^{k} - 1 does not divide the partial product of Phi_{n}")
+        del coeffs[-k:]
     return tuple(coeffs)
 
 
@@ -84,7 +71,7 @@ def _layout(n: int) -> tuple[int, int, int, int]:
     """phi(n); offset and mask: (v + offset) & mask == 0 iff v has phi digits
     in [-2^62, 2^62); flip: (v + flip) ^ flip holds each digit in two's complement.
     """
-    phi = len(cyclotomic_poly(n)) - 1
+    phi = totient(n)
     ones = int.from_bytes((1).to_bytes(8, "little") * phi, "little")
     return phi, ones << 62, ~(((1 << 63) - 1) * ones), ones << 63
 
@@ -162,25 +149,20 @@ class CycElt:
 class CycContext:
     """Shared immutable reduction data for one modulus N.
 
-    Holds Phi_N and ``powers``, the packed residues of x^k for 0 <= k < N,
-    turning root-power sums into int additions.  Raises BudgetExceeded,
-    before any allocation, when N * phi(N) exceeds MAX_CONTEXT_DIGITS.
+    Holds ``powers``, the packed residues of x^k for 0 <= k < N, turning
+    root-power sums into int additions.  Raises BudgetExceeded, before any
+    allocation, when N * phi(N) exceeds MAX_CONTEXT_DIGITS; since
+    N * phi(N) >= N, a larger N is refused before it is factored.
     """
 
-    __slots__ = ("n", "phi", "phi_coeffs", "powers", "zero", "one")
+    __slots__ = ("n", "phi", "powers", "zero", "one")
 
     def __init__(self, n: int):
-        totient = n
-        for p in factorize(n).primes:  # raises ValueError unless n >= 1
-            totient -= totient // p
-        if n * totient > MAX_CONTEXT_DIGITS:
-            raise BudgetExceeded(
-                f"cyclotomic context for n={n} needs {n * totient} digits, cap {MAX_CONTEXT_DIGITS}"
-            )
-        self.n = n
-        self.phi_coeffs = cyclotomic_poly(n)
-        self.phi = phi = len(self.phi_coeffs) - 1
-        phi_packed = sum(c << (64 * i) for i, c in enumerate(self.phi_coeffs))
+        phi = totient(n) if n <= MAX_CONTEXT_DIGITS else n  # totient: ValueError unless n >= 1
+        if n * phi > MAX_CONTEXT_DIGITS:
+            raise BudgetExceeded(f"cyclotomic context for n={n} needs more than {MAX_CONTEXT_DIGITS} digits")
+        self.n, self.phi = n, phi
+        phi_packed = sum(c << (64 * i) for i, c in enumerate(cyclotomic_poly(n)))
         flip = _layout(n)[3]
         powers = []
         cur = 1
@@ -207,21 +189,6 @@ def get_context(n: int) -> CycContext:
     return CycContext(n)
 
 
-def root_power(ctx: CycContext, k: int) -> CycElt:
-    """Canonical form of zeta_n^k (k taken modulo n)."""
-    return CycElt(ctx.n, ctx.powers[k % ctx.n])
-
-
-def cos_key(ctx: CycContext, k: int) -> CycElt:
-    """Canonical form of zeta^k + zeta^{-k}, i.e. the value 2 cos(2 pi k / n).
-
-    For k = 0 this is the constant 2 (both exponents coincide), and
-    cos_key(n, k) == cos_key(n, n - k) holds by construction.
-    """
-    n = ctx.n
-    return CycElt(n, ctx.powers[k % n] + ctx.powers[-k % n])
-
-
 def key_of_tuple(n: int, ks: Iterable[int]) -> CycElt:
     """Eigenvalue key of an index tuple: the sum of its 2-cosine values."""
     powers = get_context(n).powers
@@ -240,26 +207,23 @@ def sum_reduce(ctx: CycContext, exponents: Iterable[int]) -> CycElt:
 
 @dataclass(frozen=True)
 class ApproxReal:
-    """Certified enclosure of the complex embedding of a residue.
+    """Certified enclosure of the real part of the complex embedding of a residue.
 
-    ``real`` is a fixed-point midpoint for the real part and ``radius`` a
-    rigorous bound on its error: the sum of the coefficients' absolute
-    values, in units of the last fixed-point bit.  ``imag_bound`` bounds the
-    absolute value of the imaginary part; for eigenvalue keys
-    (conjugation-symmetric sums) it is of the same size as ``radius``.
+    ``real`` is a fixed-point midpoint and ``radius`` a rigorous bound on its
+    error: the sum of the coefficients' absolute values, in units of the
+    last fixed-point bit.
     """
 
     real: mpmath.mpf
     radius: mpmath.mpf
-    imag_bound: mpmath.mpf
 
     def __float__(self) -> float:
         return float(self.real)
 
 
 @functools.lru_cache(maxsize=8)
-def _fixed_tables(n: int, prec: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Integers within 1 of 2^prec cos(2 pi k / n) and 2^prec sin(2 pi k / n), k < n.
+def _fixed_tables(n: int, prec: int) -> tuple[int, ...]:
+    """Integers within 1 of 2^prec cos(2 pi k / n), k < n.
 
     Each entry is the integer nearest the midpoint of one interval
     enclosure at prec + 32 bits, whose width is asserted to be at most 1.
@@ -268,32 +232,31 @@ def _fixed_tables(n: int, prec: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     old = iv.prec
     try:
         iv.prec = prec + 32
-        angles = [2 * iv.pi * k / n for k in range(n)]
-        cosines, sines = [iv.cos(a) for a in angles], [iv.sin(a) for a in angles]
+        cosines = [iv.cos(2 * iv.pi * k / n) for k in range(n)]
     finally:
         iv.prec = old
 
     def nearest(x) -> int:
         lo, hi = (mpmath.mp.make_mpf(end) for end in x._mpi_)
         if not mpmath.ldexp(mpmath.fsub(hi, lo, exact=True), prec) <= 1:
-            raise AssertionError(f"cos/sin enclosure wider than 2^-{prec}")
+            raise AssertionError(f"cosine enclosure wider than 2^-{prec}")
         mid = mpmath.ldexp(mpmath.fadd(lo, hi, exact=True), prec - 1)
         return int(mpmath.nint(mid))
 
     # the sum and the shifts are exact; nint rounds to the working precision,
     # which must hold the (prec + 1)-bit result (the ambient 53 bits would not)
     with mpmath.workprec(prec + 96):
-        return tuple(map(nearest, cosines)), tuple(map(nearest, sines))
+        return tuple(map(nearest, cosines))
 
 
 def approx_value(ctx: CycContext, e: CycElt, bits: int = 128) -> ApproxReal:
-    """Evaluate the residue at e^{2 pi i / n} with a rigorous error radius.
+    """Certify the real part of the residue at e^{2 pi i / n}, with a rigorous radius.
 
-    Fixed point at prec = bits + 64 bits: with integers C_j, S_j within 1 of
-    2^prec cos(2 pi j / n), 2^prec sin(2 pi j / n) (``_fixed_tables``) and
-    w = sum |a_j|, the real part is sum a_j C_j / 2^prec with radius
-    w / 2^prec, and |imag| <= (|sum a_j S_j| + w) / 2^prec.  prec doubles
-    while w > 2^(prec - bits), so the radius is at most 2^-bits.
+    Only the real part is certified: every key evaluated is real.  Fixed
+    point at prec = bits + 64 bits: with integers C_j within 1 of
+    2^prec cos(2 pi j / n) (``_fixed_tables``) and w = sum |a_j|, the real
+    part is sum a_j C_j / 2^prec with radius w / 2^prec.  prec doubles while
+    w > 2^(prec - bits), so the radius is at most 2^-bits.
     """
     if bits < 64:
         raise ValueError("need at least 64 bits")
@@ -304,15 +267,13 @@ def approx_value(ctx: CycContext, e: CycElt, bits: int = 128) -> ApproxReal:
     prec = bits + 64
     while w > 1 << (prec - bits):
         prec *= 2
-    cos_t, sin_t = _fixed_tables(ctx.n, prec)
-    re = sum(map(operator.mul, coeffs, cos_t))
-    im = sum(map(operator.mul, coeffs, sin_t))
+    re = sum(map(operator.mul, coeffs, _fixed_tables(ctx.n, prec)))
 
     def fixed(m: int) -> mpmath.mpf:
         # exact: mpf((m, -prec)) would round m to the ambient 53 bits
         return mpmath.mp.make_mpf(libmp.from_man_exp(m, -prec))
 
-    return ApproxReal(real=fixed(re), radius=fixed(w), imag_bound=fixed(abs(im) + w))
+    return ApproxReal(real=fixed(re), radius=fixed(w))
 
 
 @dataclass(frozen=True)
@@ -360,7 +321,7 @@ def key_embedding(n: int, roots: int) -> ModEmbedding:
     impossible once M^2 > (2 roots)^max(phi, 2).  The same holds with the
     zero element (an empty sum) in place of either key.
     """
-    bound = (2 * roots) ** max(len(cyclotomic_poly(n)) - 1, 2)
+    bound = (2 * roots) ** max(totient(n), 2)
     qs = factorize(n).primes
     primes, modulus, omega = [], 1, 0
     p = ((1 << 62) - 2) // n * n + 1

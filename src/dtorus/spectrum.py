@@ -99,8 +99,9 @@ def cn_spectrum(
 ) -> SpectrumTable:
     """Adjacency spectrum of the cycle graph on Z/nZ with generators +-1.
 
-    Keys are cos_key(n, k) for 0 <= k <= n//2 with multiplicity 2 except at
-    the endpoints k = 0 (value 2) and, for even n, k = n/2 (value -2).
+    Keys are key_of_tuple(n, (k,)) for 0 <= k <= n//2, with multiplicity 2
+    except at the endpoints k = 0 (value 2) and, for even n, k = n/2 (value
+    -2).
     Rows are keyed under ``embedding``, by default key_embedding(n, 2).
     """
     if n < 3:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import factorize, is_prime, semigroup_member
-from .cyclotomic import cos_key, get_context
+from .cyclotomic import get_context, key_of_tuple
 from .errors import BudgetExceeded, NotApplicable, ZeroEigenvalue
 from .spectrum import DEFAULT_BUDGET
 
@@ -110,15 +110,14 @@ def _roots_sum_is_zero(n: int, terms: Counter) -> bool:
     m, step = n // q, q // p
     # zeta_n^e -> zeta_q^e * zeta_m^e is the automorphism zeta_n -> zeta_n^(m+q)
     # (m + q is prime to n), so it keeps the sum's vanishing
-    groups: dict[int, list[Counter]] = {}
+    groups: dict[int, dict[int, Counter]] = {}  # s -> t -> partial sum; p may be huge
     for e, c in terms.items():
         u = e % q
-        parts = groups.setdefault(u % step, [Counter() for _ in range(p)])
-        parts[u // step][e % m] += c
+        groups.setdefault(u % step, {}).setdefault(u // step, Counter())[e % m] += c
     for parts in groups.values():
-        # all p sums equal; an empty one forces each of them to vanish
-        base = parts[0] if all(parts) else Counter()
-        for part in parts:
+        # all p sums equal; an empty (absent) one forces each of them to vanish
+        base = parts[0] if len(parts) == p else Counter()
+        for part in parts.values():
             diff = Counter(part)
             diff.subtract(base)
             if not _roots_sum_is_zero(m, diff):
@@ -210,17 +209,16 @@ def find_cos4_partners(n: int, k1: int, k2: int) -> list[tuple[int, int]]:
     half = n // 2
     if not (0 <= k1 <= half and 0 <= k2 <= half):
         raise ValueError("indices must lie in [0, n//2]")
-    ctx = get_context(n)
-    target = cos_key(ctx, k1) + cos_key(ctx, k2)
+    target = key_of_tuple(n, (k1, k2))
     if target.is_zero():
         raise ZeroEigenvalue(f"eigenvalue of ({k1}, {k2}) over Z/{n}Z is zero")
-    by_key = {cos_key(ctx, k): k for k in range(half + 1)}
+    by_key = {key_of_tuple(n, (k,)): k for k in range(half + 1)}
     banned = {k1, k2}
     out = []
     for k3 in range(half + 1):
         if k3 in banned:
             continue
-        k4 = by_key.get(target - cos_key(ctx, k3))
+        k4 = by_key.get(target - key_of_tuple(n, (k3,)))
         if k4 is None or k4 in banned or k4 < k3:
             continue
         out.append((k3, k4))

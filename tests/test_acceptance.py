@@ -21,7 +21,7 @@ from dtorus.criteria import (
     verify_table60,
     zero_lower_bound_family,
 )
-from dtorus.cyclotomic import cos_key, get_context, sum_reduce
+from dtorus.cyclotomic import get_context, sum_reduce
 from dtorus.spectrum import (
     key_multiplicity,
     key_of_tuple,
@@ -84,8 +84,8 @@ def test_criterion_03_bound24():
             best = (rep.max_multiplicity, n)
     if best != (24, 60):
         bad.append(f"global max {best}")
-    ctx = get_context(60)
-    expected_24 = {cos_key(ctx, 6), -cos_key(ctx, 6), cos_key(ctx, 12), -cos_key(ctx, 12)}
+    c6, c12 = key_of_tuple(60, (6,)), key_of_tuple(60, (12,))
+    expected_24 = {c6, -c6, c12, -c12}
     rep60 = verify_bound24(60)
     if set(rep60.attained) != expected_24:
         bad.append("N=60 attaining set mismatch")
@@ -126,9 +126,9 @@ def test_criterion_05_growth_dichotomy():
         if m2 < 1.5 * m:
             bad.append(f"slope at n={n}: {m} -> {m2}")
     # (c) shifted-eigenvalue lower bounds
-    if key_multiplicity(15, 4, cos_key(get_context(15), 1)) < 15 // 6:
+    if key_multiplicity(15, 4, key_of_tuple(15, (1,))) < 15 // 6:
         bad.append("m_T4_15(2cos(2pi/15)) below floor(15/6)")
-    if key_multiplicity(45, 4, cos_key(get_context(45), 1)) < 45 // 6:
+    if key_multiplicity(45, 4, key_of_tuple(45, (1,))) < 45 // 6:
         bad.append("m_T4_45(2cos(2pi/45)) below floor(45/6)")
     report(5, "growth dichotomy: bounded/linear/shifted", not bad)
 

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -278,25 +279,69 @@ def test_deterministic_output(capsys):
     assert first == second
 
 
-def test_deterministic_across_processes():
+def child_env(**extra):
     # The child must import the same dtorus as this process, installed or not:
     # the directory holding the package goes first, then the suite's own
     # PYTHONPATH entries (where dependencies may be found).
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(dtorus.__file__)))
     inherited = os.environ.get("PYTHONPATH", "")
     pythonpath = os.pathsep.join([package_root] + [p for p in inherited.split(os.pathsep) if p])
+    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath, **extra}
 
+
+def test_deterministic_across_processes():
     def run(seed):
         proc = subprocess.run(
             [sys.executable, "-m", "dtorus", "spectrum", "--n", "12", "--d", "2"],
             capture_output=True,
-            env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath},
+            env=child_env(PYTHONHASHSEED=seed),
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr.decode(errors="replace")
         return proc.stdout
 
     assert run("1") == run("2") != b""
+
+
+HUGE = "1000000000000000003"  # a prime: trial division up to its root never ends
+
+
+def limit_memory():
+    # at most 2 GB of address space: a table sized by the input fails at once
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    soft = 2 << 30 if hard == resource.RLIM_INFINITY else min(hard, 2 << 30)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zero", "--n", HUGE, "--d", "3"],
+        ["cos4", f"1/{HUGE}", "1/2", "1/3", "1/5"],
+        ["spectrum", "--n", HUGE, "--d", "2"],
+        ["mult", "--n", HUGE, "--d", "2", "--tuple", "1,2"],
+        ["zeta", "--n", HUGE, "--d", "2", "--s", "2"],
+        ["vanishing", "--n", HUGE, "--max-len", "4"],
+        ["growth", "--n", HUGE, "--d", "2", "--tuple", "1,2"],
+        # primes 3 and 10^9 + 7: a semigroup table of 2*10^9 entries
+        ["zero", "--n", "3000000021", "--d", "1000000000"],
+    ],
+)
+def test_huge_inputs_answer_or_exit_2(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "dtorus", *argv],
+        capture_output=True,
+        env=child_env(),
+        timeout=30,
+        preexec_fn=limit_memory,
+    )
+    err = proc.stderr.decode(errors="replace")
+    assert proc.returncode in (0, 2), err
+    assert "Traceback" not in err
+    if proc.returncode == 0:
+        assert err == "" and json.loads(proc.stdout)["command"] == argv[0]
+    else:
+        assert err.startswith("budget exceeded: ") and err.count("\n") == 1
 
 
 def test_round_trip_representatives(capsys):

@@ -19,8 +19,8 @@ from dtorus.criteria import (
     zero_growth,
     zero_lower_bound_family,
 )
-from dtorus.cyclotomic import cos_key, get_context
-from dtorus.errors import PreconditionViolated, ZeroNotEigenvalue
+from dtorus.cyclotomic import get_context, key_of_tuple
+from dtorus.errors import BudgetExceeded, PreconditionViolated, ZeroNotEigenvalue
 from dtorus.spectrum import membership, multiplicity_of_tuple
 
 
@@ -34,6 +34,23 @@ def test_factorize():
 @given(st.integers(min_value=1, max_value=5000))
 def test_factorize_reconstructs(n):
     assert factorize(n).value() == n
+
+
+def test_factorize_beyond_trial_division():
+    # trial division stops below 2^20; a cofactor left over is kept only when
+    # is_prime certifies it, so a huge prime factors at once
+    assert arith.TRIAL_DIVISION_LIMIT == 2**20
+    big = 10**18 + 3
+    assert factorize(big).pairs == ((big, 1),)
+    assert factorize(999983 * big).pairs == ((999983, 1), (big, 1))
+    assert factorize(2**2 * 1048573 * 1048583).pairs == ((2, 2), (1048573, 1), (1048583, 1))
+    # every n < 2^40 still factors: its cofactor is then prime
+    p = 1099511627689  # the largest prime below 2^40
+    assert factorize(p).pairs == ((p, 1),)
+    for n in (1048583 * 1048589, 2**89 - 1, 3 * (2**89 - 1)):
+        # two primes above 2^20; a prime above is_prime's certified range
+        with pytest.raises(BudgetExceeded, match="cannot factor"):
+            factorize(n)
 
 
 def test_is_prime_matches_trial_division():
@@ -116,6 +133,18 @@ def test_semigroup_member_runs_below_p1_pk(monkeypatch):
     assert semigroup_member(2**31, (5,)) == (False, None)
     assert semigroup_member(2**31 + 3, (2, 3, 5)) == (True, (2**30, 1, 0))
     assert max(seen) < 5 * 5  # below p_1 p_k in every call
+
+
+def test_semigroup_table_cap_raises_before_allocating(monkeypatch):
+    # primes 3 and 10^9 + 7 leave 2^24 + 2 unreduced (it is below 3 p_k): its
+    # table would exceed arith.MAX_SEMIGROUP_TABLE
+    def unreachable(length, primes):
+        raise RuntimeError("the table was allocated before the cap was checked")
+
+    monkeypatch.setattr(arith, "_semigroup_dp", unreachable)
+    assert arith.MAX_SEMIGROUP_TABLE == 2**24
+    with pytest.raises(BudgetExceeded, match="semigroup table"):
+        semigroup_member(2**24 + 2, (3, 1000000007))
 
 
 def test_semigroup_member_needs_increasing_primes():
@@ -205,12 +234,11 @@ def test_d2_closed_form_matches_enumeration(n, k1, k2):
 def test_verify_bound24():
     rep = verify_bound24(60)
     assert rep.max_multiplicity == 24
-    ctx = get_context(60)
     assert set(rep.attained) == {
-        cos_key(ctx, 6),
-        -cos_key(ctx, 6),
-        cos_key(ctx, 12),
-        -cos_key(ctx, 12),
+        key_of_tuple(60, (6,)),
+        -key_of_tuple(60, (6,)),
+        key_of_tuple(60, (12,)),
+        -key_of_tuple(60, (12,)),
     }
     assert verify_bound24(5).max_multiplicity == 8
     rep12 = verify_bound24(12)

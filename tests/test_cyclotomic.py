@@ -5,18 +5,17 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dtorus.arith import factorize, is_prime
-from dtorus import cyclotomic, spectrum
+from dtorus import arith, cyclotomic, spectrum
+from dtorus.arith import factorize, is_prime, totient
 from dtorus.cyclotomic import (
     ApproxReal,
     CycElt,
     _fixed_tables,
     approx_value,
-    cos_key,
     cyclotomic_poly,
     get_context,
     key_embedding,
-    root_power,
+    key_of_tuple,
     sum_reduce,
 )
 from dtorus.errors import BudgetExceeded
@@ -41,30 +40,28 @@ def test_cyclotomic_poly_degree_and_monic(n):
     assert len(coeffs) - 1 == phi_brute(n)
 
 
-def test_root_power_examples():
-    assert root_power(get_context(4), 3).coeffs == (0, -1)  # zeta_4^3 = -i
-    assert root_power(get_context(6), 2).coeffs == (-1, 1)  # x^2 mod x^2-x+1
+def test_sum_reduce_single_power_examples():
+    assert sum_reduce(get_context(4), (3,)).coeffs == (0, -1)  # zeta_4^3 = -i
+    assert sum_reduce(get_context(6), (2,)).coeffs == (-1, 1)  # x^2 mod x^2-x+1
     for n in (1, 2, 5, 12):
-        assert root_power(get_context(n), 0) == get_context(n).one
+        assert sum_reduce(get_context(n), (0,)) == get_context(n).one
 
 
 @given(moduli, st.integers(min_value=-100, max_value=100))
-def test_root_power_periodic(n, k):
+def test_sum_reduce_single_power_periodic(n, k):
     ctx = get_context(n)
-    assert root_power(ctx, k) == root_power(ctx, k + n)
+    assert sum_reduce(ctx, (k,)) == sum_reduce(ctx, (k + n,))
 
 
-def test_cos_key_examples():
-    assert cos_key(get_context(12), 3).is_zero()  # 2cos(pi/2)
-    assert cos_key(get_context(6), 1) == get_context(6).one  # 2cos(pi/3) = 1
-    ctx = get_context(5)
-    assert cos_key(ctx, 0) == ctx.const(2)
+def test_key_of_tuple_single_index_examples():
+    assert key_of_tuple(12, (3,)).is_zero()  # 2cos(pi/2)
+    assert key_of_tuple(6, (1,)) == get_context(6).one  # 2cos(pi/3) = 1
+    assert key_of_tuple(5, (0,)) == get_context(5).const(2)
 
 
 @given(moduli, st.integers(min_value=0, max_value=200))
-def test_cos_key_symmetry(n, k):
-    ctx = get_context(n)
-    assert cos_key(ctx, k) == cos_key(ctx, n - k)
+def test_key_of_tuple_single_index_symmetry(n, k):
+    assert key_of_tuple(n, (k,)) == key_of_tuple(n, (n - k,))
 
 
 def test_sum_reduce_vanishing_examples():
@@ -127,14 +124,14 @@ def test_pack_round_trip_random(n, digits):
 
 
 @given(moduli, st.integers(min_value=0, max_value=400))
-def test_root_power_matches_division(n, k):
+def test_sum_reduce_single_power_matches_division(n, k):
     poly = [0] * k + [1]
-    assert root_power(get_context(n), k).coeffs == reduce_mod_phi(poly, n)
+    assert sum_reduce(get_context(n), (k,)).coeffs == reduce_mod_phi(poly, n)
 
 
 def test_digit_guard():
     ctx = get_context(5)
-    x = root_power(ctx, 1)
+    x = sum_reduce(ctx, (1,))
     assert x.v == 2**64
     for make in (
         lambda: ctx.const(2**64),
@@ -164,7 +161,7 @@ def test_sorted_entries_breaks_ties_in_coefficient_order(monkeypatch):
     assert b < a and not a < b
     # force equal values, so only the key order can decide
     half = mpmath.mpf(0.5)
-    monkeypatch.setattr(spectrum, "approx_value", lambda ctx, key, bits: ApproxReal(half, half, half))
+    monkeypatch.setattr(spectrum, "approx_value", lambda ctx, key, bits: ApproxReal(half, half))
     items = [(a, Entry(1, (0,))), (b, Entry(1, (1,)))]
     assert [k for _, k, _ in spectrum.by_value(5, items)] == [b, a]
 
@@ -178,10 +175,19 @@ def test_context_cap_raises_before_allocating(monkeypatch):
         get_context(10007)
     assert 4001 * 4000 <= cyclotomic.MAX_CONTEXT_DIGITS < 10007 * 10006
 
+    def unfactored(n):
+        raise RuntimeError(f"{n} was factored before the cap was checked")
+
+    # N * phi(N) >= N: a modulus above the cap is refused before factoring
+    monkeypatch.setattr(arith, "factorize", unfactored)
+    monkeypatch.setattr(cyclotomic, "factorize", unfactored)
+    n = cyclotomic.MAX_CONTEXT_DIGITS + 1
+    with pytest.raises(BudgetExceeded, match=str(n)):
+        get_context(n)
+
 
 def test_elt_arithmetic_int_promotion():
-    ctx = get_context(12)
-    e = cos_key(ctx, 2)
+    e = key_of_tuple(12, (2,))
     assert (e + 1) - 1 == e
     assert -(-e) == e
     assert (2 - e) == -(e - 2)
@@ -190,31 +196,22 @@ def test_elt_arithmetic_int_promotion():
 
 
 def test_approx_examples():
-    ctx5 = get_context(5)
-    av = approx_value(ctx5, cos_key(ctx5, 1))
+    av = approx_value(get_context(5), key_of_tuple(5, (1,)))
     with mpmath.workprec(300):
         assert abs(av.real - (mpmath.sqrt(5) - 1) / 2) <= av.radius
     assert av.radius < mpmath.mpf(2) ** -128
-    assert av.imag_bound < mpmath.mpf(2) ** -100
 
     ctx12 = get_context(12)
     one = approx_value(ctx12, get_context(12).one)
     assert abs(one.real - 1) <= one.radius
-    two_cos_60 = approx_value(ctx12, cos_key(ctx12, 2))
+    two_cos_60 = approx_value(ctx12, key_of_tuple(12, (2,)))
     assert abs(two_cos_60.real - 1) <= two_cos_60.radius
-
-
-def test_approx_general_element_reports_imag():
-    ctx = get_context(5)
-    av = approx_value(ctx, root_power(ctx, 1))
-    assert abs(float(av.real) - math.cos(2 * math.pi / 5)) < 1e-12
-    assert abs(float(av.imag_bound) - math.sin(2 * math.pi / 5)) < 1e-12
 
 
 @given(moduli, st.integers(min_value=0, max_value=400))
 def test_approx_matches_float_cosine(n, k):
     ctx = get_context(n)
-    av = approx_value(ctx, cos_key(ctx, k))
+    av = approx_value(ctx, key_of_tuple(n, (k,)))
     assert abs(float(av.real) - 2 * math.cos(2 * math.pi * k / n)) < 1e-9
 
 
@@ -240,21 +237,18 @@ def test_approx_rejects_low_bits():
 
 def iv_enclosures(n, prec, coeffs=None):
     """Raw (lo, hi) mpf pairs of interval enclosures at ``prec`` bits: of
-    (cos, sin)(2 pi k / n) for every k < n, or of the real and imaginary
-    parts of sum c_j zeta_n^j when ``coeffs`` is given."""
+    cos(2 pi k / n) for every k < n, or of the real part of sum c_j zeta_n^j
+    when ``coeffs`` is given."""
     iv = mpmath.iv
     old = iv.prec
     try:
         iv.prec = prec
-        angles = [2 * iv.pi * k / n for k in range(n)]
-        parts = [(iv.cos(a), iv.sin(a)) for a in angles]
+        parts = [iv.cos(2 * iv.pi * k / n) for k in range(n)]
         if coeffs is not None:
-            re = sum((c * cos for c, (cos, _) in zip(coeffs, parts)), iv.mpf(0))
-            im = sum((c * sin for c, (_, sin) in zip(coeffs, parts)), iv.mpf(0))
-            parts = [(re, im)]
+            parts = [sum((c * cos for c, cos in zip(coeffs, parts)), iv.mpf(0))]
     finally:
         iv.prec = old
-    return [[tuple(mpmath.mp.make_mpf(x) for x in part._mpi_) for part in pair] for pair in parts]
+    return [tuple(mpmath.mp.make_mpf(x) for x in part._mpi_) for part in parts]
 
 
 @given(
@@ -268,30 +262,50 @@ def test_approx_encloses_interval_reference(n, digits, bits):
     coeffs = tuple(digits[: ctx.phi]) + (0,) * max(0, ctx.phi - len(digits))
     av = approx_value(ctx, CycElt(n, pack(coeffs)), bits)
     # four times the fixed-point precision approx_value starts from
-    [((re_lo, re_hi), (im_lo, im_hi))] = iv_enclosures(n, 4 * (bits + 64), coeffs)
+    [(re_lo, re_hi)] = iv_enclosures(n, 4 * (bits + 64), coeffs)
     assert av.radius <= mpmath.ldexp(1, -bits)
     assert mpmath.fsub(av.real, av.radius, exact=True) <= re_lo
     assert re_hi <= mpmath.fadd(av.real, av.radius, exact=True)
-    # exact: unary minus and abs() round to the ambient 53 bits
-    assert mpmath.fneg(im_lo, exact=True) <= av.imag_bound and im_hi <= av.imag_bound
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 7, 27, 32, 97, 360, 420])
 @pytest.mark.parametrize("prec", [128, 192])
 def test_fixed_tables_within_one(n, prec):
-    tables = _fixed_tables(n, prec)
-    assert len(tables[0]) == len(tables[1]) == n
-    for k, pair in enumerate(iv_enclosures(n, 4 * prec)):
-        for table, (lo, hi) in zip(tables, pair):
-            assert table[k] - 1 <= mpmath.ldexp(lo, prec)
-            assert mpmath.ldexp(hi, prec) <= table[k] + 1
+    table = _fixed_tables(n, prec)
+    assert len(table) == n
+    for k, (lo, hi) in enumerate(iv_enclosures(n, 4 * prec)):
+        assert table[k] - 1 <= mpmath.ldexp(lo, prec)
+        assert mpmath.ldexp(hi, prec) <= table[k] + 1
 
 
 def test_phi_divides_x_n_minus_1():
     # spot-check the context invariant survives odd, even and prime-power n
     for n in (7, 16, 30, 105):
         ctx = get_context(n)
-        assert len(ctx.phi_coeffs) - 1 == ctx.phi == phi_brute(n)
+        assert len(cyclotomic_poly(n)) - 1 == ctx.phi == phi_brute(n)
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_poly_product_is_x_n_minus_1():
+    # prod_{d | n} Phi_d = x^n - 1 for every n <= 300; by induction on n this
+    # determines each Phi_n
+    for n in range(1, 301):
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = poly_mul(prod, cyclotomic_poly(d))
+        assert prod == [-1] + [0] * (n - 1) + [1], n
+
+
+def test_totient_matches_brute_force():
+    assert [totient(n) for n in range(1, 2001)] == [phi_brute(n) for n in range(1, 2001)]
 
 
 @pytest.mark.parametrize("d", [1, 2, 6])
@@ -333,10 +347,10 @@ def test_key_embedding_is_a_ring_map(n):
     emb = key_embedding(n, 2)
     ctx = get_context(n)
     for k in range(n):
-        assert emb.image(root_power(ctx, k)) == emb.powers[k] == pow(emb.omega, k, emb.modulus)
-        assert emb.image(cos_key(ctx, k)) == emb.cos_image((k,))
+        assert emb.image(sum_reduce(ctx, (k,))) == emb.powers[k] == pow(emb.omega, k, emb.modulus)
+        assert emb.image(key_of_tuple(n, (k,))) == emb.cos_image((k,))
     assert emb.image(sum_reduce(ctx, range(n))) == 0  # the n-th roots sum to zero
-    assert emb.cos_image((1, 2, n - 1)) == emb.image(cos_key(ctx, 1) + cos_key(ctx, 2) + cos_key(ctx, 1))
+    assert emb.cos_image((1, 2, n - 1)) == emb.image(key_of_tuple(n, (1, 2, 1)))
     with pytest.raises(ValueError):
         emb.image(get_context(n + 1).one)
 

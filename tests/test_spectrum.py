@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dtorus import spectrum
 from dtorus.criteria import d2_closed_form, verify_bound24
-from dtorus.cyclotomic import ModEmbedding, cos_key, get_context, key_embedding, root_power
+from dtorus.cyclotomic import ModEmbedding, get_context, key_embedding, sum_reduce
 from dtorus.errors import AsymmetricGeneratingSet, BudgetExceeded
 from dtorus.spectrum import (
     CayleySpec,
@@ -40,8 +40,8 @@ def test_cn_spectrum_charts():
     t5 = cn_spectrum(5)
     ctx5 = get_context(5)
     assert t5.count_of(ctx5.const(2)) == 1
-    assert t5.count_of(cos_key(ctx5, 1)) == 2
-    assert t5.count_of(cos_key(ctx5, 2)) == 2
+    assert t5.count_of(key_of_tuple(5, (1,))) == 2
+    assert t5.count_of(key_of_tuple(5, (2,))) == 2
     assert t5.total == 5
 
 
@@ -204,7 +204,7 @@ def element(ctx, coeffs):
     out = ctx.zero
     for i, c in enumerate(coeffs):
         for _ in range(abs(c)):
-            out = out + root_power(ctx, i) if c > 0 else out - root_power(ctx, i)
+            out = out + sum_reduce(ctx, (i,)) if c > 0 else out - sum_reduce(ctx, (i,))
     return out
 
 
@@ -219,7 +219,7 @@ def test_probes_of_non_keys_match_enumeration(n, d, k, coeffs):
     ctx = get_context(n)
     targets = [
         ctx.const(2 * d + 1),
-        root_power(ctx, k),
+        sum_reduce(ctx, (k,)),
         element(ctx, coeffs[: ctx.phi]),
         key_of_tuple(n, [k] * d) + 1,
     ]
@@ -236,7 +236,7 @@ def test_probe_checks_hits_exactly(monkeypatch):
     monkeypatch.setattr(spectrum, "key_embedding", lambda n, d: weak)
     monkeypatch.setattr(spectrum, "_TORUS_CACHE", OrderedDict())
     ctx = get_context(5)
-    zeta, three = root_power(ctx, 1), ctx.const(3)
+    zeta, three = sum_reduce(ctx, (1,)), ctx.const(3)
     table = spectrum.torus_spectrum(5, 1)
     cycle = table.rows
     assert weak.image(three) in cycle  # F(3) = F(2 cos(4 pi / 5))
@@ -248,7 +248,7 @@ def test_probe_checks_hits_exactly(monkeypatch):
     assert weak.image(zeta) in cycle  # F(zeta) = F(2 cos(4 pi / 5)) too
     for non_key in (three, zeta):
         assert table.count_of(non_key) == 0
-    assert table.count_of(cos_key(ctx, 2)) == 2
+    assert table.count_of(key_of_tuple(5, (2,))) == 2
 
 
 def test_count_of_probes_rows(monkeypatch):

@@ -154,6 +154,10 @@ def test_cos_sum_is_zero_large_denominators():
     quad = (f(1, 11), f(1, 13), f(1, 17), f(1, 19))
     assert classify_cos4(quad).family == "NotVanishing"
     assert _cos_sum_is_zero(quad + tuple(1 - a for a in quad))
+    # a prime denominator of 10^18 + 3: the work grows with the terms, not with p
+    big = f(1, 10**18 + 3)
+    assert classify_cos4((big, f(1, 2), f(1, 3), f(1, 5))).family == "NotVanishing"
+    assert classify_cos4((big, 1 - big, f(1, 3), f(2, 3))).family == "I"
 
 
 def test_find_cos4_partners_example_60():
