@@ -24,6 +24,7 @@ from .spectrum import (
     membership,
     multiplicity_of_tuple,
     torus_spectrum,
+    unpack,
 )
 
 
@@ -174,14 +175,20 @@ def d2_closed_form(n: int, k1: int, k2: int) -> int | None:
 class Bound24Report:
     """Maximum multiplicity among nonzero eigenvalues of T^2_n.
 
-    ``attaining`` holds the table entries of the keys that attain it;
-    ``attained`` builds those keys, by value descending and then
-    coefficients, on first access.
+    ``representatives`` holds the packed representatives (k1 n + k2) of
+    the keys that attain it, in table order.  Nearly every key of a table
+    attains the generic maximum 8, so nothing per key is built up front:
+    ``attaining`` unpacks them to table entries and ``attained`` builds
+    the keys, by value descending and then coefficients, on first access.
     """
 
     n: int
     max_multiplicity: int
-    attaining: tuple[Entry, ...]
+    representatives: tuple[int, ...]
+
+    @functools.cached_property
+    def attaining(self) -> tuple[Entry, ...]:
+        return tuple(Entry(self.max_multiplicity, unpack(r, self.n, 2)) for r in self.representatives)
 
     @functools.cached_property
     def attained(self) -> tuple[CycElt, ...]:
@@ -198,17 +205,18 @@ def verify_bound24(n: int, budget: int = DEFAULT_BUDGET) -> Bound24Report:
     """
     t = torus_spectrum(n, 2, budget)
     best = 0
-    top: list[Entry] = []
-    for f, e in t.rows.items():
+    top: list[int] = []  # F images attaining best
+    for f, c in t.counts.items():
         if not f:  # F(0) = 0, and F is injective on the keys and zero
             continue
-        if e.count > best:
-            best, top = e.count, [e]
-        elif e.count == best:
-            top.append(e)
+        if c > best:
+            best, top = c, [f]
+        elif c == best:
+            top.append(f)
     if best > 24:
         raise Bound24Violated(f"nonzero multiplicity {best} > 24 at n={n}")
-    return Bound24Report(n, best, tuple(top))
+    reps = t.reps
+    return Bound24Report(n, best, tuple(reps[f] for f in top))
 
 
 @dataclass(frozen=True)
@@ -251,7 +259,8 @@ def verify_table60(budget: int = DEFAULT_BUDGET, bits: int = 128) -> Table60Repo
         118: frozenset({ctx.zero}),
     }
     t = torus_spectrum(60, 2, budget)
-    rows = ((key_of_tuple(60, e.representative), e) for e in t.rows.values() if e.count > 8)
+    above8 = (t.entry(f) for f, c in t.counts.items() if c > 8)
+    rows = ((key_of_tuple(60, e.representative), e) for e in above8)
     # sorted is stable: by_value's order holds within each multiplicity
     high = sorted(by_value(60, rows, bits), key=lambda row: row[2].count)
     computed = {c: frozenset(k for _, k, _ in g) for c, g in groupby(high, lambda row: row[2].count)}

@@ -9,7 +9,9 @@ Cayley tables enumerate the n^d characters.
 Every table keys its rows by F(key) = key(omega) mod M, the image under a
 ring map Z[zeta_n] -> Z/M that is injective on the table's keys
 (cyclotomic.key_embedding): sums of 2d roots for the largest d a torus
-table serves, sums of g roots for a Cayley table with g generators.  Keys
+table serves, sums of g roots for a Cayley table with g generators.  A
+row is two ints: its count in ``counts`` and its representative, packed
+base n, in ``reps``, so a table build allocates no object per key.  Keys
 then add as ints mod M, lookups probe the rows at F(key) and confirm the
 hit exactly, and the CycElt keys are rebuilt from the representatives only
 when ``entries`` is first read.
@@ -31,38 +33,58 @@ DEFAULT_BUDGET = 10**7
 
 
 class Entry(NamedTuple):
-    """One eigenvalue: exact count and a witness index tuple.
+    """One eigenvalue as a lookup returns it: exact count and a witness tuple.
 
-    ``representative`` is the lexicographically smallest index tuple
-    attaining the key, so table contents are deterministic.
+    ``representative`` is the lexicographically smallest index tuple (or
+    character) attaining the key, so table contents are deterministic.
+    Tables do not store entries; SpectrumTable.entry builds one on access.
     """
 
     count: int
     representative: tuple[int, ...]
 
 
+def unpack(packed: int, n: int, d: int) -> tuple[int, ...]:
+    """The d base-n digits of ``packed``, most significant first."""
+    if d == 2:  # the common width: divmod's pair is the tuple
+        return divmod(packed, n)
+    out = [0] * d
+    for i in range(d - 1, -1, -1):
+        packed, out[i] = divmod(packed, n)
+    return tuple(out)
+
+
 @dataclass
 class SpectrumTable:
-    """Eigenvalue key -> Entry for one graph on n^d vertices.
+    """Eigenvalue rows for one graph on n^d vertices.
 
-    ``rows`` maps F(key) under ``embedding`` to entries, in ascending
-    representative order; treat both as immutable.  ``generators`` is None
-    for a torus table, whose representatives are index tuples, and the
-    normalized generator multiset of a Cayley table, whose representatives
-    are characters.  ``entries`` maps the CycElt keys, rebuilt from the
-    representatives (key_of), to the same entries on first access.
+    ``counts`` maps F(key) under ``embedding`` to the key's multiplicity
+    and ``reps`` maps it to the key's representative packed as
+    sum k_i n^(d-1-i), both in ascending representative order; treat them
+    as immutable.  At a fixed width d numeric order of packed ints is
+    lexicographic order of the tuples.  ``generators`` is None for a torus
+    table, whose representatives are index tuples, and the normalized
+    generator multiset of a Cayley table, whose representatives are
+    characters.  ``entry(f)`` is the Entry view of one row; ``entries``
+    maps the CycElt keys, rebuilt from the representatives (key_of), to
+    those views on first access.
     """
 
     n: int
     d: int
     total: int
-    rows: dict[int, Entry]
+    counts: dict[int, int]
+    reps: dict[int, int]
     embedding: ModEmbedding
     generators: tuple[tuple[int, ...], ...] | None = None
 
     @functools.cached_property
     def entries(self) -> dict[CycElt, Entry]:
-        return {self.key_of(e.representative): e for e in self.rows.values()}
+        return {self.key_of(e.representative): e for e in map(self.entry, self.counts)}
+
+    def entry(self, f: int) -> Entry:
+        """The row at image f, unpacked; KeyError if f is no image of a key."""
+        return Entry(self.counts[f], unpack(self.reps[f], self.n, self.d))
 
     def key_of(self, rep: tuple[int, ...]) -> CycElt:
         """The key a representative stands for under this table's kind."""
@@ -73,8 +95,7 @@ class SpectrumTable:
 
     def count_of(self, key: CycElt) -> int:
         # a key of another modulus is no key of this table
-        e = _exact_row(self, key) if key.n == self.n else None
-        return e.count if e is not None else 0
+        return _exact_count(self, key) if key.n == self.n else 0
 
     def sorted_entries(self, bits: int = 128) -> list[tuple[ApproxReal, CycElt, Entry]]:
         """(value, key, entry) for every entry, by value descending (by_value)."""
@@ -110,13 +131,15 @@ def cn_spectrum(
     if half + 1 > budget:
         raise BudgetExceeded(f"cycle table needs {half + 1} keys, budget {budget}")
     emb = embedding or key_embedding(n, 2)
-    rows: dict[int, Entry] = {}
+    counts: dict[int, int] = {}
+    reps: dict[int, int] = {}
     for k in range(half + 1):
-        mult = 1 if k == 0 or (n % 2 == 0 and k == half) else 2
-        rows[emb.cos_image((k,))] = Entry(mult, (k,))
-    if len(rows) != half + 1:
+        f = emb.cos_image((k,))
+        counts[f] = 1 if k == 0 or (n % 2 == 0 and k == half) else 2
+        reps[f] = k
+    if len(counts) != half + 1:
         raise AssertionError("cycle eigenvalues must be pairwise distinct")
-    return SpectrumTable(n, 1, n, rows, emb)
+    return SpectrumTable(n, 1, n, counts, reps, emb)
 
 
 def convolve(a: SpectrumTable, b: SpectrumTable, budget: int = DEFAULT_BUDGET) -> SpectrumTable:
@@ -126,8 +149,10 @@ def convolve(a: SpectrumTable, b: SpectrumTable, budget: int = DEFAULT_BUDGET) -
     as many primes as key_embedding(n, 2 (a.d + b.d)), as torus_spectrum
     builds them (more primes give a multiple of that M, which serves a.d +
     b.d too); anything else, Cayley tables included, raises ValueError.  F
-    images add mod M.  Rows are visited in ascending representative order,
-    so the first pair that reaches a key holds its smallest representative.
+    images add mod M and a pair's packed representative is rx n^(b.d) + ry,
+    the packing of the concatenated tuple.  Rows are visited in ascending
+    representative order, so the first pair that reaches a key holds its
+    smallest representative.
 
     Raises BudgetExceeded as soon as the accumulator would hold more than
     ``budget`` distinct keys.  Conservation (sum of counts equals the
@@ -140,53 +165,56 @@ def convolve(a: SpectrumTable, b: SpectrumTable, budget: int = DEFAULT_BUDGET) -
     cayley = a.generators is not None or b.generators is not None
     if cayley or emb != b.embedding or len(emb.primes) < len(key_embedding(n, 2 * d).primes):
         raise ValueError(f"convolve needs torus tables under one embedding serving d={d}; use torus_spectrum")
-    modulus = emb.modulus
-    acc: dict[int, Entry] = {}  # F image -> Entry
-    xs = [(f, *e) for f, e in a.rows.items()]
+    modulus, shift = emb.modulus, n**b.d
+    counts: dict[int, int] = {}
+    reps: dict[int, int] = {}
+    ys = [(f, c, b.reps[f]) for f, c in b.counts.items()]
     if a is b:
         # unordered pairs i <= j; the smaller representative comes first
-        for i, x in enumerate(xs):
-            f, c, r = x
-            _accumulate(acc, f, c, r, (x,), modulus, budget)
-            _accumulate(acc, f, 2 * c, r, itertools.islice(xs, i + 1, None), modulus, budget)
+        for i, y in enumerate(ys):
+            f, c, r = y
+            rx = r * shift
+            _accumulate(counts, reps, f, c, rx, (y,), modulus, budget)
+            _accumulate(counts, reps, f, 2 * c, rx, itertools.islice(ys, i + 1, None), modulus, budget)
     else:
-        ys = [(f, *e) for f, e in b.rows.items()]
-        for x in xs:
-            _accumulate(acc, *x, ys, modulus, budget)
+        for f, c in a.counts.items():
+            _accumulate(counts, reps, f, c, a.reps[f] * shift, ys, modulus, budget)
 
     total = a.total * b.total
-    got = sum(e.count for e in acc.values())
-    if got != total:
+    if sum(counts.values()) != total:
         raise AssertionError("convolution lost mass")  # unreachable
-    return SpectrumTable(n, d, total, acc, emb)
+    return SpectrumTable(n, d, total, counts, reps, emb)
 
 
-def _accumulate(acc, fx, cx, rx, ys, modulus, budget) -> None:
-    """Add the pairs (x, y), y in ys: key fx + fy mod modulus, count cx * cy."""
-    get = acc.get
+def _accumulate(counts, reps, fx, cx, rx, ys, modulus, budget) -> None:
+    """Add the pairs (x, y), y in ys: key fx + fy mod modulus, count cx * cy,
+    packed representative rx + ry (rx comes shifted)."""
+    get = counts.get
     for fy, cy, ry in ys:
         s = fx + fy
         if s >= modulus:
             s -= modulus
-        slot = get(s)
-        if slot is None:
-            if len(acc) >= budget:
+        c = get(s)
+        if c is None:
+            if len(counts) >= budget:
                 raise BudgetExceeded(f"more than {budget} distinct keys in convolution")
-            acc[s] = Entry(cx * cy, rx + ry)
+            counts[s] = cx * cy
+            reps[s] = rx + ry
         else:
-            acc[s] = Entry(slot.count + cx * cy, slot.representative)
+            counts[s] = c + cx * cy
 
 
-def _exact_row(t: SpectrumTable, key: CycElt) -> Entry | None:
-    """The row of table t whose key is ``key``, or None.
+def _exact_count(t: SpectrumTable, key: CycElt) -> int:
+    """The count of ``key`` in table t, 0 if it is no key of t.
 
     The row at F(key) is confirmed exactly: F is injective on the keys of
     t, but ``key`` need not be one.
     """
-    e = t.rows.get(t.embedding.image(key))
-    if e is not None and t.key_of(e.representative) == key:
-        return e
-    return None
+    f = t.embedding.image(key)
+    count = t.counts.get(f)
+    if count is None or t.key_of(t.entry(f).representative) != key:
+        return 0
+    return count
 
 
 _TORUS_CACHE: OrderedDict[tuple[int, int, int], SpectrumTable] = OrderedDict()
@@ -220,8 +248,8 @@ def _torus(n: int, d: int, emb: ModEmbedding, budget: int) -> SpectrumTable:
     _TORUS_CACHE[key] = t
     while len(_TORUS_CACHE) > _TORUS_CACHE_SIZE:
         _TORUS_CACHE.popitem(last=False)
-    if len(t.rows) > budget:
-        raise BudgetExceeded(f"table for (n={n}, d={d}) has {len(t.rows)} keys, budget {budget}")
+    if len(t.counts) > budget:
+        raise BudgetExceeded(f"table for (n={n}, d={d}) has {len(t.counts)} keys, budget {budget}")
     return t
 
 
@@ -231,10 +259,10 @@ def multiplicity_of_tuple(n: int, d: int, ks, budget: int = DEFAULT_BUDGET) -> i
     if len(ks) != d:
         raise ValueError(f"expected {d} indices, got {len(ks)}")
     t = torus_spectrum(n, d, budget)
-    e = t.rows.get(t.embedding.cos_image(ks))
-    if e is None:
+    count = t.counts.get(t.embedding.cos_image(ks))
+    if count is None:
         raise AssertionError("every index tuple has a key in the table")
-    return e.count
+    return count
 
 
 def _mitm_matches(n: int, d: int, target: CycElt, budget: int):
@@ -257,24 +285,25 @@ def _mitm_matches(n: int, d: int, target: CycElt, budget: int):
     a = (d + 1) // 2
     ta = _torus(n, a, emb, budget)
     if a == d:
-        e = _exact_row(ta, target)
-        if e is not None:
-            yield e.count
+        count = _exact_count(ta, target)
+        if count:
+            yield count
         return
     tb = _torus(n, d - a, emb, budget)
-    small, big = (ta, tb) if len(ta.rows) <= len(tb.rows) else (tb, ta)
-    probe = big.rows.get
+    small, big = (ta, tb) if len(ta.counts) <= len(tb.counts) else (tb, ta)
+    probe = big.counts.get
     exact = False
-    for f, e in small.rows.items():
-        other = probe((goal - f) % modulus)
+    for f, c in small.counts.items():
+        g = (goal - f) % modulus
+        other = probe(g)
         if other is None:
             continue
         if not exact:
-            split = key_of_tuple(n, e.representative + other.representative)
+            split = key_of_tuple(n, small.entry(f).representative + big.entry(g).representative)
             if split != target:
                 continue
             exact = True
-        yield e.count * other.count
+        yield c * other
 
 
 def key_multiplicity(n: int, d: int, target: CycElt, budget: int = DEFAULT_BUDGET) -> int:
@@ -316,7 +345,8 @@ def cayley_spectrum(spec: CayleySpec, budget: int = DEFAULT_BUDGET) -> SpectrumT
 
     Rows are keyed under key_embedding(n, g) for g generators, each F image
     summed from the embedding's powers of omega.  Representatives are
-    character index vectors, smallest first in lexicographic order.
+    character index vectors, smallest first in lexicographic order; the
+    packed representative of t is its index in that order.
     """
     n, d = spec.n, spec.d
     if n < 1:
@@ -335,15 +365,17 @@ def cayley_spectrum(spec: CayleySpec, budget: int = DEFAULT_BUDGET) -> SpectrumT
     get_context(n)  # key_of needs it: an oversized modulus is refused before any work
     emb = key_embedding(n, len(gens))
     w, modulus = emb.powers, emb.modulus
-    rows: dict[int, Entry] = {}
-    for t in itertools.product(range(n), repeat=d):
+    counts: dict[int, int] = {}
+    reps: dict[int, int] = {}
+    for i, t in enumerate(itertools.product(range(n), repeat=d)):
         f = sum(w[sum(ti * gi for ti, gi in zip(t, g)) % n] for g in gens) % modulus
-        e = rows.get(f)
-        if e is None:
-            if len(rows) >= budget:
+        c = counts.get(f)
+        if c is None:
+            if len(counts) >= budget:
                 raise BudgetExceeded(f"more than {budget} distinct keys in Cayley table")
-            rows[f] = Entry(1, t)
+            counts[f] = 1
+            reps[f] = i
         else:
-            rows[f] = Entry(e.count + 1, e.representative)
-    return SpectrumTable(n, d, n**d, rows, emb, gens)
+            counts[f] = c + 1
+    return SpectrumTable(n, d, n**d, counts, reps, emb, gens)
 

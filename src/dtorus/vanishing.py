@@ -37,7 +37,7 @@ class RootMultiset:
 
 def is_vanishing(m: RootMultiset) -> bool:
     """Whether the root-of-unity sum is exactly zero."""
-    return _roots_sum_is_zero(m.n, Counter(m.exponents))
+    return _roots_sum_is_zero(m.n, Counter(m.exponents), factorize(m.n).primes)
 
 
 def w_membership(n: int, length: int) -> tuple[bool, tuple[int, ...] | None]:
@@ -88,22 +88,24 @@ class Cos4Classification:
     overlaps: tuple[str, ...] = ()
 
 
-def _roots_sum_is_zero(n: int, terms: Counter) -> bool:
+def _roots_sum_is_zero(n: int, terms: Counter, primes: tuple[int, ...]) -> bool:
     """Exact vanishing of sum(c * zeta_n^e) over the items e -> c of terms.
 
-    Peels off one prime power q = p^a exactly dividing n at a time.  With
-    m = n / q, zeta_q has minimal polynomial Phi_p(x^(q/p)) over Q(zeta_m), so
-    the sum vanishes iff, for each residue s mod q/p, the p partial sums over
-    the exponents s + t*q/p (t < p) of zeta_q are equal in Q(zeta_m).  The
-    work grows with the number of terms and of primes, not with n, unlike a
-    full CycContext of order n.
+    ``primes`` are the distinct prime factors of n, ascending
+    (factorize(n).primes), so n is factored once per test, not per level.
+    Peels off the power q = p^a of the smallest prime exactly dividing n.
+    With m = n / q, zeta_q has minimal polynomial Phi_p(x^(q/p)) over
+    Q(zeta_m), so the sum vanishes iff, for each residue s mod q/p, the p
+    partial sums over the exponents s + t*q/p (t < p) of zeta_q are equal
+    in Q(zeta_m).  The work grows with the number of terms and of primes,
+    not with n, unlike a full CycContext of order n.
     """
     terms = {e: c for e, c in terms.items() if c}
     if not terms:
         return True
     if n == 1:
         return False
-    p = factorize(n).pairs[0][0]
+    p = primes[0]
     q = p
     while n % (q * p) == 0:
         q *= p
@@ -120,7 +122,7 @@ def _roots_sum_is_zero(n: int, terms: Counter) -> bool:
         for part in parts.values():
             diff = Counter(part)
             diff.subtract(base)
-            if not _roots_sum_is_zero(m, diff):
+            if not _roots_sum_is_zero(m, diff, primes[1:]):
                 return False
     return True
 
@@ -135,7 +137,7 @@ def _cos_sum_is_zero(angles) -> bool:
         exps[e % n] += 1
         exps[-e % n] += 1
     # each cosine appears as (zeta^e + zeta^-e) / 2; the factor 2 is global
-    return _roots_sum_is_zero(n, exps)
+    return _roots_sum_is_zero(n, exps, factorize(n).primes)
 
 
 def classify_cos4(angles) -> Cos4Classification:

@@ -1,3 +1,4 @@
+import gc
 import math
 from collections import OrderedDict
 
@@ -12,7 +13,6 @@ from dtorus.cyclotomic import ModEmbedding, get_context, key_embedding, sum_redu
 from dtorus.errors import AsymmetricGeneratingSet, BudgetExceeded
 from dtorus.spectrum import (
     CayleySpec,
-    Entry,
     SpectrumTable,
     cayley_spectrum,
     cn_spectrum,
@@ -62,7 +62,7 @@ def test_convolve_examples():
 
 def test_convolve_point_mass_identity():
     t = cn_spectrum(7)
-    point = SpectrumTable(7, 0, 1, {0: Entry(1, ())}, t.embedding)  # T^0: the empty sum
+    point = SpectrumTable(7, 0, 1, {0: 1}, {0: 0}, t.embedding)  # T^0: the empty sum
     out = convolve(t, point)
     assert {k: e.count for k, e in out.entries.items()} == counts_by_key(t)
 
@@ -126,6 +126,51 @@ def test_torus_matches_enumeration_larger(n, d):
     }
     for key, e in table.entries.items():
         assert e.representative == oracle[key.coeffs][1]
+
+
+def packed(rep, n):
+    out = 0
+    for k in rep:
+        out = out * n + k
+    return out
+
+
+# d = 4 convolves two 2-tables and d = 5 a 3-table with a 2-table, so the
+# packed representative rx n^(b.d) + ry is checked where the widths differ
+@pytest.mark.parametrize("n,d", [(n, 4) for n in range(3, 8)] + [(n, 5) for n in range(3, 6)])
+def test_packed_representatives_across_widths(n, d):
+    table = torus_spectrum(n, d)
+    oracle = enumerate_spectrum(n, d)
+    assert {k.coeffs: tuple(e) for k, e in table.entries.items()} == oracle
+    want = {k: packed(rep, n) for k, (_, rep) in oracle.items()}
+    assert {k.coeffs: table.reps[table.embedding.image(k)] for k in table.entries} == want
+    assert list(table.reps.values()) == sorted(table.reps.values())  # ascending representatives
+    assert list(table.counts) == list(table.reps)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_key_multiplicity_matches_table_d4(n):
+    table = torus_spectrum(n, 4)
+    for key, e in table.entries.items():
+        assert key_multiplicity(n, 4, key) == e.count
+
+
+def test_table_build_allocates_no_object_per_key(monkeypatch):
+    # 13861 keys from as many pairs: an object kept per pair or per key
+    # would trigger dozens of young-generation collections
+    n = 331
+    key_embedding(n, 4)
+    get_context(n)
+    monkeypatch.setattr(spectrum, "_TORUS_CACHE", OrderedDict())
+    gc.collect()
+    before = gc.get_stats()[0]["collections"]
+    torus_spectrum(n, 2)
+    assert gc.get_stats()[0]["collections"] - before <= 2
+    rep = verify_bound24(n)
+    assert rep.max_multiplicity == 8
+    assert "attaining" not in vars(rep)  # no entry per attaining key up front
+    assert len(rep.attaining) == len(rep.representatives) == 13530
+    assert all(e.count == 8 for e in rep.attaining)
 
 
 @given(st.integers(min_value=3, max_value=40), st.integers(min_value=1, max_value=3))
@@ -238,7 +283,7 @@ def test_probe_checks_hits_exactly(monkeypatch):
     ctx = get_context(5)
     zeta, three = sum_reduce(ctx, (1,)), ctx.const(3)
     table = spectrum.torus_spectrum(5, 1)
-    cycle = table.rows
+    cycle = table.counts
     assert weak.image(three) in cycle  # F(3) = F(2 cos(4 pi / 5))
     assert any((weak.image(zeta) - f) % 11 in cycle for f in cycle)
     for target, d in ((three, 1), (zeta, 2), (zeta, 1)):
@@ -267,10 +312,10 @@ def test_count_of_probes_rows(monkeypatch):
 
 def test_torus_1009_matches_closed_form():
     n = 1009  # 127765 keys with phi(n) = 1008: rows only, never ``entries``
-    rows = torus_spectrum(n, 2).rows
-    assert len(rows) == 505 * 506 // 2
-    assert sum(e.count for e in rows.values()) == n * n
-    assert all(e.count == d2_closed_form(n, *e.representative) for e in rows.values())
+    t = torus_spectrum(n, 2)
+    assert len(t.counts) == 505 * 506 // 2
+    assert sum(t.counts.values()) == n * n
+    assert all(e.count == d2_closed_form(n, *e.representative) for e in map(t.entry, t.counts))
     assert verify_bound24(n).max_multiplicity == 8
 
 

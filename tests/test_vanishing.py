@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dtorus import vanishing
 from dtorus.arith import factorize
 from dtorus.cyclotomic import get_context, sum_reduce
 from dtorus.errors import BudgetExceeded, NotApplicable, ZeroEigenvalue
@@ -158,6 +159,42 @@ def test_cos_sum_is_zero_large_denominators():
     big = f(1, 10**18 + 3)
     assert classify_cos4((big, f(1, 2), f(1, 3), f(1, 5))).family == "NotVanishing"
     assert classify_cos4((big, 1 - big, f(1, 3), f(2, 3))).family == "I"
+
+
+def test_vanishing_tests_factor_once(monkeypatch):
+    # the recursion peels one prime per level and passes the rest down
+    calls = {"factorize": 0, "cos": 0}
+    real_factorize, real_cos = vanishing.factorize, vanishing._cos_sum_is_zero
+
+    def counting_factorize(n):
+        calls["factorize"] += 1
+        return real_factorize(n)
+
+    def counting_cos(angles):
+        calls["cos"] += 1
+        return real_cos(angles)
+
+    monkeypatch.setattr(vanishing, "factorize", counting_factorize)
+    monkeypatch.setattr(vanishing, "_cos_sum_is_zero", counting_cos)
+    f = Fraction
+    big = f(1, 10**18 + 3)
+    cases = [
+        ((big, f(1, 2), f(1, 3), f(1, 5)), "NotVanishing"),
+        ((big, 1 - big, f(1, 3), f(2, 3)), "I"),
+        ((f(1, 9), f(5, 9), f(7, 9), f(1, 2)), "II"),
+        ((f(2, 5), f(4, 5), f(1, 2), f(1, 3)), "III"),
+        ((f(2, 5), f(7, 15), f(13, 15), f(1, 3)), "V"),
+        ((f(2, 7), f(4, 7), f(6, 7), f(1, 3)), "VII"),
+    ]
+    for quad, family in cases:
+        before = dict(calls)
+        assert classify_cos4(quad).family == family
+        assert calls["factorize"] - before["factorize"] <= calls["cos"] - before["cos"]
+    # 2 * 3 * 5 * 7: the sum over all roots vanishes through every level
+    before = calls["factorize"]
+    assert is_vanishing(RootMultiset(210, tuple(range(210))))
+    assert not is_vanishing(RootMultiset(210, tuple(range(209))))
+    assert calls["factorize"] - before == 2
 
 
 def test_find_cos4_partners_example_60():
