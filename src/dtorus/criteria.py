@@ -10,7 +10,7 @@ check.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 
 from .arith import factorize, is_prime, semigroup_member
@@ -19,12 +19,12 @@ from .errors import Bound24Violated, PreconditionViolated, ZeroNotEigenvalue
 from .spectrum import (
     DEFAULT_BUDGET,
     Entry,
+    SpectrumTable,
     by_value,
     key_multiplicity,
     membership,
     multiplicity_of_tuple,
     torus_spectrum,
-    unpack,
 )
 
 
@@ -175,25 +175,26 @@ def d2_closed_form(n: int, k1: int, k2: int) -> int | None:
 class Bound24Report:
     """Maximum multiplicity among nonzero eigenvalues of T^2_n.
 
-    ``representatives`` holds the packed representatives (k1 n + k2) of
-    the keys that attain it, in table order.  Nearly every key of a table
-    attains the generic maximum 8, so nothing per key is built up front:
-    ``attaining`` unpacks them to table entries and ``attained`` builds
-    the keys, by value descending and then coefficients, on first access.
+    ``images`` holds the F images, in table order, of the keys of
+    ``table`` that attain it.  Nearly every key of a table attains the
+    generic maximum 8, so nothing per key is built up front: ``attaining``
+    reads their table entries and ``attained`` builds the keys, by value
+    descending and then coefficients, on first access.
     """
 
     n: int
     max_multiplicity: int
-    representatives: tuple[int, ...]
+    images: tuple[int, ...]
+    table: SpectrumTable = field(repr=False, compare=False)
 
     @functools.cached_property
     def attaining(self) -> tuple[Entry, ...]:
-        return tuple(Entry(self.max_multiplicity, unpack(r, self.n, 2)) for r in self.representatives)
+        return tuple(map(self.table.entry, self.images))
 
     @functools.cached_property
     def attained(self) -> tuple[CycElt, ...]:
-        n = self.n
-        rows = by_value(n, ((key_of_tuple(n, e.representative), e) for e in self.attaining))
+        key_of = self.table.key_of
+        rows = by_value(self.n, ((key_of(e.representative), e) for e in self.attaining))
         return tuple(key for _, key, _ in rows)
 
 
@@ -215,8 +216,7 @@ def verify_bound24(n: int, budget: int = DEFAULT_BUDGET) -> Bound24Report:
             top.append(f)
     if best > 24:
         raise Bound24Violated(f"nonzero multiplicity {best} > 24 at n={n}")
-    reps = t.reps
-    return Bound24Report(n, best, tuple(reps[f] for f in top))
+    return Bound24Report(n, best, tuple(top), t)
 
 
 @dataclass(frozen=True)

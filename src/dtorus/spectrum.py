@@ -44,10 +44,8 @@ class Entry(NamedTuple):
     representative: tuple[int, ...]
 
 
-def unpack(packed: int, n: int, d: int) -> tuple[int, ...]:
+def _unpack(packed: int, n: int, d: int) -> tuple[int, ...]:
     """The d base-n digits of ``packed``, most significant first."""
-    if d == 2:  # the common width: divmod's pair is the tuple
-        return divmod(packed, n)
     out = [0] * d
     for i in range(d - 1, -1, -1):
         packed, out[i] = divmod(packed, n)
@@ -84,7 +82,7 @@ class SpectrumTable:
 
     def entry(self, f: int) -> Entry:
         """The row at image f, unpacked; KeyError if f is no image of a key."""
-        return Entry(self.counts[f], unpack(self.reps[f], self.n, self.d))
+        return Entry(self.counts[f], _unpack(self.reps[f], self.n, self.d))
 
     def key_of(self, rep: tuple[int, ...]) -> CycElt:
         """The key a representative stands for under this table's kind."""

@@ -169,7 +169,7 @@ def test_table_build_allocates_no_object_per_key(monkeypatch):
     rep = verify_bound24(n)
     assert rep.max_multiplicity == 8
     assert "attaining" not in vars(rep)  # no entry per attaining key up front
-    assert len(rep.attaining) == len(rep.representatives) == 13530
+    assert len(rep.attaining) == len(rep.images) == 13530
     assert all(e.count == 8 for e in rep.attaining)
 
 
