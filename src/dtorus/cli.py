@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -34,7 +33,6 @@ from .cyclotomic import approx_value, get_context, key_of_tuple
 from .errors import BudgetExceeded, Bound24Violated, DtorusError, NotApplicable
 from .spectrum import (
     DEFAULT_BUDGET,
-    SpectrumTable,
     membership,
     multiplicity_of_tuple,
     torus_spectrum,
@@ -63,68 +61,55 @@ def _decimal(x, digits: int = 30) -> str:
     return mpmath.nstr(x, digits)
 
 
-def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "json":
+# the table fields: each is a list of row tuples in the order of its columns
+TABLE_COLUMNS = {
+    "entries": ("value_decimal", "key_coeffs", "multiplicity", "representative"),
+    "sums": ("exponents", "minimal", "symmetric"),
+}
+
+
+def _emit(args, fields: dict) -> int:
+    """Prints ``schema``, ``command`` and ``fields`` in ``--format``; returns 0.
+
+    csv prints one row per table row under the table's columns, even with no
+    rows, and otherwise one row of all the fields; text prints the fields
+    that are not lists, then the table rows.
+    """
+    payload = {"schema": SCHEMA, "command": args.command, **fields}
+    table = next((k for k in payload if k in TABLE_COLUMNS), None)
+    columns, rows = TABLE_COLUMNS.get(table, ()), payload.get(table, ())
+    if args.format == "json":
+        if table:
+            payload[table] = [dict(zip(columns, row)) for row in rows]
         print(json.dumps(payload, indent=2))
-    elif fmt == "csv":
-        _emit_csv(payload)
+    elif args.format == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(columns or payload)
+        for row in rows if table else [payload.values()]:
+            writer.writerow(" ".join(map(str, v)) if isinstance(v, (list, tuple)) else v for v in row)
     else:
-        _emit_text(payload)
-
-
-def _emit_csv(payload: dict) -> None:
-    rows = payload.get("entries") or payload.get("sums") or [payload]
-    out = io.StringIO()
-    fields = list(rows[0].keys()) if rows else []
-    writer = csv.DictWriter(out, fieldnames=fields, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(
-            {
-                k: " ".join(str(x) for x in v) if isinstance(v, (list, tuple)) else v
-                for k, v in row.items()
-            }
-        )
-    sys.stdout.write(out.getvalue())
-
-
-def _emit_text(payload: dict) -> None:
-    rows = payload.get("entries") or payload.get("sums")
-    scalars = {k: v for k, v in payload.items() if not isinstance(v, list)}
-    for k, v in scalars.items():
-        print(f"{k}: {v}")
-    if rows:
+        for k, v in payload.items():
+            if not isinstance(v, list):
+                print(f"{k}: {v}")
         for row in rows:
-            print("  " + "  ".join(f"{k}={row[k]}" for k in row))
-
-
-def _spectrum_rows(table: SpectrumTable, bits: int) -> list[dict]:
-    rows = []
-    for value, key, e in table.sorted_entries(bits):
-        rows.append(
-            {
-                "value_decimal": _decimal(value.real),
-                "key_coeffs": list(key.coeffs),
-                "multiplicity": str(e.count),
-                "representative": list(e.representative),
-            }
-        )
-    return rows
+            print("  " + "  ".join(f"{k}={v}" for k, v in zip(columns, row)))
+    return 0
 
 
 def cmd_spectrum(args) -> int:
     get_context(args.n)  # refuses a modulus over the context cap before any table work
     table = torus_spectrum(args.n, args.d, args.budget)
-    payload = {
-        "schema": SCHEMA,
-        "command": "spectrum",
+    rows = [
+        (_decimal(value.real), list(key.coeffs), str(e.count), list(e.representative))
+        for value, key, e in table.sorted_entries(args.bits)
+    ]
+    fields = {
         "n": args.n,
         "d": args.d,
         "total": str(table.total),
-        "entries": _spectrum_rows(table, args.bits),
+        "entries": rows,
     }
-    _emit(payload, args.format)
-    return 0
+    return _emit(args, fields)
 
 
 def _parse_tuple(text: str) -> tuple[int, ...]:
@@ -137,9 +122,7 @@ def cmd_mult(args) -> int:
     mult = multiplicity_of_tuple(args.n, args.d, ks, args.budget)
     closed = d2_closed_form(args.n, *ks) if args.d == 2 else None
     key = key_of_tuple(args.n, ks)
-    payload = {
-        "schema": SCHEMA,
-        "command": "mult",
+    fields = {
         "n": args.n,
         "d": args.d,
         "tuple": list(ks),
@@ -147,7 +130,7 @@ def cmd_mult(args) -> int:
         "value_decimal": _decimal(approx_value(ctx, key, args.bits).real),
         "closed_form": None if closed is None else str(closed),
     }
-    _emit(payload, args.format)
+    _emit(args, fields)
     if closed is not None and closed != mult:
         print(
             f"closed form {closed} disagrees with enumeration {mult}",
@@ -171,9 +154,7 @@ def _witness_payload(w) -> dict | None:
 def cmd_growth(args) -> int:
     ks = _parse_tuple(args.tuple)
     g = eigenvalue_growth(args.n, args.d, ks, args.budget)
-    payload = {
-        "schema": SCHEMA,
-        "command": "growth",
+    fields = {
         "n": args.n,
         "d": args.d,
         "tuple": list(ks),
@@ -182,8 +163,7 @@ def cmd_growth(args) -> int:
         "residual_dim": g.residual_dim,
         "witness": _witness_payload(g.witness),
     }
-    _emit(payload, args.format)
-    return 0
+    return _emit(args, fields)
 
 
 def cmd_zero(args) -> int:
@@ -196,57 +176,41 @@ def cmd_zero(args) -> int:
             "r": g.r,
             "witness": _witness_payload(g.witness),
         }
-    payload = {
-        "schema": SCHEMA,
-        "command": "zero",
+    fields = {
         "n": args.n,
         "d": args.d,
         "is_eigenvalue": exists,
         "growth": growth,
     }
-    _emit(payload, args.format)
-    return 0
+    return _emit(args, fields)
 
 
 def cmd_cos4(args) -> int:
     c = classify_cos4(args.angles)
-    payload = {
-        "schema": SCHEMA,
-        "command": "cos4",
+    fields = {
         "angles": [str(a) for a in args.angles],
         "family": c.family,
         "parameters": [str(p) for p in c.parameters],
         "quadruple": None if c.quadruple is None else [str(a) for a in c.quadruple],
         "overlaps": list(c.overlaps),
     }
-    _emit(payload, args.format)
-    return 0
+    return _emit(args, fields)
 
 
 def cmd_vanishing(args) -> int:
-    sums = minimal_vanishing_sums(args.n, args.max_len, args.budget)
     rows = []
-    for s in sums:
+    for s in minimal_vanishing_sums(args.n, args.max_len, args.budget):
         try:
             sym = is_symmetric_rotation(s.multiset)
         except NotApplicable:
             sym = None
-        rows.append(
-            {
-                "exponents": list(s.multiset.exponents),
-                "minimal": s.minimal,
-                "symmetric": None if sym is None else list(sym),
-            }
-        )
-    payload = {
-        "schema": SCHEMA,
-        "command": "vanishing",
+        rows.append((list(s.multiset.exponents), s.minimal, None if sym is None else list(sym)))
+    fields = {
         "n": args.n,
         "max_len": args.max_len,
         "sums": rows,
     }
-    _emit(payload, args.format)
-    return 0
+    return _emit(args, fields)
 
 
 def cmd_zeta(args) -> int:
@@ -256,9 +220,7 @@ def cmd_zeta(args) -> int:
         check_cutoff(args.cutoff, args.budget)
     get_context(args.n)  # refuses a modulus over the context cap before any table work
     zv = zeta_discrete(args.n, args.d, args.s, args.bits, args.budget)
-    payload = {
-        "schema": SCHEMA,
-        "command": "zeta",
+    fields = {
         "n": args.n,
         "d": args.d,
         "s": args.s,
@@ -266,27 +228,41 @@ def cmd_zeta(args) -> int:
         "error_decimal": _decimal(zv.error, 5),
     }
     if args.cutoff is not None:
-        payload["continuum_decimal"] = _decimal(
+        fields["continuum_decimal"] = _decimal(
             zeta_continuum_partial(args.s, args.cutoff, args.budget)
         )
-    _emit(payload, args.format)
-    return 0
+    return _emit(args, fields)
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-def _verdict(failures: list[str], passed: int) -> int:
-    for line in failures:
-        print(f"FAIL {line}")
-    print(f"summary: {passed} checks passed, {len(failures)} failed")
-    return 1 if failures else 0
+def _checks(check):
+    """The verify command that runs ``check``, a generator of (ok, message) pairs.
+
+    After the check has run, it prints a FAIL line per failed pair and the
+    summary, and exits 1 if any pair failed.
+    """
+
+    def run(args) -> int:
+        failures = []
+        passed = 0
+        for ok, message in check(args):
+            if ok:
+                passed += 1
+            else:
+                failures.append(message)
+        for message in failures:
+            print(f"FAIL {message}")
+        print(f"summary: {passed} checks passed, {len(failures)} failed")
+        return 1 if failures else 0
+
+    return run
 
 
-def verify_bound24_cmd(args) -> int:
-    failures: list[str] = []
-    passed = 0
+@_checks
+def verify_bound24_cmd(args):
     best = (0, None)
     seen: Counter = Counter()
     rep60 = None
@@ -294,9 +270,9 @@ def verify_bound24_cmd(args) -> int:
         try:
             rep = verify_bound24(n, args.budget)
         except Bound24Violated as exc:
-            failures.append(f"n={n}: {exc}")
+            yield False, f"n={n}: {exc}"
             continue
-        passed += 1
+        yield True, ""
         seen[rep.max_multiplicity] += 1
         if n == 60:
             rep60 = rep
@@ -308,11 +284,8 @@ def verify_bound24_cmd(args) -> int:
         print(f"  {mult:>3}: {seen[mult]}")
     print(f"max nonzero multiplicity {best[0]} first attained at N={best[1]}")
     if rep60 is not None:
-        if rep60.max_multiplicity == 24 and len(rep60.attaining) == 4:
-            passed += 1
-        else:
-            failures.append(f"n=60: expected 24 at four keys, got {rep60.max_multiplicity}")
-    return _verdict(failures, passed)
+        ok = rep60.max_multiplicity == 24 and len(rep60.attaining) == 4
+        yield ok, f"n=60: expected 24 at four keys, got {rep60.max_multiplicity}"
 
 
 def verify_table60_cmd(args) -> int:
@@ -334,69 +307,45 @@ def verify_table60_cmd(args) -> int:
     return 0 if rep.ok else 1
 
 
-def verify_zero_cmd(args) -> int:
-    failures: list[str] = []
-    passed = 0
+@_checks
+def verify_zero_cmd(args):
     for n in range(3, args.nmax + 1):
         zero = get_context(n).zero
         for d in range(1, args.dmax + 1):
             formula = is_zero_eigenvalue(n, d)
             spectral = membership(n, d, zero, args.budget)
-            if formula == spectral:
-                passed += 1
-            else:
-                failures.append(f"n={n} d={d}: formula {formula}, spectrum {spectral}")
-    return _verdict(failures, passed)
+            yield formula == spectral, f"n={n} d={d}: formula {formula}, spectrum {spectral}"
 
 
-def verify_cjk_cmd(args) -> int:
+@_checks
+def verify_cjk_cmd(args):
     rows, ref = cjk_table(args.s, args.n_list, args.cutoff, args.bits, args.budget)
-    failures: list[str] = []
-    passed = 0
-    gaps = []
-    for row in rows:
-        gap = abs(row.value - ref)
-        gaps.append(gap)
+    gaps = [abs(row.value - ref) for row in rows]
+    for row, gap in zip(rows, gaps):
         print(f"N={row.n}: rescaled zeta {_decimal(row.value)} gap {_decimal(gap, 6)}")
     print(f"continuum reference (cutoff {args.cutoff}): {_decimal(ref)}")
     for i in range(len(gaps) - 1):
-        if gaps[i] > gaps[i + 1]:
-            passed += 1
-        else:
-            failures.append(f"gap did not shrink from N={rows[i].n} to N={rows[i+1].n}")
-    if gaps and gaps[-1] / ref < 0.02:
-        passed += 1
-    elif gaps:
-        failures.append(f"final relative gap {_decimal(gaps[-1] / ref, 6)} not below 2%")
-    return _verdict(failures, passed)
+        yield gaps[i] > gaps[i + 1], f"gap did not shrink from N={rows[i].n} to N={rows[i+1].n}"
+    if gaps:
+        yield gaps[-1] / ref < 0.02, f"final relative gap {_decimal(gaps[-1] / ref, 6)} not below 2%"
 
 
-def verify_semigroup_cmd(args) -> int:
-    failures: list[str] = []
-    passed = 0
+@_checks
+def verify_semigroup_cmd(args):
     for n in (5, 6, 10, 15, 21, 30):
         for length in range(1, args.lmax + 1):
             found = find_vanishing_multiset(n, length, args.budget)
             member = w_membership(n, length)[0]
-            if (found is not None) == member:
-                passed += 1
-            else:
-                failures.append(f"n={n} L={length}: search {found}, semigroup {member}")
+            yield (found is not None) == member, f"n={n} L={length}: search {found}, semigroup {member}"
     odd_primes = [3, 5, 7, 11, 13, 17, 19, 23]
     for i, p in enumerate(odd_primes):
         for q in odd_primes[i + 1 :]:
             floor = max((p - 1) * (q - 2), p + q + 1)
             for two_d in range(floor + floor % 2, floor + 41, 2):
-                k1, k2 = lowerbound_pq_witness(p, q, two_d // 2)
-                if k1 * p + k2 * q == two_d and max(k1, k2) >= 2:
-                    passed += 1
-                else:
-                    failures.append(f"p={p} q={q} 2d={two_d}: bad witness ({k1}, {k2})")
-            if pq_optimality_check(p, q):
-                passed += 1
-            else:
-                failures.append(f"p={p} q={q}: optimality check failed")
-    return _verdict(failures, passed)
+                # raises AssertionError (exit 3) on a bad witness
+                lowerbound_pq_witness(p, q, two_d // 2)
+                yield True, ""
+            yield pq_optimality_check(p, q), f"p={p} q={q}: optimality check failed"
 
 
 def _rational(text: str) -> Fraction:
@@ -459,79 +408,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    def command(subparsers, name, func, dims=(), **kwargs):
+        p = subparsers.add_parser(name, parents=[common], **kwargs)
+        for flag in dims:
+            p.add_argument(flag, type=int, required=True)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("spectrum", parents=[common], help="full spectrum table of T^d_N")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("mult", parents=[common], help="multiplicity of one index tuple")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    nd = ("--n", "--d")
+    command(sub, "spectrum", cmd_spectrum, nd, help="full spectrum table of T^d_N")
+    p = command(sub, "mult", cmd_mult, nd, help="multiplicity of one index tuple")
     p.add_argument("--tuple", required=True, help="comma-separated indices, e.g. 24,10")
-    add_format(p)
-    p.set_defaults(func=cmd_mult)
-
-    p = sub.add_parser("growth", parents=[common], help="bounded-vs-linear growth classification")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p = command(sub, "growth", cmd_growth, nd, help="bounded-vs-linear growth classification")
     p.add_argument("--tuple", required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_growth)
-
-    p = sub.add_parser("zero", parents=[common], help="zero-eigenvalue criterion and growth")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_zero)
-
-    p = sub.add_parser("cos4", parents=[common], help="classify a vanishing sum of four cosines")
+    command(sub, "zero", cmd_zero, nd, help="zero-eigenvalue criterion and growth")
+    p = command(sub, "cos4", cmd_cos4, help="classify a vanishing sum of four cosines")
     p.add_argument("angles", nargs=4, type=_rational, help="angles in units of pi, e.g. 2/5")
-    add_format(p)
-    p.set_defaults(func=cmd_cos4)
-
-    p = sub.add_parser("vanishing", parents=[common], help="enumerate vanishing root multisets")
-    p.add_argument("--n", type=int, required=True)
+    p = command(sub, "vanishing", cmd_vanishing, ("--n",), help="enumerate vanishing root multisets")
     p.add_argument("--max-len", type=_int_at_least(1), required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_vanishing)
-
-    p = sub.add_parser("zeta", parents=[common], help="discrete spectral zeta value")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p = command(sub, "zeta", cmd_zeta, nd, help="discrete spectral zeta value")
     p.add_argument("--s", type=_finite_float, required=True)
     p.add_argument("--cutoff", type=_int_at_least(0), help="also print the continuum partial sum")
-    add_format(p)
-    p.set_defaults(func=cmd_zeta)
+    for p in sub.choices.values():  # every command so far prints a payload; --format ends its help
+        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
     v = sub.add_parser("verify", help="reproduction checks")
     vsub = v.add_subparsers(dest="check", required=True)
-
     # an empty range would check nothing and still pass
-    p = vsub.add_parser("bound24", parents=[common])
+    p = command(vsub, "bound24", verify_bound24_cmd)
     p.add_argument("--nmax", type=_int_at_least(3), default=420)
-    p.set_defaults(func=verify_bound24_cmd)
-
-    p = vsub.add_parser("table60", parents=[common])
-    p.set_defaults(func=verify_table60_cmd)
-
-    p = vsub.add_parser("zero", parents=[common])
+    command(vsub, "table60", verify_table60_cmd)
+    p = command(vsub, "zero", verify_zero_cmd)
     p.add_argument("--nmax", type=_int_at_least(3), default=60)
     p.add_argument("--dmax", type=_int_at_least(1), default=6)
-    p.set_defaults(func=verify_zero_cmd)
-
-    p = vsub.add_parser("cjk", parents=[common])
+    p = command(vsub, "cjk", verify_cjk_cmd)
     p.add_argument("--s", type=_finite_float, default=2.0)
     p.add_argument("--cutoff", type=_int_at_least(1), default=10**6)
     p.add_argument("--n-list", type=_int_at_least(3), nargs="+", default=[16, 32, 64, 128])
-    p.set_defaults(func=verify_cjk_cmd)
-
-    p = vsub.add_parser("semigroup", parents=[common])
+    p = command(vsub, "semigroup", verify_semigroup_cmd)
     p.add_argument("--lmax", type=_int_at_least(1), default=8)
-    p.set_defaults(func=verify_semigroup_cmd)
 
     return parser
 

@@ -10,6 +10,7 @@ import pytest
 import dtorus
 from dtorus import cli, cyclotomic, spectrum, zeta
 from dtorus.cli import main
+from dtorus.errors import Bound24Violated
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -31,6 +32,20 @@ GOLDEN = {
     "verify_cjk": ["verify", "cjk", "--cutoff", "10000", "--n-list", "8", "16", "32"],
     "verify_table60": ["verify", "table60"],
     "verify_bound24": ["verify", "bound24", "--nmax", "70"],
+    "mult_60x2_csv": ["mult", "--n", "60", "--d", "2", "--tuple", "24,10", "--format", "csv"],
+    "mult_60x2_text": ["mult", "--n", "60", "--d", "2", "--tuple", "24,10", "--format", "text"],
+    "growth_15x4_csv": ["growth", "--n", "15", "--d", "4", "--tuple", "1,0,5,10", "--format", "csv"],
+    "growth_15x4_text": ["growth", "--n", "15", "--d", "4", "--tuple", "1,0,5,10", "--format", "text"],
+    "zero_12x2_csv": ["zero", "--n", "12", "--d", "2", "--format", "csv"],
+    "zero_12x2_text": ["zero", "--n", "12", "--d", "2", "--format", "text"],
+    "zero_10x3_csv": ["zero", "--n", "10", "--d", "3", "--format", "csv"],
+    "zero_10x3_text": ["zero", "--n", "10", "--d", "3", "--format", "text"],
+    "cos4_csv": ["cos4", "2/5", "4/5", "1/2", "1/3", "--format", "csv"],
+    "cos4_text": ["cos4", "2/5", "4/5", "1/2", "1/3", "--format", "text"],
+    "vanishing_6_csv": ["vanishing", "--n", "6", "--max-len", "3", "--format", "csv"],
+    "vanishing_6_text": ["vanishing", "--n", "6", "--max-len", "3", "--format", "text"],
+    "zeta_16x2_c1000_csv": ["zeta", "--n", "16", "--d", "2", "--s", "2", "--cutoff", "1000", "--format", "csv"],
+    "zeta_16x2_c1000_text": ["zeta", "--n", "16", "--d", "2", "--s", "2", "--cutoff", "1000", "--format", "text"],
 }
 
 
@@ -271,6 +286,60 @@ def test_golden_output(capsys, name):
     code, out, _ = run_cli(capsys, *GOLDEN[name])
     assert code == 0
     assert out.encode() == (GOLDEN_DIR / f"{name}.out").read_bytes()
+
+
+def test_empty_table_csv_keeps_its_columns(capsys):
+    # no vanishing sum of length <= 3 for N = 7: the header of the rows, no rows
+    code, out, _ = run_cli(capsys, "vanishing", "--n", "7", "--max-len", "3", "--format", "csv")
+    assert code == 0 and out == "exponents,minimal,symmetric\n"
+    code, out, _ = run_cli(capsys, "vanishing", "--n", "7", "--max-len", "3", "--format", "text")
+    assert code == 0 and out == "schema: 1\ncommand: vanishing\nn: 7\nmax_len: 3\n"
+
+
+def test_mult_closed_form_disagreement_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "d2_closed_form", lambda n, k1, k2: 25)  # the enumeration gives 24
+    code, out, err = run_cli(capsys, "mult", "--n", "60", "--d", "2", "--tuple", "24,10")
+    assert code == 3
+    golden = (GOLDEN_DIR / "mult_60x2.out").read_text()
+    assert out == golden.replace('"closed_form": null', '"closed_form": "25"') != golden
+    assert err == "closed form 25 disagrees with enumeration 24\n"
+
+
+def test_verify_zero_failure(capsys, monkeypatch):
+    formula = cli.is_zero_eigenvalue
+
+    def flipped(n, d):
+        return formula(n, d) != ((n, d) == (6, 1))
+
+    monkeypatch.setattr(cli, "is_zero_eigenvalue", flipped)
+    code, out, _ = run_cli(capsys, "verify", "zero", "--nmax", "8", "--dmax", "2")
+    assert code == 1
+    assert out == "FAIL n=6 d=1: formula True, spectrum False\nsummary: 11 checks passed, 1 failed\n"
+
+
+def test_verify_bound24_failure(capsys, monkeypatch):
+    check = cli.verify_bound24
+
+    def violated_at_7(n, budget):
+        if n == 7:
+            raise Bound24Violated("multiplicity 26 exceeds 24 at n=7")
+        return check(n, budget)
+
+    monkeypatch.setattr(cli, "verify_bound24", violated_at_7)
+    code, out, _ = run_cli(capsys, "verify", "bound24", "--nmax", "62")
+    assert code == 1
+    # the failure is reported after the distribution, which leaves n = 7 out
+    assert out.endswith(
+        "max multiplicity -> number of N attaining it:\n"
+        "    4: 3\n"
+        "    8: 49\n"
+        "   12: 1\n"
+        "   16: 5\n"
+        "   24: 1\n"
+        "max nonzero multiplicity 24 first attained at N=60\n"
+        "FAIL n=7: multiplicity 26 exceeds 24 at n=7\n"
+        "summary: 60 checks passed, 1 failed\n"
+    )
 
 
 def test_deterministic_output(capsys):

@@ -62,3 +62,12 @@ def test_phi_once():
     assert found == [("cyclotomic.py", "CycContext", "__init__")]
     assert LEN_OF_PHI.search("phi = len(cyclotomic_poly(n)) - 1")
     assert callers("def f(n):\n    return m.cyclotomic_poly(n)", "cyclotomic_poly") == [("f",)]
+
+
+def test_cli_serializes_in_one_place():
+    # every payload passes through cli._emit, which adds schema and command
+    source = (Path(dtorus.__file__).parent / "cli.py").read_text()
+    assert callers(source, "dumps") == [("_emit",)]
+    for name in ("DictWriter", "writer"):
+        assert set(callers(source, name)) <= {("_emit",)}
+    assert source.count('"schema"') == 1
