@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -254,36 +255,71 @@ def _vanishing_tuples(n: int, max_len: int, budget: int, first: int | None = Non
     """Every vanishing nondecreasing exponent tuple of length <= max_len.
 
     Yields in depth-first, hence lexicographic, order; ``first`` pins the
-    smallest exponent.  Vanishing is decided exactly on packed powers; the
-    float cos/sin only prune a partial sum too far from zero for the roots
-    still to come to cancel.  The budget counts visited partial-sum states,
-    and memory stays O(max_len).
+    smallest exponent.  The budget counts visited partial-sum states, one
+    per exponent tried.  Beyond the context, memory is O(n * phi(n)) for the
+    root tables and O(max_len * phi(n)) for the stack.
+
+    Vanishing is decided exactly on packed powers, which are canonical ints.
+    The stack holds minus each prefix's sum: a prefix vanishes when that is
+    0, and a prefix with one root to go is closed by one lookup of it in
+    {powers[e]: e}.  The powers are distinct, so at most one exponent
+    closes it, and that exponent counts no state.
+
+    Floats only prune.  A partial sum S of `depth` roots that `left` more
+    roots bring to zero has |sigma_a(S)| <= left for every unit a mod n,
+    since sigma_a: zeta -> zeta^a permutes the roots.  A child is tested at
+    a = 1 first; if it passes, and only where depth > left (elsewhere
+    |sigma_a(S)| <= depth passes anyway), at the units 2 <= a <= n/2 too,
+    as sigma_-a(S) is the complex conjugate of sigma_a(S).  Each level keeps
+    its conjugate sums, so a child costs O(phi(n)) at any depth.
+
+    Rounding, with u = 2^-53: 2*pi*k/n carries a relative error below 3u,
+    so each part of a float root errs by less than 22u (libm's cos and sin
+    round within 1 ulp).  The k - 1 additions of a k-term partial sum add
+    at most k^2 u per part, so |S| and each |sigma_a(S)| err by less than
+    sqrt(2) (22k + k^2) u < k^2 2^-47, for every k <= max_len.  The slack
+    max_len^2 2^-46 is twice that bound and also covers the rounding of abs
+    and of left + slack, so no prefix of a vanishing tuple is ever pruned.
     """
     powers = get_context(n).powers
-    cos_f = [math.cos(2 * math.pi * k / n) for k in range(n)]
-    sin_f = [math.sin(2 * math.pi * k / n) for k in range(n)]
+    closer = dict(zip(powers, range(n)))
+    root = [complex(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)) for k in range(n)]
+    # a conjugate is tested only where depth > left >= 2, so from max_len 5 on
+    units = [a for a in range(2, n // 2 + 1) if math.gcd(a, n) == 1] if max_len >= 5 else []
+    conjugates = [[root[a * e % n] for a in units] for e in range(n)]
+    slack = max_len * max_len * 2.0**-46
     path: list[int] = []
-    # partial sums (packed residue, re, im) of each prefix of path
-    sums = [(0, 0.0, 0.0)]
+    # minus the packed sum, the float sum and the conjugate sums of each prefix
+    sums = [(0, 0j, [0j] * len(units))]
     levels = [iter(range(n) if first is None else (first,))]
     visited = 0
     while levels:
-        acc, re, im = sums[-1]
-        remaining = max_len - len(path) - 1
+        neg, z, conj = sums[-1]
+        depth = len(path) + 1
+        left = max_len - depth
+        lim = left + slack
+        shallow = depth <= left or not units
         for e in levels[-1]:
             visited += 1
             if visited > budget:
                 raise BudgetExceeded(f"more than {budget} partial-sum states")
-            acc2, re2, im2 = acc + powers[e], re + cos_f[e], im + sin_f[e]
-            path.append(e)
-            if not acc2:
-                yield tuple(path)
-            # a sum of `remaining` unit vectors moves the value by at most that much
-            if remaining > 0 and re2 * re2 + im2 * im2 <= (remaining + 1e-9) ** 2:
-                sums.append((acc2, re2, im2))
-                levels.append(iter(range(e, n)))
-                break
-            path.pop()
+            neg2 = neg - powers[e]
+            if not neg2:
+                yield (*path, e)
+            if left == 1:
+                last = closer.get(neg2)
+                if last is not None and last >= e:
+                    yield (*path, e, last)
+            elif left > 1:
+                z2 = z + root[e]
+                if abs(z2) > lim:
+                    continue
+                conj2 = list(map(operator.add, conj, conjugates[e]))
+                if shallow or max(map(abs, conj2)) <= lim:
+                    path.append(e)
+                    sums.append((neg2, z2, conj2))
+                    levels.append(iter(range(e, n)))
+                    break
         else:
             levels.pop()
             sums.pop()

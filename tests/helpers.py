@@ -4,6 +4,7 @@ Everything here enumerates index tuples or lattice points directly and
 never calls the convolution machinery it is checking.
 """
 
+import math
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd, isqrt
 
@@ -11,7 +12,8 @@ import mpmath
 from mpmath.libmp import fzero, mpf_add, mpf_mul_int, mpf_pow, mpf_pow_int, mpf_rdiv_int
 from mpmath.libmp import round_nearest as rnd
 
-from dtorus.cyclotomic import cyclotomic_poly
+from dtorus.cyclotomic import cyclotomic_poly, get_context
+from dtorus.errors import BudgetExceeded
 
 
 def reduce_mod_phi(poly, n):
@@ -121,6 +123,51 @@ def brute_vanishing_sums(n, max_len):
                 subs = (sub for k in range(1, length) for sub in combinations(exps, k))
                 out.append((exps, not any(vanishes(sub) for sub in subs)))
     return sorted(out)
+
+
+def scan_vanishing_tuples(n: int, max_len: int, budget: int, first: int | None = None):
+    """Every vanishing nondecreasing exponent tuple of length <= max_len.
+
+    The search dtorus.vanishing used before its last-root lookup and
+    conjugate pruning: it scans every exponent at every depth and prunes
+    with the identity embedding alone.
+
+    Yields in depth-first, hence lexicographic, order; ``first`` pins the
+    smallest exponent.  Vanishing is decided exactly on packed powers; the
+    float cos/sin only prune a partial sum too far from zero for the roots
+    still to come to cancel.  The budget counts visited partial-sum states,
+    and memory stays O(max_len).
+    """
+    powers = get_context(n).powers
+    cos_f = [math.cos(2 * math.pi * k / n) for k in range(n)]
+    sin_f = [math.sin(2 * math.pi * k / n) for k in range(n)]
+    path: list[int] = []
+    # partial sums (packed residue, re, im) of each prefix of path
+    sums = [(0, 0.0, 0.0)]
+    levels = [iter(range(n) if first is None else (first,))]
+    visited = 0
+    while levels:
+        acc, re, im = sums[-1]
+        remaining = max_len - len(path) - 1
+        for e in levels[-1]:
+            visited += 1
+            if visited > budget:
+                raise BudgetExceeded(f"more than {budget} partial-sum states")
+            acc2, re2, im2 = acc + powers[e], re + cos_f[e], im + sin_f[e]
+            path.append(e)
+            if not acc2:
+                yield tuple(path)
+            # a sum of `remaining` unit vectors moves the value by at most that much
+            if remaining > 0 and re2 * re2 + im2 * im2 <= (remaining + 1e-9) ** 2:
+                sums.append((acc2, re2, im2))
+                levels.append(iter(range(e, n)))
+                break
+            path.pop()
+        else:
+            levels.pop()
+            sums.pop()
+            if path:
+                path.pop()
 
 
 def libmp_shell_terms(s, shells, bits=96):

@@ -64,13 +64,13 @@ def test_criterion_02_closed_forms():
             for b in range(a, half + 1):
                 # closed form and table are both invariant under the
                 # canonical symmetries, checked separately in unit tests
-                if d2_closed_form(n, a, b) != table.entries[key_of_tuple(n, (a, b))].count:
+                if d2_closed_form(n, a, b) != table.counts[table.embedding.cos_image((a, b))]:
                     bad.append((n, a, b))
     for n in (15, 16, 20, 21):  # literal full index sweep on a sample
         table = torus_spectrum(n, 2)
         for a in range(n):
             for b in range(n):
-                if d2_closed_form(n, a, b) != table.entries[key_of_tuple(n, (a, b))].count:
+                if d2_closed_form(n, a, b) != table.counts[table.embedding.cos_image((a, b))]:
                     bad.append((n, a, b))
     report(2, "closed forms equal enumeration (N <= 200)", not bad)
 

@@ -71,3 +71,26 @@ def test_cli_serializes_in_one_place():
     for name in ("DictWriter", "writer"):
         assert set(callers(source, name)) <= {("_emit",)}
     assert source.count('"schema"') == 1
+
+
+def reaches(source: str, names: set[str]) -> set[str]:
+    """Every function of ``source`` that calls one of ``names``, directly or
+    through other functions of the same source."""
+    found = set(names)
+    while True:
+        more = {scope[-1] for name in found for scope in callers(source, name) if scope} - found
+        if not more:
+            return found - names
+        found |= more
+
+
+def test_vanishing_searches_never_consult_the_semigroup():
+    # verify semigroup compares the searches with semigroup membership, so a
+    # search answering from the semigroup would make that check a tautology
+    source = (Path(dtorus.__file__).parent / "vanishing.py").read_text()
+    semigroup = {"semigroup_member", "w_membership"}
+    searches = {"_vanishing_tuples", "find_vanishing_multiset", "minimal_vanishing_sums"}
+    assert searches <= {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
+    assert not searches & reaches(source, semigroup)
+    planted = "def find_vanishing_multiset(n, length):\n    return _known(n, length)\n\n\ndef _known(n, length):\n    return w_membership(n, length)[0]\n"
+    assert reaches(planted, semigroup) == {"find_vanishing_multiset", "_known"}

@@ -19,9 +19,11 @@ from dtorus.vanishing import (
     minimal_vanishing_sums,
     w_membership,
     _cos_sum_is_zero,
+    _vanishing_tuples,
 )
+from dtorus.spectrum import DEFAULT_BUDGET
 
-from helpers import brute_vanishing_sums
+from helpers import brute_vanishing_sums, scan_vanishing_tuples
 
 moduli = st.integers(min_value=2, max_value=40)
 exponent_lists = st.lists(st.integers(min_value=0, max_value=200), min_size=1, max_size=8)
@@ -254,6 +256,36 @@ def test_searches_match_brute_force(n):
         least = next((exps for exps, _ in oracle if len(exps) == max_len and exps[0] == 0), None)
         got = find_vanishing_multiset(n, max_len)
         assert (None if got is None else got.exponents) == least
+
+
+def test_enumeration_matches_scan_oracle():
+    # same tuples in the same order as the full scan, at every length
+    for n in range(1, 49):
+        max_len = 6 if n <= 30 else 5
+        want = list(scan_vanishing_tuples(n, max_len, DEFAULT_BUDGET))
+        assert list(_vanishing_tuples(n, max_len, DEFAULT_BUDGET)) == want, n
+
+
+# dtorus verify semigroup searches these up to --lmax (8 by default); the
+# perfbench query workload searches the others up to length 7
+SEMIGROUP_MODULI = (5, 6, 10, 15, 21, 30)
+QUERY_MODULI = (7, 8, 9, 12, 14, 16, 18, 20, 22, 24, 27, 28, 36, 42)
+
+
+def test_pinned_searches_match_scan_oracle():
+    for n in SEMIGROUP_MODULI + QUERY_MODULI:
+        top = 8 if n in SEMIGROUP_MODULI else 7
+        want = list(scan_vanishing_tuples(n, top, DEFAULT_BUDGET, first=0))
+        for length in range(1, top + 1):
+            got = list(_vanishing_tuples(n, length, DEFAULT_BUDGET, first=0))
+            assert got == [t for t in want if len(t) <= length], (n, length)
+
+
+def test_search_reach():
+    # the full scan visits 217,081 states on (27, 7) and more than the
+    # default budget on (35, 9); neither length lies in the semigroup
+    assert find_vanishing_multiset(27, 7, budget=50_000) is None
+    assert find_vanishing_multiset(35, 9) is None
 
 
 def test_search_has_no_recursion_limit():
