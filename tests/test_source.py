@@ -92,5 +92,8 @@ def test_vanishing_searches_never_consult_the_semigroup():
     searches = {"_vanishing_tuples", "find_vanishing_multiset", "minimal_vanishing_sums"}
     assert searches <= {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
     assert not searches & reaches(source, semigroup)
-    planted = "def find_vanishing_multiset(n, length):\n    return _known(n, length)\n\n\ndef _known(n, length):\n    return w_membership(n, length)[0]\n"
+    planted = (
+        "def find_vanishing_multiset(n, length):\n    return _known(n, length)\n\n\n"
+        "def _known(n, length):\n    return w_membership(n, length)[0]\n"
+    )
     assert reaches(planted, semigroup) == {"find_vanishing_multiset", "_known"}
