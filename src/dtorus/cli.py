@@ -29,7 +29,7 @@ from .criteria import (
     verify_table60,
     zero_growth,
 )
-from .cyclotomic import approx_value, get_context, key_of_tuple
+from .cyclotomic import approx_value, get_context, key_embedding
 from .errors import BudgetExceeded, Bound24Violated, DtorusError, NotApplicable
 from .spectrum import (
     DEFAULT_BUDGET,
@@ -118,16 +118,17 @@ def _parse_tuple(text: str) -> tuple[int, ...]:
 
 def cmd_mult(args) -> int:
     ks = _parse_tuple(args.tuple)
-    ctx = get_context(args.n)  # refuses a modulus over the context cap before any table work
+    get_context(args.n)  # refuses a modulus over the context cap before any table work
     mult = multiplicity_of_tuple(args.n, args.d, ks, args.budget)
     closed = d2_closed_form(args.n, *ks) if args.d == 2 else None
-    key = key_of_tuple(args.n, ks)
+    # F is injective on the keys of T^d_n and zero, so F = 0 is exactly the empty sum
+    exps = [e for k in ks for e in (k, -k)] if key_embedding(args.n, 2 * args.d).cos_image(ks) else ()
     fields = {
         "n": args.n,
         "d": args.d,
         "tuple": list(ks),
         "multiplicity": str(mult),
-        "value_decimal": _decimal(approx_value(ctx, key, args.bits).real),
+        "value_decimal": _decimal(approx_value(args.n, exps, args.bits).real),
         "closed_form": None if closed is None else str(closed),
     }
     _emit(args, fields)

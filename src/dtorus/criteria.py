@@ -193,9 +193,7 @@ class Bound24Report:
 
     @functools.cached_property
     def attained(self) -> tuple[CycElt, ...]:
-        key_of = self.table.key_of
-        rows = by_value(self.n, ((key_of(e.representative), e) for e in self.attaining))
-        return tuple(key for _, key, _ in rows)
+        return tuple(key for _, key, _ in by_value(self.table, self.images))
 
 
 def verify_bound24(n: int, budget: int = DEFAULT_BUDGET) -> Bound24Report:
@@ -259,10 +257,9 @@ def verify_table60(budget: int = DEFAULT_BUDGET, bits: int = 128) -> Table60Repo
         118: frozenset({ctx.zero}),
     }
     t = torus_spectrum(60, 2, budget)
-    above8 = (t.entry(f) for f, c in t.counts.items() if c > 8)
-    rows = ((key_of_tuple(60, e.representative), e) for e in above8)
+    above8 = [f for f, c in t.counts.items() if c > 8]
     # sorted is stable: by_value's order holds within each multiplicity
-    high = sorted(by_value(60, rows, bits), key=lambda row: row[2].count)
+    high = sorted(by_value(t, above8, bits), key=lambda row: row[2].count)
     computed = {c: frozenset(k for _, k, _ in g) for c, g in groupby(high, lambda row: row[2].count)}
     ok = set(computed) == set(printed)
     if ok:

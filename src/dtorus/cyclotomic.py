@@ -207,11 +207,11 @@ def sum_reduce(ctx: CycContext, exponents: Iterable[int]) -> CycElt:
 
 @dataclass(frozen=True)
 class ApproxReal:
-    """Certified enclosure of the real part of the complex embedding of a residue.
+    """Certified enclosure of a real root-of-unity sum (approx_value).
 
     ``real`` is a fixed-point midpoint and ``radius`` a rigorous bound on its
-    error: the sum of the coefficients' absolute values, in units of the
-    last fixed-point bit.
+    error: one unit of the last fixed-point bit per root, 2d for a key of
+    T^d_n; the zero row of a table is exactly 0, radius 0.
     """
 
     real: mpmath.mpf
@@ -249,31 +249,26 @@ def _fixed_tables(n: int, prec: int) -> tuple[int, ...]:
         return tuple(map(nearest, cosines))
 
 
-def approx_value(ctx: CycContext, e: CycElt, bits: int = 128) -> ApproxReal:
-    """Certify the real part of the residue at e^{2 pi i / n}, with a rigorous radius.
+def approx_value(n: int, exponents: Iterable[int], bits: int = 128) -> ApproxReal:
+    """Certify Re sum zeta_n^e over the exponent multiset, with a rigorous radius.
 
-    Only the real part is certified: every key evaluated is real.  Fixed
-    point at prec = bits + 64 bits: with integers C_j within 1 of
-    2^prec cos(2 pi j / n) (``_fixed_tables``) and w = sum |a_j|, the real
-    part is sum a_j C_j / 2^prec with radius w / 2^prec.  prec doubles while
-    w > 2^(prec - bits), so the radius is at most 2^-bits.
+    Fixed point at prec = bits + 64 bits: with the integers C_e within 1 of
+    2^prec cos(2 pi e / n) (``_fixed_tables``), the value is sum C_e / 2^prec
+    with radius (number of roots) / 2^prec, at most 2^-bits below 2^64 roots.
     """
     if bits < 64:
         raise ValueError("need at least 64 bits")
-    if e.n != ctx.n:
-        raise ValueError("element does not belong to this context")
-    coeffs = e.coeffs
-    w = sum(map(abs, coeffs))
+    if n < 1:
+        raise ValueError("need n >= 1")
     prec = bits + 64
-    while w > 1 << (prec - bits):
-        prec *= 2
-    re = sum(map(operator.mul, coeffs, _fixed_tables(ctx.n, prec)))
+    table = _fixed_tables(n, prec)
+    exponents = list(exponents)
 
     def fixed(m: int) -> mpmath.mpf:
         # exact: mpf((m, -prec)) would round m to the ambient 53 bits
         return mpmath.mp.make_mpf(libmp.from_man_exp(m, -prec))
 
-    return ApproxReal(real=fixed(re), radius=fixed(w))
+    return ApproxReal(real=fixed(sum(table[e % n] for e in exponents)), radius=fixed(len(exponents)))
 
 
 @dataclass(frozen=True)

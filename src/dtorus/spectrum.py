@@ -14,13 +14,15 @@ row is two ints: its count in ``counts`` and its representative, packed
 base n, in ``reps``, so a table build allocates no object per key.  Keys
 then add as ints mod M, lookups probe the rows at F(key) and confirm the
 hit exactly, and the CycElt keys are rebuilt from the representatives only
-when ``entries`` is first read.
+when ``entries`` is first read.  Values are certified from them too: a
+torus row sums 2d fixed-point cosines whatever phi(n) (SpectrumTable.value).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -63,9 +65,9 @@ class SpectrumTable:
     lexicographic order of the tuples.  ``generators`` is None for a torus
     table, whose representatives are index tuples, and the normalized
     generator multiset of a Cayley table, whose representatives are
-    characters.  ``entry(f)`` is the Entry view of one row; ``entries``
-    maps the CycElt keys, rebuilt from the representatives (key_of), to
-    those views on first access.
+    characters.  ``entry(f)`` is the Entry view of one row and ``value(f)``
+    its certified value; ``entries`` maps the CycElt keys, rebuilt from the
+    representatives (key_of), to those views on first access.
     """
 
     n: int
@@ -84,33 +86,60 @@ class SpectrumTable:
         """The row at image f, unpacked; KeyError if f is no image of a key."""
         return Entry(self.counts[f], _unpack(self.reps[f], self.n, self.d))
 
+    def exponents(self, rep: tuple[int, ...]) -> list[int]:
+        """The exponents e whose roots zeta_n^e sum to the key of ``rep``."""
+        if self.generators is None:
+            return [e for k in rep for e in (k, -k)]
+        return [sum(map(operator.mul, rep, g)) for g in self.generators]
+
     def key_of(self, rep: tuple[int, ...]) -> CycElt:
         """The key a representative stands for under this table's kind."""
         if self.generators is None:
             return key_of_tuple(self.n, rep)
-        exps = (sum(ti * gi for ti, gi in zip(rep, g)) for g in self.generators)
-        return sum_reduce(get_context(self.n), exps)
+        return sum_reduce(get_context(self.n), self.exponents(rep))
+
+    def value(self, f: int, bits: int = 128) -> ApproxReal:
+        """Certified value of the row at image f, from its representative;
+        F is injective on the keys and zero, so f = 0 is exactly 0."""
+        exps = self.exponents(_unpack(self.reps[f], self.n, self.d)) if f else ()
+        return approx_value(self.n, exps, bits)
 
     def count_of(self, key: CycElt) -> int:
         # a key of another modulus is no key of this table
         return _exact_count(self, key) if key.n == self.n else 0
 
     def sorted_entries(self, bits: int = 128) -> list[tuple[ApproxReal, CycElt, Entry]]:
-        """(value, key, entry) for every entry, by value descending (by_value)."""
-        return by_value(self.n, self.entries.items(), bits)
+        """(value, key, entry) for every row, by value descending (by_value)."""
+        return by_value(self, self.counts, bits)
 
 
-def by_value(n: int, items, bits: int = 128) -> list[tuple[ApproxReal, CycElt, Entry]]:
-    """(value, key, entry) for the (key, entry) pairs ``items``, value descending.
+def by_value(table: SpectrumTable, images, bits: int = 128) -> list[tuple[ApproxReal, CycElt, Entry]]:
+    """(value, key, entry) for the rows of ``table`` at the F images ``images``,
+    value descending.
 
-    Each key is evaluated once by approx_value; rows sort on the float of its
-    certified midpoint, and distinct values whose floats coincide stay
-    distinct rows, ordered by their exact coefficients.
+    Each row is evaluated once (SpectrumTable.value) and sorts on the float
+    of its certified midpoint; distinct values whose floats coincide stay
+    distinct rows (in_float_order).
     """
-    ctx = get_context(n)
-    rows = [(approx_value(ctx, key, bits), key, e) for key, e in items]
-    rows.sort(key=lambda row: (-float(row[0]), row[1]))
-    return rows
+    values = {f: table.value(f, bits) for f in images}
+    out = []
+    for _, f in in_float_order(table, [(-float(v), f) for f, v in values.items()]):
+        e = table.entry(f)
+        out.append((values[f], table.key_of(e.representative), e))
+    return out
+
+
+def in_float_order(table: SpectrumTable, rows: list[tuple]) -> list[tuple]:
+    """``rows`` (x, f, ...) of ``table`` sorted on the float x, ascending; rows
+    whose x coincide in the coefficient order of their keys, built for them alone."""
+    first = operator.itemgetter(0)
+    out = []
+    for _, run in itertools.groupby(sorted(rows, key=first), first):
+        run = list(run)
+        if run[1:]:
+            run.sort(key=lambda row: table.key_of(table.entry(row[1]).representative))
+        out += run
+    return out
 
 
 def cn_spectrum(

@@ -8,7 +8,6 @@ cosine sums.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from collections import Counter
@@ -241,14 +240,26 @@ class FoundSum:
 
 
 def _is_minimal(n: int, exponents: tuple[int, ...]) -> bool:
-    """No proper nonempty sub-multiset vanishes."""
-    powers = get_context(n).powers
-    counts = sorted(Counter(exponents).items())
-    for picks in itertools.product(*(range(c + 1) for _, c in counts)):
-        sub = sum(k * powers[e] for (e, _), k in zip(counts, picks))
-        if not sub and 0 < sum(picks) < len(exponents):
-            return False
-    return True
+    """No proper nonempty sub-multiset of the vanishing ``exponents`` vanishes.
+
+    A vanishing part has a vanishing complement, so only parts of at most
+    half the roots are summed, one power added per pick.
+    """
+    powers, half = get_context(n).powers, len(exponents) // 2
+    counts = list(Counter(exponents).items())
+
+    def vanishing_part(i: int, size: int, acc: int) -> bool:
+        # acc sums the size roots picked from counts[:i]; pick on from counts[i:]
+        if i == len(counts):
+            return size > 0 and not acc
+        e, c = counts[i]
+        for size in range(size, min(size + c, half) + 1):
+            if vanishing_part(i + 1, size, acc):
+                return True
+            acc += powers[e]
+        return False
+
+    return not vanishing_part(0, 0, 0)
 
 
 def _vanishing_tuples(n: int, max_len: int, budget: int, first: int | None = None):

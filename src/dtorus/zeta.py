@@ -17,7 +17,7 @@ from mpmath.libmp import fzero, mpf_pow, mpf_pow_int
 from mpmath.libmp import round_nearest as rnd
 
 from .errors import BudgetExceeded
-from .spectrum import DEFAULT_BUDGET, by_value, torus_spectrum
+from .spectrum import DEFAULT_BUDGET, in_float_order, torus_spectrum
 
 # working precision of the continuum partial sum, in bits
 PREC = 96
@@ -85,28 +85,31 @@ def zeta_discrete(
 ) -> ZetaValue:
     """Sum of lambda^-s over the nonzero Laplacian eigenvalues of T^d_n.
 
-    Eigenvalues are the exact keys 2d - mu of the adjacency keys mu,
-    evaluated at ``bits`` precision; the error bound tracks the evaluation
-    radii to first order plus summation rounding.  Terms are added in
-    ascending eigenvalue order (by_value, reversed), so output is
-    deterministic.
+    lambda = 2d - mu is taken exactly from mu's fixed-point value
+    (SpectrumTable.value), radius 2d / 2^(bits + 64); the error bound tracks
+    the radii to first order plus summation rounding.  Terms are added in
+    ascending eigenvalue order (in_float_order), so output is deterministic.
     """
     if not (s > 0 and mpmath.isfinite(s)):
         raise ValueError("need finite s > 0")
     t = torus_spectrum(n, d, budget)
-    lams = ((2 * d - mu, e) for mu, e in t.entries.items())
-    rows = by_value(n, ((lam, e) for lam, e in lams if not lam.is_zero()), bits)
+    rows = []
+    for f, count in t.counts.items():
+        if not t.reps[f]:
+            continue  # packed 0 is the tuple (0, ..., 0): mu = 2d, lambda = 0
+        mu = t.value(f, bits)
+        lam = mpmath.fsub(2 * d, mu.real, exact=True)
+        rows.append((float(lam), f, lam, mu.radius, count))
     with mpmath.workprec(bits + 32):
         s_mp = mpmath.mpf(s)
         total = mpmath.mpf(0)
         err = mpmath.mpf(0)
-        for av, _, e in reversed(rows):
-            lam, cnt = av.real, e.count
-            if not lam > av.radius:
+        for _, _, lam, radius, cnt in in_float_order(t, rows):
+            if not lam > radius:
                 raise AssertionError("nonzero Laplacian eigenvalue not separated from 0")
             term = lam ** (-s_mp)
             total += cnt * term
-            err += cnt * s_mp * lam ** (-s_mp - 1) * av.radius
+            err += cnt * s_mp * lam ** (-s_mp - 1) * radius
         # summation/powering rounding, a few ulps per term
         err += (3 * len(rows) + 4) * total * mpmath.mpf(2) ** (-(bits + 28))
         return ZetaValue(+total, +err)

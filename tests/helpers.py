@@ -5,14 +5,15 @@ never calls the convolution machinery it is checking.
 """
 
 import math
+import operator
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd, isqrt
 
 import mpmath
-from mpmath.libmp import fzero, mpf_add, mpf_mul_int, mpf_pow, mpf_pow_int, mpf_rdiv_int
+from mpmath.libmp import from_man_exp, fzero, mpf_add, mpf_mul_int, mpf_pow, mpf_pow_int, mpf_rdiv_int
 from mpmath.libmp import round_nearest as rnd
 
-from dtorus.cyclotomic import cyclotomic_poly, get_context
+from dtorus.cyclotomic import ApproxReal, _fixed_tables, cyclotomic_poly, get_context
 from dtorus.errors import BudgetExceeded
 
 
@@ -204,3 +205,21 @@ def libmp_continuum_partial(s, cutoff, bits=96):
     for term in libmp_shell_terms(s, enumerate(counts[1:], 1), bits):
         total = mpf_add(total, term, bits, rnd)
     return total
+
+
+def residue_approx(e, bits=128):
+    """Certified real part of the residue e at zeta_n, from its phi(n) coefficients.
+
+    The evaluation dtorus.cyclotomic.approx_value used before it summed
+    exponent multisets: fixed point at prec = bits + 64 bits, with the
+    integers C_j of _fixed_tables and w = sum |a_j|, the real part is
+    sum a_j C_j / 2^prec with radius w / 2^prec; prec doubles while
+    w > 2^(prec - bits), so the radius is at most 2^-bits.
+    """
+    coeffs = e.coeffs
+    w = sum(map(abs, coeffs))
+    prec = bits + 64
+    while w > 1 << (prec - bits):
+        prec *= 2
+    re = sum(map(operator.mul, coeffs, _fixed_tables(e.n, prec)))
+    return ApproxReal(*(mpmath.mp.make_mpf(from_man_exp(m, -prec)) for m in (re, w)))

@@ -91,6 +91,19 @@ def test_mult_examples(capsys):
     assert code == 0 and payload["multiplicity"] == "1" and payload["closed_form"] == "1"
 
 
+def test_zero_value_is_exact(capsys, monkeypatch):
+    # the zero value comes from F = 0, not from the cosine tables: tables
+    # one unit off everywhere would leave a vanishing sum nonzero
+    tables = cyclotomic._fixed_tables
+    monkeypatch.setattr(cyclotomic, "_fixed_tables", lambda n, prec: tuple(c + 1 for c in tables(n, prec)))
+    assert cyclotomic.approx_value(5, (0, 0, 1, -1, 1, -1, 2, -2, 2, -2)).real != 0
+    code, out, _ = run_cli(capsys, "spectrum", "--n", "12", "--d", "2")
+    zero_rows = [r for r in json.loads(out)["entries"] if not any(r["key_coeffs"])]
+    assert code == 0 and [r["value_decimal"] for r in zero_rows] == ["0.0"]
+    code, out, _ = run_cli(capsys, "mult", "--n", "5", "--d", "5", "--tuple", "0,1,1,2,2")
+    assert code == 0 and json.loads(out)["value_decimal"] == "0.0"
+
+
 def test_growth_reports(capsys):
     code, out, _ = run_cli(capsys, "growth", "--n", "15", "--d", "4", "--tuple", "1,0,5,10")
     payload = json.loads(out)

@@ -2,7 +2,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from dtorus import arith, cyclotomic, spectrum
@@ -19,7 +19,6 @@ from dtorus.cyclotomic import (
     sum_reduce,
 )
 from dtorus.errors import BudgetExceeded
-from dtorus.spectrum import Entry
 from helpers import phi_brute, reduce_mod_phi
 
 moduli = st.integers(min_value=1, max_value=60)
@@ -154,16 +153,18 @@ def test_digit_guard():
 
 
 def test_sorted_entries_breaks_ties_in_coefficient_order(monkeypatch):
-    # coefficient order puts b first; ordering by the packed int or by the
-    # top digit first would put a first
-    a = CycElt(5, pack((1, -1, 0, 0)))
-    b = CycElt(5, pack((0, 1, 0, 0)))
+    # coefficient order puts b first; ordering by the packed int, by the top
+    # digit first, by representative or by input order would put a first
+    a = CycElt(5, pack((2, 0, 0, 0)))
+    b = CycElt(5, pack((0, 0, 1, 1)))
     assert b < a and not a < b
+    t = spectrum.torus_spectrum(5, 1)
+    assert [t.key_of((k,)) for k in (0, 2)] == [a, b]
     # force equal values, so only the key order can decide
     half = mpmath.mpf(0.5)
-    monkeypatch.setattr(spectrum, "approx_value", lambda ctx, key, bits: ApproxReal(half, half))
-    items = [(a, Entry(1, (0,))), (b, Entry(1, (1,)))]
-    assert [k for _, k, _ in spectrum.by_value(5, items)] == [b, a]
+    monkeypatch.setattr(spectrum, "approx_value", lambda n, exponents, bits: ApproxReal(half, half))
+    images = [t.embedding.cos_image((k,)) for k in (0, 2)]
+    assert [k for _, k, _ in spectrum.by_value(t, images)] == [b, a]
 
 
 def test_context_cap_raises_before_allocating(monkeypatch):
@@ -196,22 +197,23 @@ def test_elt_arithmetic_int_promotion():
 
 
 def test_approx_examples():
-    av = approx_value(get_context(5), key_of_tuple(5, (1,)))
+    av = approx_value(5, (1, -1))
     with mpmath.workprec(300):
         assert abs(av.real - (mpmath.sqrt(5) - 1) / 2) <= av.radius
     assert av.radius < mpmath.mpf(2) ** -128
 
-    ctx12 = get_context(12)
-    one = approx_value(ctx12, get_context(12).one)
+    one = approx_value(12, (0,))
     assert abs(one.real - 1) <= one.radius
-    two_cos_60 = approx_value(ctx12, key_of_tuple(12, (2,)))
+    two_cos_60 = approx_value(12, (2, -2))
     assert abs(two_cos_60.real - 1) <= two_cos_60.radius
+    # one unit of the last fixed-point bit per root, at bits + 64 bits
+    assert two_cos_60.radius == mpmath.ldexp(2, -192)
+    assert approx_value(12, ()).real == approx_value(12, ()).radius == 0
 
 
 @given(moduli, st.integers(min_value=0, max_value=400))
 def test_approx_matches_float_cosine(n, k):
-    ctx = get_context(n)
-    av = approx_value(ctx, key_of_tuple(n, (k,)))
+    av = approx_value(n, (k, -k))
     assert abs(float(av.real) - 2 * math.cos(2 * math.pi * k / n)) < 1e-9
 
 
@@ -221,31 +223,29 @@ def test_approx_matches_float_cosine(n, k):
     st.lists(st.integers(min_value=0, max_value=100), max_size=6),
 )
 def test_approx_is_additive_within_radii(n, a, b):
-    ctx = get_context(n)
-    va = approx_value(ctx, sum_reduce(ctx, a))
-    vb = approx_value(ctx, sum_reduce(ctx, b))
-    vab = approx_value(ctx, sum_reduce(ctx, a + b))
+    va = approx_value(n, a)
+    vb = approx_value(n, b)
+    vab = approx_value(n, a + b)
     with mpmath.workprec(300):
         assert abs(vab.real - va.real - vb.real) <= va.radius + vb.radius + vab.radius
 
 
 def test_approx_rejects_low_bits():
-    ctx = get_context(5)
     with pytest.raises(ValueError):
-        approx_value(ctx, ctx.one, bits=32)
+        approx_value(5, (0,), bits=32)
 
 
-def iv_enclosures(n, prec, coeffs=None):
+def iv_enclosures(n, prec, exponents=None):
     """Raw (lo, hi) mpf pairs of interval enclosures at ``prec`` bits: of
-    cos(2 pi k / n) for every k < n, or of the real part of sum c_j zeta_n^j
-    when ``coeffs`` is given."""
+    cos(2 pi k / n) for every k < n, or of the real part of sum zeta_n^e
+    over ``exponents`` when it is given."""
     iv = mpmath.iv
     old = iv.prec
     try:
         iv.prec = prec
         parts = [iv.cos(2 * iv.pi * k / n) for k in range(n)]
-        if coeffs is not None:
-            parts = [sum((c * cos for c, cos in zip(coeffs, parts)), iv.mpf(0))]
+        if exponents is not None:
+            parts = [sum((parts[e % n] for e in exponents), iv.mpf(0))]
     finally:
         iv.prec = old
     return [tuple(mpmath.mp.make_mpf(x) for x in part._mpi_) for part in parts]
@@ -256,14 +256,11 @@ def iv_enclosures(n, prec, coeffs=None):
     st.lists(st.integers(min_value=-1000, max_value=1000), max_size=40),
     st.integers(min_value=64, max_value=256),
 )
-@example(16, [TOP - 1] * 8, 64)  # sum |a_j| > 2^64: the precision doubles
-def test_approx_encloses_interval_reference(n, digits, bits):
-    ctx = get_context(n)
-    coeffs = tuple(digits[: ctx.phi]) + (0,) * max(0, ctx.phi - len(digits))
-    av = approx_value(ctx, CycElt(n, pack(coeffs)), bits)
-    # four times the fixed-point precision approx_value starts from
-    [(re_lo, re_hi)] = iv_enclosures(n, 4 * (bits + 64), coeffs)
-    assert av.radius <= mpmath.ldexp(1, -bits)
+def test_approx_encloses_interval_reference(n, exponents, bits):
+    av = approx_value(n, exponents, bits)
+    # four times the fixed-point precision of approx_value
+    [(re_lo, re_hi)] = iv_enclosures(n, 4 * (bits + 64), exponents)
+    assert av.radius == mpmath.ldexp(len(exponents), -(bits + 64)) <= mpmath.ldexp(1, -bits)
     assert mpmath.fsub(av.real, av.radius, exact=True) <= re_lo
     assert re_hi <= mpmath.fadd(av.real, av.radius, exact=True)
 

@@ -10,8 +10,9 @@ FLOAT_TRIG = re.compile(r"\bmath\.(cos|sin)\b|\bfrom math import\b[^\n]*\b(cos|s
 
 
 def test_float_trig_only_in_vanishing_pruning():
-    # values are evaluated by approx_value alone; float cosines and sines are
-    # left only as the pruning tables of the vanishing searches
+    # values are certified by approx_value alone, from the exponents of a
+    # row's representative; float cosines and sines are left only as the
+    # pruning tables of the vanishing searches
     sources = sorted(Path(dtorus.__file__).parent.glob("*.py"))
     assert {"spectrum.py", "vanishing.py"} <= {p.name for p in sources}
     offenders = [p.name for p in sources if p.name != "vanishing.py" and FLOAT_TRIG.search(p.read_text())]
@@ -62,6 +63,25 @@ def test_phi_once():
     assert found == [("cyclotomic.py", "CycContext", "__init__")]
     assert LEN_OF_PHI.search("phi = len(cyclotomic_poly(n)) - 1")
     assert callers("def f(n):\n    return m.cyclotomic_poly(n)", "cyclotomic_poly") == [("f",)]
+
+
+def attributes_read(source: str, function: str) -> set[str]:
+    """The attribute names read inside the top-level functions named ``function``."""
+    defs = [node for node in ast.parse(source).body if getattr(node, "name", None) == function]
+    return {node.attr for d in defs for node in ast.walk(d) if isinstance(node, ast.Attribute)}
+
+
+def test_one_evaluation_path():
+    # every value is certified by approx_value from an exponent multiset:
+    # the fixed-point cosines are read nowhere else, and no residue
+    # coefficients are summed against them
+    sources = sorted(Path(dtorus.__file__).parent.glob("*.py"))
+    found = [(p.name,) + scope for p in sources for scope in callers(p.read_text(), "_fixed_tables")]
+    assert found == [("cyclotomic.py", "approx_value")]
+    cyclotomic = (Path(dtorus.__file__).parent / "cyclotomic.py").read_text()
+    assert "coeffs" not in attributes_read(cyclotomic, "approx_value")
+    assert attributes_read(cyclotomic, "_fixed_tables")  # the walk sees attribute reads
+    assert attributes_read("def approx_value(e):\n    return e.coeffs", "approx_value") == {"coeffs"}
 
 
 def test_cli_serializes_in_one_place():

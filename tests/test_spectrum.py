@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 from collections import OrderedDict
 
 import mpmath
@@ -23,7 +24,7 @@ from dtorus.spectrum import (
     multiplicity_of_tuple,
     torus_spectrum,
 )
-from helpers import brute_cayley_spectrum, enumerate_spectrum
+from helpers import brute_cayley_spectrum, enumerate_spectrum, residue_approx
 
 
 def counts_by_key(table):
@@ -412,3 +413,31 @@ def test_sorted_entries_order_matches_reference(n):
         assert all(a > b for a, b in zip(refs, refs[1:]))
         for (value, _, _), ref in zip(rows, refs):
             assert abs(value.real - ref) <= value.radius + mpmath.mpf(2) ** -190
+
+
+def assert_values_match_residue_oracle(table):
+    # each row's value, from its representative, against the evaluation of
+    # its exact key from the phi(n) residue coefficients
+    for f in table.counts:
+        new = table.value(f)
+        old = residue_approx(table.key_of(table.entry(f).representative))
+        with mpmath.workprec(400):
+            assert abs(new.real - old.real) <= new.radius + old.radius
+        if not f:
+            assert new.real == new.radius == old.real == 0
+
+
+@given(st.integers(min_value=3, max_value=60), st.integers(min_value=1, max_value=3))
+def test_values_match_residue_oracle_torus(n, d):
+    assert_values_match_residue_oracle(torus_spectrum(n, d))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_values_match_residue_oracle_cayley(seed):
+    rng = random.Random(seed)
+    n, d = rng.randint(2, 16), rng.randint(1, 3)
+    while n**d > 2000:
+        d -= 1
+    half = [tuple(rng.randrange(n) for _ in range(d)) for _ in range(rng.randint(1, 4))]
+    gens = tuple(half + [tuple(-x for x in g) for g in half])
+    assert_values_match_residue_oracle(cayley_spectrum(CayleySpec(n, d, gens)))
