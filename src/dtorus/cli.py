@@ -50,8 +50,9 @@ SCHEMA = 1
 # --bits cap: outputs print 30 digits, and the cost of the certified cosine
 # tables grows fast with the precision (100000 bits ran for minutes)
 MAX_BITS = 4096
-# no flag sizes the cyclotomic context of a modulus: cyclotomic.MAX_CONTEXT_DIGITS
-# caps it, and a larger one exits 2 (BudgetExceeded) before allocating
+# no flag sizes the per-modulus power tables: cyclotomic.MAX_CONTEXT_DIGITS caps
+# the context's packed powers, 64 times as many bits cap key_embedding's powers
+# of omega, and a larger table exits 2 (BudgetExceeded) before allocating
 
 
 def _decimal(x, digits: int = 30) -> str:

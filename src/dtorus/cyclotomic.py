@@ -11,15 +11,15 @@ substitution), so residues add as ints, zero is 0 and the constant c is c.
 Every CycElt digit lies in [-2^62, 2^62), tested wherever one is formed: the
 sum of two stays one-to-one, and overflow raises instead of wrapping.
 Unchecked int sums rest on counts: powers of x have digits below 2^31 (tested
-per context), a torus key sums 2d < 2^31 powers (torus_spectrum rejects
-d >= 2^30) and the vanishing searches add one power per root.  Phi_N is a
-dense coefficient list, constant term first, built by Moebius inversion of
-x^N - 1 = prod_{d | N} Phi_d from binomials x^k - 1 alone; phi(N) comes
-from the factorization (arith.totient), never from Phi_N.
+per context) and a torus key sums 2d < 2^31 powers (torus_spectrum rejects
+d >= 2^30).  Phi_N is a dense coefficient list, constant term first, built
+by Moebius inversion of x^N - 1 = prod_{d | N} Phi_d from binomials
+x^k - 1 alone; phi(N) comes from the factorization (arith.totient), never
+from Phi_N.
 
 ModEmbedding maps residues to short ints modulo M by a ring map; the
-spectrum tables key their rows by these images (key_embedding says why they
-stay exact).
+spectrum tables key their rows by these images and the vanishing searches
+decide on them (key_embedding says why they stay exact).
 """
 
 from __future__ import annotations
@@ -298,6 +298,23 @@ class ModEmbedding:
         return sum(w[k % n] + w[-k % n] for k in ks) % self.modulus
 
 
+@functools.lru_cache(maxsize=1024)
+def _split_prime(n: int, below: int) -> tuple[int, int]:
+    """The largest prime p = 1 (mod n) below ``below``, and an element of
+    exact order n modulo p.  Cached, as key_embedding(n, roots) takes the
+    same primes for every roots."""
+    p = (below - 2) // n * n + 1
+    while not is_prime(p):
+        p -= n
+        if p < 2:
+            raise ValueError(f"too few primes p = 1 (mod {n}) below 2^62")
+    qs = factorize(n).primes
+    for g in range(2, p):
+        h = pow(g, (p - 1) // n, p)
+        if all(pow(h, n // q, p) != 1 for q in qs):
+            return p, h
+
+
 @functools.lru_cache(maxsize=256)
 def key_embedding(n: int, roots: int) -> ModEmbedding:
     """F with the fewest primes that is injective on real sums of ``roots`` n-th roots.
@@ -315,24 +332,24 @@ def key_embedding(n: int, roots: int) -> ModEmbedding:
     for n <= 2 it is Z itself (phi = 1) and |a - b| <= 2 roots.  Both are
     impossible once M^2 > (2 roots)^max(phi, 2).  The same holds with the
     zero element (an empty sum) in place of either key.
+
+    The n powers take the place of a CycContext's and share its ceiling of
+    64 * MAX_CONTEXT_DIGITS bits: BudgetExceeded is raised, before n is
+    factored or any prime tested, when n times an upper estimate of bits(M)
+    exceeds it.  M^2 is at most the bound before the last prime below 2^62
+    joins M, and phi <= n, so bits(M) <= max(n, 2) bits(2 roots) / 2 + 63.
     """
+    if n * (max(n, 2) * (2 * roots).bit_length() // 2 + 63) > 64 * MAX_CONTEXT_DIGITS:
+        raise BudgetExceeded(
+            f"powers of F for n={n}, roots={roots} may need more than {64 * MAX_CONTEXT_DIGITS} bits"
+        )
     bound = (2 * roots) ** max(totient(n), 2)
-    qs = factorize(n).primes
     primes, modulus, omega = [], 1, 0
-    p = ((1 << 62) - 2) // n * n + 1
     while modulus * modulus <= bound:
-        while not is_prime(p):
-            p -= n
-            if p < 2:
-                raise ValueError(f"too few primes p = 1 (mod {n}) below 2^62")
-        for g in range(2, p):  # an element of exact order n mod p
-            h = pow(g, (p - 1) // n, p)
-            if all(pow(h, n // q, p) != 1 for q in qs):
-                break
+        p, h = _split_prime(n, primes[-1] if primes else 1 << 62)
         omega += modulus * ((h - omega) * pow(modulus, -1, p) % p)  # CRT
         modulus *= p
         primes.append(p)
-        p -= n
     if not modulus * modulus > bound:  # the proof above; never weaken it
         raise AssertionError(f"M^2 <= (2 roots)^max(phi, 2) for n={n}, roots={roots}")
     powers, w = [], 1

@@ -99,10 +99,12 @@ class SpectrumTable:
         return sum_reduce(get_context(self.n), self.exponents(rep))
 
     def value(self, f: int, bits: int = 128) -> ApproxReal:
-        """Certified value of the row at image f, from its representative;
-        F is injective on the keys and zero, so f = 0 is exactly 0."""
-        exps = self.exponents(_unpack(self.reps[f], self.n, self.d)) if f else ()
-        return approx_value(self.n, exps, bits)
+        """Certified value of the row at image f, from its representative."""
+        return self._value_of(f, _unpack(self.reps[f], self.n, self.d), bits)
+
+    def _value_of(self, f: int, rep: tuple[int, ...], bits: int) -> ApproxReal:
+        # F is injective on the keys and zero, so f = 0 is exactly 0
+        return approx_value(self.n, self.exponents(rep) if f else (), bits)
 
     def count_of(self, key: CycElt) -> int:
         # a key of another modulus is no key of this table
@@ -117,15 +119,18 @@ def by_value(table: SpectrumTable, images, bits: int = 128) -> list[tuple[Approx
     """(value, key, entry) for the rows of ``table`` at the F images ``images``,
     value descending.
 
-    Each row is evaluated once (SpectrumTable.value) and sorts on the float
-    of its certified midpoint; distinct values whose floats coincide stay
-    distinct rows (in_float_order).
+    Each row is unpacked and evaluated once (as SpectrumTable.value) and
+    sorts on the float of its certified midpoint; distinct values whose
+    floats coincide stay distinct rows (in_float_order).
     """
-    values = {f: table.value(f, bits) for f in images}
-    out = []
-    for _, f in in_float_order(table, [(-float(v), f) for f, v in values.items()]):
+    rows = {}
+    for f in images:
         e = table.entry(f)
-        out.append((values[f], table.key_of(e.representative), e))
+        rows[f] = (table._value_of(f, e.representative, bits), e)
+    out = []
+    for _, f in in_float_order(table, [(-float(v), f) for f, (v, _) in rows.items()]):
+        v, e = rows[f]
+        out.append((v, table.key_of(e.representative), e))
     return out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import factorize, is_prime, semigroup_member
-from .cyclotomic import get_context, key_of_tuple
+from .cyclotomic import ModEmbedding, key_embedding
 from .errors import BudgetExceeded, NotApplicable, ZeroEigenvalue
 from .spectrum import DEFAULT_BUDGET
 
@@ -205,22 +205,27 @@ def classify_cos4(angles) -> Cos4Classification:
 def find_cos4_partners(n: int, k1: int, k2: int) -> list[tuple[int, int]]:
     """All disjoint index pairs (k3, k4) with the same eigenvalue as (k1, k2).
 
-    Indices live in [0, n//2]; lookup is by exact key over the n//2 + 1
-    candidate cosines.  The defining eigenvalue must be nonzero.
+    Indices live in [0, n//2].  Each candidate k3 looks F(target) - F(k3) up
+    among the F images of the n//2 + 1 cosines, under key_embedding(n, 4),
+    which is injective on sums of two cosines and zero: an image hit is an
+    equal eigenvalue, and image 0 a zero one.  The defining eigenvalue must
+    be nonzero.
     """
     half = n // 2
     if not (0 <= k1 <= half and 0 <= k2 <= half):
         raise ValueError("indices must lie in [0, n//2]")
-    target = key_of_tuple(n, (k1, k2))
-    if target.is_zero():
+    emb = key_embedding(n, 4)
+    images = [emb.cos_image((k,)) for k in range(half + 1)]
+    target = (images[k1] + images[k2]) % emb.modulus
+    if not target:
         raise ZeroEigenvalue(f"eigenvalue of ({k1}, {k2}) over Z/{n}Z is zero")
-    by_key = {key_of_tuple(n, (k,)): k for k in range(half + 1)}
+    by_image = dict(zip(images, range(half + 1)))
     banned = {k1, k2}
     out = []
     for k3 in range(half + 1):
         if k3 in banned:
             continue
-        k4 = by_key.get(target - key_of_tuple(n, (k3,)))
+        k4 = by_image.get((target - images[k3]) % emb.modulus)
         if k4 is None or k4 in banned or k4 < k3:
             continue
         out.append((k3, k4))
@@ -239,19 +244,26 @@ class FoundSum:
     minimal: bool
 
 
-def _is_minimal(n: int, exponents: tuple[int, ...]) -> bool:
+def _exact_embedding(n: int, max_len: int) -> ModEmbedding:
+    """F that maps a sum of at most max_len n-th roots to 0 only when the sum
+    is 0 (see _vanishing_tuples)."""
+    return key_embedding(n, -(-max_len * max_len // 2))
+
+
+def _is_minimal(emb: ModEmbedding, exponents: tuple[int, ...]) -> bool:
     """No proper nonempty sub-multiset of the vanishing ``exponents`` vanishes.
 
     A vanishing part has a vanishing complement, so only parts of at most
-    half the roots are summed, one power added per pick.
+    half the roots are summed, one power of ``emb`` added per pick; ``emb``
+    must be exact on sums of len(exponents) roots (_exact_embedding).
     """
-    powers, half = get_context(n).powers, len(exponents) // 2
+    powers, modulus, half = emb.powers, emb.modulus, len(exponents) // 2
     counts = list(Counter(exponents).items())
 
     def vanishing_part(i: int, size: int, acc: int) -> bool:
         # acc sums the size roots picked from counts[:i]; pick on from counts[i:]
         if i == len(counts):
-            return size > 0 and not acc
+            return size > 0 and not acc % modulus
         e, c = counts[i]
         for size in range(size, min(size + c, half) + 1):
             if vanishing_part(i + 1, size, acc):
@@ -267,14 +279,20 @@ def _vanishing_tuples(n: int, max_len: int, budget: int, first: int | None = Non
 
     Yields in depth-first, hence lexicographic, order; ``first`` pins the
     smallest exponent.  The budget counts visited partial-sum states, one
-    per exponent tried.  Beyond the context, memory is O(n * phi(n)) for the
-    root tables and O(max_len * phi(n)) for the stack.
+    per exponent tried.  Memory is O(n log M) for the powers of omega below,
+    O(n * phi(n)) floats for the conjugate tables and O(max_len * phi(n))
+    for the stack.
 
-    Vanishing is decided exactly on packed powers, which are canonical ints.
-    The stack holds minus each prefix's sum: a prefix vanishes when that is
-    0, and a prefix with one root to go is closed by one lookup of it in
-    {powers[e]: e}.  The powers are distinct, so at most one exponent
-    closes it, and that exponent counts no state.
+    Vanishing is decided exactly on F images, under one embedding
+    F: zeta -> omega mod M per call, _exact_embedding(n, max_len), whose
+    M > max_len^phi(n).  If a sum S of at most max_len roots has F(S) = 0,
+    S lies in a degree-one prime above each prime of M, so M divides its
+    norm to Q, which is at most max_len^phi(n) in absolute value; hence
+    S = 0.  The stack holds minus each prefix's image mod M: a prefix
+    vanishes when that is 0, and a prefix with one root to go is closed by
+    one lookup of it in {omega^e mod M: e}.  omega has exact order n modulo
+    each prime of M, so the powers are distinct, at most one exponent
+    closes the prefix, and that exponent counts no state.
 
     Floats only prune.  A partial sum S of `depth` roots that `left` more
     roots bring to zero has |sigma_a(S)| <= left for every unit a mod n,
@@ -292,7 +310,8 @@ def _vanishing_tuples(n: int, max_len: int, budget: int, first: int | None = Non
     max_len^2 2^-46 is twice that bound and also covers the rounding of abs
     and of left + slack, so no prefix of a vanishing tuple is ever pruned.
     """
-    powers = get_context(n).powers
+    emb = _exact_embedding(n, max_len)
+    powers, modulus = emb.powers, emb.modulus
     closer = dict(zip(powers, range(n)))
     root = [complex(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)) for k in range(n)]
     # a conjugate is tested only where depth > left >= 2, so from max_len 5 on
@@ -300,7 +319,7 @@ def _vanishing_tuples(n: int, max_len: int, budget: int, first: int | None = Non
     conjugates = [[root[a * e % n] for a in units] for e in range(n)]
     slack = max_len * max_len * 2.0**-46
     path: list[int] = []
-    # minus the packed sum, the float sum and the conjugate sums of each prefix
+    # minus the F image, the float sum and the conjugate sums of each prefix
     sums = [(0, 0j, [0j] * len(units))]
     levels = [iter(range(n) if first is None else (first,))]
     visited = 0
@@ -314,7 +333,7 @@ def _vanishing_tuples(n: int, max_len: int, budget: int, first: int | None = Non
             visited += 1
             if visited > budget:
                 raise BudgetExceeded(f"more than {budget} partial-sum states")
-            neg2 = neg - powers[e]
+            neg2 = (neg - powers[e]) % modulus
             if not neg2:
                 yield (*path, e)
             if left == 1:
@@ -351,8 +370,9 @@ def minimal_vanishing_sums(
         raise ValueError("max_len must be positive")
     if max_len > 12:
         raise ValueError("enumeration is desk-scale only (max_len <= 12)")
+    emb = _exact_embedding(n, max_len)
     return [
-        FoundSum(RootMultiset(n, exps), _is_minimal(n, exps))
+        FoundSum(RootMultiset(n, exps), _is_minimal(emb, exps))
         for exps in _vanishing_tuples(n, max_len, budget)
     ]
 

@@ -314,6 +314,8 @@ def test_key_embedding_modulus(n, d):
     assert emb.modulus * emb.modulus > bound
     assert math.prod(emb.primes[:-1]) ** 2 <= bound
     assert emb.modulus == math.prod(emb.primes)
+    # the upper estimate the ceiling on the powers rests on
+    assert emb.modulus.bit_length() <= n * (2 * 2 * d).bit_length() // 2 + 63
     # the largest primes p = 1 (mod n) below 2^62, in descending order
     assert 2**62 > emb.primes[0]
     assert emb.primes == key_embedding(n, 200 * d).primes[: len(emb.primes)]

@@ -117,3 +117,19 @@ def test_vanishing_searches_never_consult_the_semigroup():
         "def _known(n, length):\n    return w_membership(n, length)[0]\n"
     )
     assert reaches(planted, semigroup) == {"find_vanishing_multiset", "_known"}
+
+
+PACKED_NAMES = ("get_context", "key_of_tuple", "sum_reduce")
+CYC_ELT = re.compile(r"\bCycElt\b")
+
+
+def test_vanishing_reads_no_packed_residue():
+    # the searches and the cosine partners decide on F images mod M; only
+    # cyclotomic.py and the key builders that print or compare CycElts know
+    # the packed residue format
+    source = (Path(dtorus.__file__).parent / "vanishing.py").read_text()
+    assert [name for name in PACKED_NAMES if callers(source, name)] == []
+    assert not CYC_ELT.search(source)
+    planted = "def _is_minimal(n, exps):\n    powers = get_context(n).powers\n    return m.sum_reduce(ctx, exps)\n"
+    assert [name for name in PACKED_NAMES if callers(planted, name)] == ["get_context", "sum_reduce"]
+    assert CYC_ELT.search("from .cyclotomic import CycElt, key_embedding")

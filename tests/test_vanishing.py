@@ -1,3 +1,5 @@
+import json
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -5,9 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dtorus import vanishing
+from dtorus import cyclotomic, vanishing
 from dtorus.arith import factorize
-from dtorus.cyclotomic import get_context, sum_reduce
+from dtorus.cli import main
+from dtorus.cyclotomic import get_context, key_embedding, sum_reduce
 from dtorus.errors import BudgetExceeded, NotApplicable, ZeroEigenvalue
 from dtorus.vanishing import (
     RootMultiset,
@@ -19,6 +22,7 @@ from dtorus.vanishing import (
     minimal_vanishing_sums,
     w_membership,
     _cos_sum_is_zero,
+    _roots_sum_is_zero,
     _vanishing_tuples,
 )
 from dtorus.spectrum import DEFAULT_BUDGET
@@ -287,6 +291,56 @@ def test_search_reach():
     # default budget on (35, 9); neither length lies in the semigroup
     assert find_vanishing_multiset(27, 7, budget=50_000) is None
     assert find_vanishing_multiset(35, 9) is None
+
+
+@st.composite
+def short_sums(draw):
+    """(n, max_len, exponents): at most max_len roots, often a union of
+    rotated full prime sums, sometimes with a few roots more."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    max_len = draw(st.integers(min_value=1, max_value=8))
+    exps = []
+    for p in draw(st.lists(st.sampled_from(factorize(n).primes or (1,)), max_size=4)):
+        if len(exps) + p <= max_len:
+            a = draw(st.integers(min_value=0, max_value=n - 1))
+            exps += [(a + j * (n // p)) % n for j in range(p)]
+    extra = st.lists(st.integers(min_value=0, max_value=n - 1), min_size=not exps, max_size=max_len - len(exps))
+    return n, max_len, exps + draw(extra)
+
+
+@given(short_sums())
+def test_zero_lemma_is_exact(case):
+    # M > max_len^phi(n) divides the norm of a sum of at most max_len roots
+    # that F sends to 0, so F(S) = 0 exactly when S = 0
+    n, max_len, exps = case
+    emb = key_embedding(n, -(-max_len * max_len // 2))
+    image = sum(emb.powers[e] for e in exps) % emb.modulus
+    assert (image == 0) == _roots_sum_is_zero(n, Counter(exps), factorize(n).primes)
+
+
+def test_searches_build_no_context(monkeypatch, capsys):
+    # 5794 * phi(5794) = 5794 * 2896 digits lie above the context cap
+    def unreachable(n):
+        raise AssertionError("a cyclotomic context was built")
+
+    monkeypatch.setattr(cyclotomic, "cyclotomic_poly", unreachable)
+    assert find_vanishing_multiset(5794, 2) == RootMultiset(5794, (0, 2897))
+    assert main(["vanishing", "--n", "5794", "--max-len", "2"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["sums"]) == 2897
+
+
+def test_key_embedding_ceiling_comes_first(monkeypatch, capsys):
+    # 10^6 powers of about 10^6 bits each: refused before n is factored
+    def unreachable(*args):
+        raise AssertionError("n was factored or a prime tested")
+
+    monkeypatch.setattr(cyclotomic, "is_prime", unreachable)
+    monkeypatch.setattr(cyclotomic, "factorize", unreachable)
+    with pytest.raises(BudgetExceeded):
+        key_embedding(1000003, 2)
+    assert main(["vanishing", "--n", "1000003", "--max-len", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("budget exceeded: ") and err.count("\n") == 1
 
 
 def test_search_has_no_recursion_limit():
