@@ -47,9 +47,6 @@ from .vanishing import (
 from .zeta import check_cutoff, cjk_table, zeta_continuum_partial, zeta_discrete
 
 SCHEMA = 1
-# --bits cap: outputs print 30 digits, and the cost of the certified cosine
-# tables grows fast with the precision (100000 bits ran for minutes)
-MAX_BITS = 4096
 # no flag sizes the per-modulus power tables: cyclotomic.MAX_CONTEXT_DIGITS caps
 # the context's packed powers, 64 times as many bits cap key_embedding's powers
 # of omega, and a larger table exits 2 (BudgetExceeded) before allocating
@@ -102,7 +99,7 @@ def cmd_spectrum(args) -> int:
     table = torus_spectrum(args.n, args.d, args.budget)
     rows = [
         (_decimal(value.real), list(key.coeffs), str(e.count), list(e.representative))
-        for value, key, e in table.sorted_entries(args.bits)
+        for value, key, e in table.sorted_entries()
     ]
     fields = {
         "n": args.n,
@@ -129,7 +126,7 @@ def cmd_mult(args) -> int:
         "d": args.d,
         "tuple": list(ks),
         "multiplicity": str(mult),
-        "value_decimal": _decimal(approx_value(args.n, exps, args.bits).real),
+        "value_decimal": _decimal(approx_value(args.n, exps).real),
         "closed_form": None if closed is None else str(closed),
     }
     _emit(args, fields)
@@ -221,7 +218,7 @@ def cmd_zeta(args) -> int:
             raise ValueError("the continuum partial sum (--cutoff) needs s > 1")
         check_cutoff(args.cutoff, args.budget)
     get_context(args.n)  # refuses a modulus over the context cap before any table work
-    zv = zeta_discrete(args.n, args.d, args.s, args.bits, args.budget)
+    zv = zeta_discrete(args.n, args.d, args.s, args.budget)
     fields = {
         "n": args.n,
         "d": args.d,
@@ -286,12 +283,12 @@ def verify_bound24_cmd(args):
         print(f"  {mult:>3}: {seen[mult]}")
     print(f"max nonzero multiplicity {best[0]} first attained at N={best[1]}")
     if rep60 is not None:
-        ok = rep60.max_multiplicity == 24 and len(rep60.attaining) == 4
+        ok = rep60.max_multiplicity == 24 and len(rep60.images) == 4
         yield ok, f"n=60: expected 24 at four keys, got {rep60.max_multiplicity}"
 
 
 def verify_table60_cmd(args) -> int:
-    rep = verify_table60(args.budget, args.bits)
+    rep = verify_table60(args.budget)
     print(f"{'mult':>4}  {'value':>33}  representative")
     for value, _, e in rep.high:
         print(f"{e.count:>4}  {_decimal(value.real):>33}  {e.representative}")
@@ -321,7 +318,7 @@ def verify_zero_cmd(args):
 
 @_checks
 def verify_cjk_cmd(args):
-    rows, ref = cjk_table(args.s, args.n_list, args.cutoff, args.bits, args.budget)
+    rows, ref = cjk_table(args.s, args.n_list, args.cutoff, args.budget)
     gaps = [abs(row.value - ref) for row in rows]
     for row, gap in zip(rows, gaps):
         print(f"N={row.n}: rescaled zeta {_decimal(row.value)} gap {_decimal(gap, 6)}")
@@ -367,12 +364,10 @@ def _finite_float(text: str) -> float:
 _finite_float.__name__ = "float"  # argparse names the type in its "invalid float value" message
 
 
-def _int_at_least(low: int, high: int | None = None):
+def _int_at_least(low: int):
     def parse(text: str) -> int:
         if int(text) < low:
             raise argparse.ArgumentTypeError(f"{text} is below the minimum {low}")
-        if high is not None and int(text) > high:
-            raise argparse.ArgumentTypeError(f"{text} is above the maximum {high}")
         return int(text)
 
     parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
@@ -389,19 +384,13 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     # string defaults are parsed like command-line values, so a bad
-    # DTORUS_BUDGET or DTORUS_BITS is a usage error
+    # DTORUS_BUDGET is a usage error
     common.add_argument(
         "--budget",
         type=_int_at_least(1),
         default=os.environ.get("DTORUS_BUDGET", str(DEFAULT_BUDGET)),
         help="max distinct eigenvalue keys per table, states a vanishing search visits, "
         "or continuum zeta cutoff",
-    )
-    common.add_argument(
-        "--bits",
-        type=_int_at_least(64, MAX_BITS),
-        default=os.environ.get("DTORUS_BITS", "128"),
-        help="evaluation precision in bits",
     )
 
     parser = _Parser(

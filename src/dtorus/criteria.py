@@ -129,6 +129,8 @@ def eigenvalue_growth(n: int, d: int, ks, budget: int = DEFAULT_BUDGET) -> Growt
     """
     if n < 3:
         raise ValueError("need n >= 3")
+    if d < 1:
+        raise ValueError("need d >= 1")
     ks = tuple(ks)
     if len(ks) != d:
         raise ValueError(f"expected {d} indices, got {len(ks)}")
@@ -177,19 +179,15 @@ class Bound24Report:
 
     ``images`` holds the F images, in table order, of the keys of
     ``table`` that attain it.  Nearly every key of a table attains the
-    generic maximum 8, so nothing per key is built up front: ``attaining``
-    reads their table entries and ``attained`` builds the keys, by value
-    descending and then coefficients, on first access.
+    generic maximum 8, so nothing per key is built up front: ``attained``
+    builds their keys, by value descending and then coefficients, on first
+    access.
     """
 
     n: int
     max_multiplicity: int
     images: tuple[int, ...]
     table: SpectrumTable = field(repr=False, compare=False)
-
-    @functools.cached_property
-    def attaining(self) -> tuple[Entry, ...]:
-        return tuple(map(self.table.entry, self.images))
 
     @functools.cached_property
     def attained(self) -> tuple[CycElt, ...]:
@@ -240,7 +238,7 @@ class Table60Report:
     high: tuple[tuple[ApproxReal, CycElt, Entry], ...]
 
 
-def verify_table60(budget: int = DEFAULT_BUDGET, bits: int = 128) -> Table60Report:
+def verify_table60(budget: int = DEFAULT_BUDGET) -> Table60Report:
     """Check the multiplicities above 8 for the 60 x 60 torus.
 
     Printed rows: 12 at +-(2cos(pi/5)+1) and +-(2cos(2pi/5)-1), 16 at
@@ -259,7 +257,7 @@ def verify_table60(budget: int = DEFAULT_BUDGET, bits: int = 128) -> Table60Repo
     t = torus_spectrum(60, 2, budget)
     above8 = [f for f, c in t.counts.items() if c > 8]
     # sorted is stable: by_value's order holds within each multiplicity
-    high = sorted(by_value(t, above8, bits), key=lambda row: row[2].count)
+    high = sorted(by_value(t, above8), key=lambda row: row[2].count)
     computed = {c: frozenset(k for _, k, _ in g) for c, g in groupby(high, lambda row: row[2].count)}
     ok = set(computed) == set(printed)
     if ok:

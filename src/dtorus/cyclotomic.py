@@ -40,6 +40,9 @@ from .errors import BudgetExceeded
 # CycContext holds N packed powers of phi(N) 64-bit digits: at most this many
 # digits (128 MiB), which admits every N up to 4096
 MAX_CONTEXT_DIGITS = 1 << 24
+# fixed-point bits of approx_value: outputs print 30 significant digits (about
+# 100 bits), and a sum of fewer than 2^64 roots keeps its radius below 2^-128
+PREC = 192
 
 
 @functools.lru_cache(maxsize=1024)
@@ -249,24 +252,22 @@ def _fixed_tables(n: int, prec: int) -> tuple[int, ...]:
         return tuple(map(nearest, cosines))
 
 
-def approx_value(n: int, exponents: Iterable[int], bits: int = 128) -> ApproxReal:
+def approx_value(n: int, exponents: Iterable[int]) -> ApproxReal:
     """Certify Re sum zeta_n^e over the exponent multiset, with a rigorous radius.
 
-    Fixed point at prec = bits + 64 bits: with the integers C_e within 1 of
-    2^prec cos(2 pi e / n) (``_fixed_tables``), the value is sum C_e / 2^prec
-    with radius (number of roots) / 2^prec, at most 2^-bits below 2^64 roots.
+    Fixed point at PREC bits: with the integers C_e within 1 of
+    2^PREC cos(2 pi e / n) (``_fixed_tables``), the value is sum C_e / 2^PREC
+    with radius (number of roots) / 2^PREC, at most 2^-128 below 2^64 roots,
+    far below the last of the 30 digits printed.
     """
-    if bits < 64:
-        raise ValueError("need at least 64 bits")
     if n < 1:
         raise ValueError("need n >= 1")
-    prec = bits + 64
-    table = _fixed_tables(n, prec)
+    table = _fixed_tables(n, PREC)
     exponents = list(exponents)
 
     def fixed(m: int) -> mpmath.mpf:
-        # exact: mpf((m, -prec)) would round m to the ambient 53 bits
-        return mpmath.mp.make_mpf(libmp.from_man_exp(m, -prec))
+        # exact: mpf((m, -PREC)) would round m to the ambient 53 bits
+        return mpmath.mp.make_mpf(libmp.from_man_exp(m, -PREC))
 
     return ApproxReal(real=fixed(sum(table[e % n] for e in exponents)), radius=fixed(len(exponents)))
 

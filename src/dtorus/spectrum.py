@@ -98,24 +98,29 @@ class SpectrumTable:
             return key_of_tuple(self.n, rep)
         return sum_reduce(get_context(self.n), self.exponents(rep))
 
-    def value(self, f: int, bits: int = 128) -> ApproxReal:
+    def value(self, f: int) -> ApproxReal:
         """Certified value of the row at image f, from its representative."""
-        return self._value_of(f, _unpack(self.reps[f], self.n, self.d), bits)
+        return self._value_of(f, _unpack(self.reps[f], self.n, self.d))
 
-    def _value_of(self, f: int, rep: tuple[int, ...], bits: int) -> ApproxReal:
+    def _value_of(self, f: int, rep: tuple[int, ...]) -> ApproxReal:
         # F is injective on the keys and zero, so f = 0 is exactly 0
-        return approx_value(self.n, self.exponents(rep) if f else (), bits)
+        return approx_value(self.n, self.exponents(rep) if f else ())
 
     def count_of(self, key: CycElt) -> int:
-        # a key of another modulus is no key of this table
-        return _exact_count(self, key) if key.n == self.n else 0
+        """The count of ``key``, 0 if it is no key of this table: the row at
+        F(key) is confirmed exactly, since ``key`` need not be a key."""
+        if key.n != self.n:
+            return 0
+        f = self.embedding.image(key)
+        count = self.counts.get(f, 0)
+        return count if count and self.key_of(self.entry(f).representative) == key else 0
 
-    def sorted_entries(self, bits: int = 128) -> list[tuple[ApproxReal, CycElt, Entry]]:
+    def sorted_entries(self) -> list[tuple[ApproxReal, CycElt, Entry]]:
         """(value, key, entry) for every row, by value descending (by_value)."""
-        return by_value(self, self.counts, bits)
+        return by_value(self, self.counts)
 
 
-def by_value(table: SpectrumTable, images, bits: int = 128) -> list[tuple[ApproxReal, CycElt, Entry]]:
+def by_value(table: SpectrumTable, images) -> list[tuple[ApproxReal, CycElt, Entry]]:
     """(value, key, entry) for the rows of ``table`` at the F images ``images``,
     value descending.
 
@@ -126,7 +131,7 @@ def by_value(table: SpectrumTable, images, bits: int = 128) -> list[tuple[Approx
     rows = {}
     for f in images:
         e = table.entry(f)
-        rows[f] = (table._value_of(f, e.representative, bits), e)
+        rows[f] = (table._value_of(f, e.representative), e)
     out = []
     for _, f in in_float_order(table, [(-float(v), f) for f, (v, _) in rows.items()]):
         v, e = rows[f]
@@ -236,19 +241,6 @@ def _accumulate(counts, reps, fx, cx, rx, ys, modulus, budget) -> None:
             counts[s] = c + cx * cy
 
 
-def _exact_count(t: SpectrumTable, key: CycElt) -> int:
-    """The count of ``key`` in table t, 0 if it is no key of t.
-
-    The row at F(key) is confirmed exactly: F is injective on the keys of
-    t, but ``key`` need not be one.
-    """
-    f = t.embedding.image(key)
-    count = t.counts.get(f)
-    if count is None or t.key_of(t.entry(f).representative) != key:
-        return 0
-    return count
-
-
 _TORUS_CACHE: OrderedDict[tuple[int, int, int], SpectrumTable] = OrderedDict()
 _TORUS_CACHE_SIZE = 8
 
@@ -287,6 +279,8 @@ def _torus(n: int, d: int, emb: ModEmbedding, budget: int) -> SpectrumTable:
 
 def multiplicity_of_tuple(n: int, d: int, ks, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of d-tuples over Z/nZ sharing this tuple's eigenvalue."""
+    if d < 1:
+        raise ValueError("need d >= 1")
     ks = tuple(ks)
     if len(ks) != d:
         raise ValueError(f"expected {d} indices, got {len(ks)}")
@@ -317,7 +311,7 @@ def _mitm_matches(n: int, d: int, target: CycElt, budget: int):
     a = (d + 1) // 2
     ta = _torus(n, a, emb, budget)
     if a == d:
-        count = _exact_count(ta, target)
+        count = ta.count_of(target)
         if count:
             yield count
         return

@@ -16,11 +16,13 @@ import mpmath
 from mpmath.libmp import fzero, mpf_pow, mpf_pow_int
 from mpmath.libmp import round_nearest as rnd
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, PreconditionViolated
 from .spectrum import DEFAULT_BUDGET, in_float_order, torus_spectrum
 
 # working precision of the continuum partial sum, in bits
 PREC = 96
+# working precision of the discrete sum and of cjk_table's rescaling, in bits
+DISCRETE_PREC = 160
 # rm << _QUOT_SHIFT over a mantissa below 2^(PREC+1) is at least 2^(PREC+2):
 # the quotient keeps the round bit and two guard bits above the remainder
 _QUOT_SHIFT = 2 * PREC + 3
@@ -80,15 +82,16 @@ class ZetaRow:
     value: mpmath.mpf
 
 
-def zeta_discrete(
-    n: int, d: int, s, bits: int = 128, budget: int = DEFAULT_BUDGET
-) -> ZetaValue:
+def zeta_discrete(n: int, d: int, s, budget: int = DEFAULT_BUDGET) -> ZetaValue:
     """Sum of lambda^-s over the nonzero Laplacian eigenvalues of T^d_n.
 
     lambda = 2d - mu is taken exactly from mu's fixed-point value
-    (SpectrumTable.value), radius 2d / 2^(bits + 64); the error bound tracks
-    the radii to first order plus summation rounding.  Terms are added in
-    ascending eigenvalue order (in_float_order), so output is deterministic.
+    (SpectrumTable.value), radius 2d / 2^cyclotomic.PREC; the error bound
+    tracks the radii to first order plus summation rounding at
+    DISCRETE_PREC bits.  Terms are added in ascending eigenvalue order
+    (in_float_order), so output is deterministic.  The bound grows with s;
+    past 10^-30 of the value, which would leave printed digits uncovered,
+    PreconditionViolated is raised.
     """
     if not (s > 0 and mpmath.isfinite(s)):
         raise ValueError("need finite s > 0")
@@ -97,10 +100,10 @@ def zeta_discrete(
     for f, count in t.counts.items():
         if not t.reps[f]:
             continue  # packed 0 is the tuple (0, ..., 0): mu = 2d, lambda = 0
-        mu = t.value(f, bits)
+        mu = t.value(f)
         lam = mpmath.fsub(2 * d, mu.real, exact=True)
         rows.append((float(lam), f, lam, mu.radius, count))
-    with mpmath.workprec(bits + 32):
+    with mpmath.workprec(DISCRETE_PREC):
         s_mp = mpmath.mpf(s)
         total = mpmath.mpf(0)
         err = mpmath.mpf(0)
@@ -111,7 +114,12 @@ def zeta_discrete(
             total += cnt * term
             err += cnt * s_mp * lam ** (-s_mp - 1) * radius
         # summation/powering rounding, a few ulps per term
-        err += (3 * len(rows) + 4) * total * mpmath.mpf(2) ** (-(bits + 28))
+        err += (3 * len(rows) + 4) * total * mpmath.mpf(2) ** (4 - DISCRETE_PREC)
+        if err > total * mpmath.mpf(10) ** -30:
+            raise PreconditionViolated(
+                f"zeta of T^{d}_{n} at s = {s}: relative error bound {mpmath.nstr(err / total, 3)} "
+                "exceeds 1e-30, so s is too large for 30 certified digits"
+            )
         return ZetaValue(+total, +err)
 
 
@@ -203,9 +211,7 @@ def zeta_continuum_partial(s, cutoff: int, budget: int = DEFAULT_BUDGET) -> mpma
     return mpmath.mp.make_mpf(_mpf(*total))
 
 
-def cjk_table(
-    s, n_list, cutoff: int, bits: int = 128, budget: int = DEFAULT_BUDGET
-) -> tuple[list[ZetaRow], mpmath.mpf]:
+def cjk_table(s, n_list, cutoff: int, budget: int = DEFAULT_BUDGET) -> tuple[list[ZetaRow], mpmath.mpf]:
     """Rescaled discrete zeta rows next to the continuum partial sum.
 
     Returns (rows, reference) with rows (N, N^(-2s) zeta_{T^2_N}(s)); no
@@ -215,11 +221,12 @@ def cjk_table(
         raise ValueError("need finite s > 1")
     if any(n < 3 for n in n_list):
         raise ValueError("need n >= 3")
-    reference = zeta_continuum_partial(s, cutoff, budget)
+    check_cutoff(cutoff, budget)
     rows = []
     for n in n_list:
-        zv = zeta_discrete(n, 2, s, bits, budget)
-        with mpmath.workprec(bits + 32):
+        zv = zeta_discrete(n, 2, s, budget)
+        with mpmath.workprec(DISCRETE_PREC):
             scale = mpmath.mpf(n) ** (-2 * mpmath.mpf(s))
             rows.append(ZetaRow(n, float(s), +(scale * zv.value)))
-    return rows, reference
+    # last: the discrete rows may refuse s, and at a large s this sum is slow
+    return rows, zeta_continuum_partial(s, cutoff, budget)

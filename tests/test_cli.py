@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import dtorus
@@ -176,6 +177,7 @@ def test_budget_exit_code(capsys, monkeypatch):
     [
         (["zero", "--n", "2", "--d", "1"], {}),
         (["mult", "--n", "5", "--d", "2", "--tuple", "1,x"], {}),
+        # --bits is gone; any value of it, in or out of the old range, is refused
         (["spectrum", "--n", "12", "--d", "2", "--bits", "10"], {}),
         (["mult", "--n", "60", "--d", "2", "--tuple", "24,10", "--bits", "100000"], {}),
         (["spectrum", "--n", "4", "--d", "2"], {"DTORUS_BUDGET": "abc"}),
@@ -238,7 +240,7 @@ def test_input_error_exit_code(capsys, monkeypatch, argv, env):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("arg", [["--bits", "10"], ["--cutoff", "0"]])
+@pytest.mark.parametrize("arg", [["--n-list", "2"], ["--cutoff", "0"]])
 def test_cjk_arguments_checked_before_work(capsys, monkeypatch, arg):
     def unreachable(*args, **kwargs):
         raise RuntimeError("cjk_table ran before the arguments were checked")
@@ -249,18 +251,42 @@ def test_cjk_arguments_checked_before_work(capsys, monkeypatch, arg):
     assert err.startswith("error: argument ") and err.count("\n") == 1
 
 
-def test_bits_cap_checked_before_work(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", "--n", "3", "--d", "1", "--s", "1e308"],
+        ["zeta", "--n", "16", "--d", "2", "--s", "1e40"],
+        ["verify", "cjk", "--s", "1e308", "--cutoff", "10", "--n-list", "3", "4"],
+    ],
+)
+def test_zeta_refuses_uncertified_digits(capsys, monkeypatch, argv):
+    # the first-order error bound grows with s; past 10^-30 of the value
+    # the printed digits would not all hold.  The refusal comes before the
+    # continuum partial sum, which is slow at a large s.
     def unreachable(*args, **kwargs):
-        raise RuntimeError("the cos/sin tables were built before --bits was checked")
+        raise RuntimeError("the continuum partial sum ran before s was refused")
 
-    monkeypatch.setattr(cyclotomic, "_fixed_tables", unreachable)
-    argv = ["mult", "--n", "60", "--d", "2", "--tuple", "24,10"]
-    code, out, err = run_cli(capsys, *argv, "--bits", str(cli.MAX_BITS + 1))
+    monkeypatch.setattr(zeta, "r2_upto", unreachable)
+    code, out, err = run_cli(capsys, *argv)
     assert code == 64 and out == ""
-    assert err.startswith("error: argument --bits") and err.count("\n") == 1
-    monkeypatch.undo()
-    code, out, _ = run_cli(capsys, *argv, "--bits", str(cli.MAX_BITS))
-    assert code == 0 and json.loads(out)["multiplicity"] == "24"
+    assert err.startswith("error: zeta of T^") and err.count("\n") == 1
+    assert "exceeds 1e-30" in err
+
+
+def test_zeta_large_s_still_certified(capsys):
+    code, out, _ = run_cli(capsys, "zeta", "--n", "16", "--d", "2", "--s", "1e20")
+    payload = json.loads(out)
+    assert code == 0
+    value, error = (mpmath.mpf(payload[k]) for k in ("value_decimal", "error_decimal"))
+    assert error < value * mpmath.mpf(10) ** -35
+
+
+@pytest.mark.parametrize("command", ["mult", "growth"])
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_dimension_checked_before_tuple_length(capsys, command, d):
+    code, out, err = run_cli(capsys, command, "--n", "60", "--d", d, "--tuple", "1")
+    assert code == 64 and out == ""
+    assert err == "error: need d >= 1\n"
 
 
 @pytest.mark.parametrize("arg", [["--s", "0.5", "--cutoff", "10"], ["--s", "2", "--cutoff", "-1"]])

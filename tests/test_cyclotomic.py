@@ -162,7 +162,7 @@ def test_sorted_entries_breaks_ties_in_coefficient_order(monkeypatch):
     assert [t.key_of((k,)) for k in (0, 2)] == [a, b]
     # force equal values, so only the key order can decide
     half = mpmath.mpf(0.5)
-    monkeypatch.setattr(spectrum, "approx_value", lambda n, exponents, bits: ApproxReal(half, half))
+    monkeypatch.setattr(spectrum, "approx_value", lambda n, exponents: ApproxReal(half, half))
     images = [t.embedding.cos_image((k,)) for k in (0, 2)]
     assert [k for _, k, _ in spectrum.by_value(t, images)] == [b, a]
 
@@ -206,7 +206,7 @@ def test_approx_examples():
     assert abs(one.real - 1) <= one.radius
     two_cos_60 = approx_value(12, (2, -2))
     assert abs(two_cos_60.real - 1) <= two_cos_60.radius
-    # one unit of the last fixed-point bit per root, at bits + 64 bits
+    # one unit of the last fixed-point bit per root, at PREC = 192 bits
     assert two_cos_60.radius == mpmath.ldexp(2, -192)
     assert approx_value(12, ()).real == approx_value(12, ()).radius == 0
 
@@ -230,11 +230,6 @@ def test_approx_is_additive_within_radii(n, a, b):
         assert abs(vab.real - va.real - vb.real) <= va.radius + vb.radius + vab.radius
 
 
-def test_approx_rejects_low_bits():
-    with pytest.raises(ValueError):
-        approx_value(5, (0,), bits=32)
-
-
 def iv_enclosures(n, prec, exponents=None):
     """Raw (lo, hi) mpf pairs of interval enclosures at ``prec`` bits: of
     cos(2 pi k / n) for every k < n, or of the real part of sum zeta_n^e
@@ -254,13 +249,12 @@ def iv_enclosures(n, prec, exponents=None):
 @given(
     st.integers(min_value=1, max_value=120),
     st.lists(st.integers(min_value=-1000, max_value=1000), max_size=40),
-    st.integers(min_value=64, max_value=256),
 )
-def test_approx_encloses_interval_reference(n, exponents, bits):
-    av = approx_value(n, exponents, bits)
+def test_approx_encloses_interval_reference(n, exponents):
+    av = approx_value(n, exponents)
     # four times the fixed-point precision of approx_value
-    [(re_lo, re_hi)] = iv_enclosures(n, 4 * (bits + 64), exponents)
-    assert av.radius == mpmath.ldexp(len(exponents), -(bits + 64)) <= mpmath.ldexp(1, -bits)
+    [(re_lo, re_hi)] = iv_enclosures(n, 4 * cyclotomic.PREC, exponents)
+    assert av.radius == mpmath.ldexp(len(exponents), -cyclotomic.PREC) <= mpmath.ldexp(1, -128)
     assert mpmath.fsub(av.real, av.radius, exact=True) <= re_lo
     assert re_hi <= mpmath.fadd(av.real, av.radius, exact=True)
 

@@ -133,3 +133,24 @@ def test_vanishing_reads_no_packed_residue():
     planted = "def _is_minimal(n, exps):\n    powers = get_context(n).powers\n    return m.sum_reduce(ctx, exps)\n"
     assert [name for name in PACKED_NAMES if callers(planted, name)] == ["get_context", "sum_reduce"]
     assert CYC_ELT.search("from .cyclotomic import CycElt, key_embedding")
+
+
+def functions_taking(source: str, parameter: str) -> list[str]:
+    """The names of the functions of ``source`` with a parameter named ``parameter``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            names = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+            if parameter in names:
+                out.append(getattr(node, "name", "<lambda>"))
+    return out
+
+
+def test_precision_is_fixed():
+    # values print 30 digits from one fixed-point precision (cyclotomic.PREC);
+    # no caller chooses it
+    sources = sorted(Path(dtorus.__file__).parent.glob("*.py"))
+    assert [(p.name, f) for p in sources for f in functions_taking(p.read_text(), "bits")] == []
+    planted = "def zeta_discrete(n, d, s, bits=128):\n    return f(lambda *, bits: bits)\n"
+    assert functions_taking(planted, "bits") == ["zeta_discrete", "<lambda>"]

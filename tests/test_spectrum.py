@@ -169,9 +169,9 @@ def test_table_build_allocates_no_object_per_key(monkeypatch):
     assert gc.get_stats()[0]["collections"] - before <= 2
     rep = verify_bound24(n)
     assert rep.max_multiplicity == 8
-    assert "attaining" not in vars(rep)  # no entry per attaining key up front
-    assert len(rep.attaining) == len(rep.images) == 13530
-    assert all(e.count == 8 for e in rep.attaining)
+    assert "attained" not in vars(rep)  # no key per attaining row up front
+    assert len(rep.images) == 13530
+    assert all(rep.table.entry(f).count == 8 for f in rep.images)
 
 
 @given(st.integers(min_value=3, max_value=40), st.integers(min_value=1, max_value=3))

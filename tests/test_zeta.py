@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath.libmp import mpf_add, round_nearest
 
-from dtorus import zeta
+from dtorus import cli, zeta
 from dtorus.errors import BudgetExceeded
 from dtorus.zeta import cjk_table, r2_upto, zeta_continuum_partial, zeta_discrete
 from helpers import brute_r2, libmp_continuum_partial, libmp_shell_terms
@@ -56,12 +56,24 @@ def test_zeta_discrete_matches_enumeration(n, d, s):
 @pytest.mark.parametrize("s", [2, 2.5])
 @pytest.mark.parametrize("n", range(3, 13))
 def test_zeta_discrete_error_bound_holds(n, s):
-    z = zeta_discrete(n, 2, s)  # evaluated at 128 bits
-    with mpmath.workprec(4 * 128):
+    z = zeta_discrete(n, 2, s)
+    with mpmath.workprec(512):
         cos = [2 * mpmath.cos(2 * mpmath.pi * k / n) for k in range(n)]
         lams = [4 - cos[a] - cos[b] for a in range(n) for b in range(n) if a or b]
         reference = mpmath.fsum(lam ** -mpmath.mpf(s) for lam in lams)
         assert abs(z.value - reference) <= z.error
+
+
+@pytest.mark.parametrize("s", [1.5, 2, 3])
+@pytest.mark.parametrize("n", range(3, 17))
+def test_zeta_discrete_printed_digits_hold(n, s):
+    # the 30 digits the CLI prints agree with a brute-force sum at 512 bits
+    printed = cli._decimal(zeta_discrete(n, 2, s).value)
+    with mpmath.workprec(512):
+        cos = [2 * mpmath.cos(2 * mpmath.pi * k / n) for k in range(n)]
+        lams = [4 - cos[a] - cos[b] for a in range(n) for b in range(n) if a or b]
+        reference = mpmath.fsum(lam ** -mpmath.mpf(s) for lam in lams)
+        assert printed == mpmath.nstr(reference, 30)
 
 
 def test_zeta_discrete_matches_enumeration_n24():
