@@ -66,6 +66,25 @@ TABLE_COLUMNS = {
 }
 
 
+def _json(v, pad: str = "\n") -> str:
+    """json.dumps(v, indent=2) for a v whose dict keys are strings; pad is
+    the newline and the indent of the line that v starts on.
+
+    A list of plain ints is one join; keys and scalars go through json.dumps.
+    """
+    if v and isinstance(v, (list, tuple, dict)):
+        inner = pad + "  "
+        if isinstance(v, dict):
+            items = (json.dumps(k) + ": " + _json(x, inner) for k, x in v.items())
+            return "{" + inner + ("," + inner).join(items) + pad + "}"
+        if set(map(type, v)) == {int}:  # bools are ints, but json writes them apart
+            items = map(str, v)
+        else:
+            items = (_json(x, inner) for x in v)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(v)
+
+
 def _emit(args, fields: dict) -> int:
     """Prints ``schema``, ``command`` and ``fields`` in ``--format``; returns 0.
 
@@ -79,7 +98,7 @@ def _emit(args, fields: dict) -> int:
     if args.format == "json":
         if table:
             payload[table] = [dict(zip(columns, row)) for row in rows]
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns or payload)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import dtorus
 from dtorus import cli, cyclotomic, spectrum, zeta
@@ -325,6 +328,38 @@ def test_golden_output(capsys, name):
     code, out, _ = run_cli(capsys, *GOLDEN[name])
     assert code == 0
     assert out.encode() == (GOLDEN_DIR / f"{name}.out").read_bytes()
+
+
+# sha256 of stdout of the benchmark's two largest emit commands, copied from
+# its record of the seed commit's output; "verify cjk --s 2" runs at the
+# default cutoff 10^6
+EMIT_SHA256 = {
+    ("spectrum", "--n", "240", "--d", "2"): "bc4ec0d3b54c1924cb24961b332ee1da29f53271685c2507ad29b63925f7afb4",
+    ("verify", "cjk", "--s", "2"): "6dff03ead83846f940701bcdb781cac16ff86e52dc265aa0ddd60185c75e287f",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(EMIT_SHA256), ids=" ".join)
+def test_emit_output_digest(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EMIT_SHA256[argv]
+
+
+_text = st.text(st.sampled_from(['"', "\\", "/", "\n", "\x00", "a", "é", "☃", "\U0001f600"])) | st.text()
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | _text,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.lists(st.integers() | st.booleans())
+    | st.dictionaries(_text, children),
+    max_leaves=30,
+)
+
+
+@given(_json_values)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
 
 
 def test_empty_table_csv_keeps_its_columns(capsys):

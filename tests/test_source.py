@@ -85,9 +85,11 @@ def test_one_evaluation_path():
 
 
 def test_cli_serializes_in_one_place():
-    # every payload passes through cli._emit, which adds schema and command
+    # every payload passes through cli._emit, which adds schema and command;
+    # its JSON writer _json is the only caller of json.dumps
     source = (Path(dtorus.__file__).parent / "cli.py").read_text()
-    assert callers(source, "dumps") == [("_emit",)]
+    assert set(callers(source, "dumps")) == {("_json",)}
+    assert set(callers(source, "_json")) == {("_emit",), ("_json",)}
     for name in ("DictWriter", "writer"):
         assert set(callers(source, name)) <= {("_emit",)}
     assert source.count('"schema"') == 1

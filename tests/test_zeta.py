@@ -150,16 +150,62 @@ def test_add_matches_mpf_add():
     # a shift up to 2 * PREC still matters; shifts near 0 give exact ties
     rng = random.Random(7)
     shifts = [*range(-4, 5), *range(90, 100), *range(185, 200), 300, 1000]
+    cases = []
     for shift in shifts:
         for _ in range(40):
             am, bm = (
                 rng.choice([1, 3, 2**95 + 1, 2**96 - 1, rng.getrandbits(rng.randint(1, 96)) | 1])
                 for _ in range(2)
             )
-            ae = rng.randint(-300, 100)
-            got = zeta._add(am, ae, bm, ae - shift)
-            want = mpf_add(zeta._mpf(am, ae), zeta._mpf(bm, ae - shift), zeta.PREC, round_nearest)
-            assert zeta._mpf(*got) == want, (am, ae, bm, shift)
+            cases.append((am, rng.randint(-300, 100), bm, shift))
+    # the grid step: totals at both ends of the PREC-bit range (and 2^96, which
+    # _round returns on a carry), exact ties under the total's ulp, and terms
+    # whose high bits carry the total into the next binade
+    for shift in range(1, 2 * zeta.PREC + 2):
+        half = 1 << (shift - 1)
+        for am in (2**95, 2**95 + 1, 2**96 - 2, 2**96 - 1, 2**96):
+            for bm in (half, half - 1, half + 1, 3 * half, (1 << min(shift, 96)) - 1, 2**96):
+                cases.append((am, -50, bm, shift))
+                cases.append((am, -50, bm | 1 << (shift + 1), shift))  # 2 over am's ulp: a carry
+    for am, ae, bm, shift in cases:
+        got = zeta._add(am, ae, bm, ae - shift)
+        want = mpf_add(zeta._mpf(am, ae), zeta._mpf(bm, ae - shift), zeta.PREC, round_nearest)
+        assert zeta._mpf(*got) == want, (am, ae, bm, shift)
+
+
+@pytest.mark.parametrize("s", [2, 3, 10, 11, 12, 13])
+def test_shell_terms_scale_with_powers_of_two(s):
+    # r2(2m) = r2(m), so the even shells of the integer loop reuse the term
+    # of their half: it must be the same mantissa, exponent lowered by s
+    pairs = [(m, k) for m in range(1, 3001) for k in (1, 2)]
+    pairs += [(m, k) for m in DIRECTED_POW_SHELLS.values() for k in (1, 2)]
+    odd = list(zeta._shell_terms(s, [(m, 1 + m % 7) for m, _ in pairs]))
+    even = list(zeta._shell_terms(s, [(m << k, 1 + m % 7) for m, k in pairs]))
+    for (m, k), (om, oe), (em, ee) in zip(pairs, odd, even):
+        assert (em, ee) == (om, oe - k * s), (m, k)
+
+
+@pytest.mark.parametrize("s", [40, 10**6])
+def test_zeta_continuum_stops_early_bit_identical(s):
+    # past the first shells every term lies far under the total's ulp, and
+    # the loop stops; the libmp loop adds (and drops) every one of them
+    assert zeta_continuum_partial(s, 10**4)._mpf_ == libmp_continuum_partial(s, 10**4)
+
+
+def test_zeta_continuum_large_s_computes_few_terms(monkeypatch):
+    # at s = 10^6 only shell 1 counts; the loop stops within the first binades
+    # of shells instead of powering each of the 10^6
+    calls = []
+    term_of = zeta._term_of
+
+    def counting_term_of(s):
+        term = term_of(s)
+        return lambda m, rm: calls.append(m) or term(m, rm)
+
+    monkeypatch.setattr(zeta, "_term_of", counting_term_of)
+    value = zeta_continuum_partial(10**6, 10**6)
+    assert value == zeta_continuum_partial(10**6, 1) > 0
+    assert calls and max(calls) < 8
 
 
 @pytest.mark.parametrize("s", [30.5, 40])
