@@ -9,7 +9,6 @@ Finite real s only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from math import isqrt
 
 import mpmath
@@ -58,7 +57,8 @@ def r2_upto(limit: int) -> list[int]:
     """
     if limit < 0:
         return []
-    out = [1] + [0] * limit
+    out = [0] * (limit + 1)
+    out[0] = 1
     squares = [b * b for b in range(isqrt(limit) + 1)]
     for a in range(1, len(squares)):
         a2 = squares[a]
@@ -154,15 +154,6 @@ def _add(am: int, ae: int, bm: int, be: int) -> tuple[int, int]:
     shift = ae - be
     if shift > _NEGLIGIBLE_SHIFT and am:
         return am, ae  # round-nearest drops the smaller one, so skip the long shift
-    if shift and _LOW <= am:
-        # the grid step: bm's bits under am's ulp round onto am's grid, half
-        # to even on the new sum, unless the sum carries into the next binade
-        man = am + (bm >> shift)
-        if man < _TOP:
-            rest, half = bm & ((1 << shift) - 1), 1 << (shift - 1)
-            if rest > half or rest == half and man & 1:
-                man += 1
-            return man, ae
     return _round((am << shift) + bm, be)
 
 
@@ -213,12 +204,6 @@ def _term_of(s):
     return term
 
 
-def _shell_terms(s, shells):
-    """(man, exp) of rm * (4 pi^2 m)^-s for each (m, rm) in shells with rm != 0."""
-    term = _term_of(s)
-    return (term(m, rm) for m, rm in shells if rm)
-
-
 def zeta_continuum_partial(s, cutoff: int, budget: int = DEFAULT_BUDGET) -> mpmath.mpf:
     """Partial sum of the continuum torus zeta over shells 0 < m^2+n^2 <= cutoff.
 
@@ -226,10 +211,10 @@ def zeta_continuum_partial(s, cutoff: int, budget: int = DEFAULT_BUDGET) -> mpma
     the full series converges).  Terms are added in shell order, each sum
     rounded as libmp's mpf_add rounds it at PREC bits, so the result is
     the libmp loop's to the bit (README, "How the continuum partial sum is
-    computed").  For an integer s an even shell reuses the term of its
-    half, which it keeps in the r2 slot of that shell, and the loop stops
-    once no later term can change the total.  Raises BudgetExceeded when
-    cutoff exceeds budget, before the r2 list of cutoff + 1 ints is built.
+    computed").  The loop stops once no later term can change the total;
+    for an integer s an even shell reuses the term of its half, which it
+    keeps in the r2 slot of that shell.  Raises BudgetExceeded when cutoff
+    exceeds budget, before the r2 list of cutoff + 1 ints is built.
     """
     if not (s > 1 and mpmath.isfinite(s)):
         raise ValueError("need finite s > 1")
@@ -237,13 +222,10 @@ def zeta_continuum_partial(s, cutoff: int, budget: int = DEFAULT_BUDGET) -> mpma
         raise ValueError("cutoff must be nonnegative")
     check_cutoff(cutoff, budget)
     counts = r2_upto(cutoff)
-    if s != int(s):
-        total = 0, 0
-        for t in _shell_terms(s, islice(enumerate(counts), 1, None)):
-            total = _add(*total, *t)
-        return mpmath.mp.make_mpf(_mpf(*total))
-    s = int(s)
     term = _term_of(s)
+    # for an integer s the term of an even shell is its half's, the exponent
+    # lowered by s (_term_of); a non-integer s powers every shell
+    step = int(s) if s == int(s) else None
     am, ae = 0, 0
     for j in range(cutoff.bit_length()):
         # a shell m >= 2^j has r2(m) <= 4 sqrt(m) + 2 < sqrt(4 pi^2 m), so its
@@ -256,14 +238,16 @@ def zeta_continuum_partial(s, cutoff: int, budget: int = DEFAULT_BUDGET) -> mpma
             rm = counts[m]
             if not rm:
                 continue
-            if m & 1:
+            if m & 1 or step is None:
                 bm, be = term(m, rm)
             else:
                 bm, be = counts[m >> 1]  # r2(m) = r2(m/2)
-                be -= s
-            if 2 * m <= cutoff:
+                be -= step
+            if step and 2 * m <= cutoff:
                 counts[m] = bm, be  # r2(m) is spent; shell 2m reuses the term
-            # _add's grid step, inlined: a call per term costs about a tenth
+            # the grid step: bm's bits under am's ulp round onto am's grid,
+            # half to even on the new sum, unless the sum carries into the
+            # next binade; it stays here, as a call per term costs about 9 %
             shift = ae - be
             if 0 < shift <= _NEGLIGIBLE_SHIFT and _LOW <= am:
                 man = am + (bm >> shift)

@@ -50,6 +50,7 @@ GOLDEN = {
     "vanishing_6_text": ["vanishing", "--n", "6", "--max-len", "3", "--format", "text"],
     "zeta_16x2_c1000_csv": ["zeta", "--n", "16", "--d", "2", "--s", "2", "--cutoff", "1000", "--format", "csv"],
     "zeta_16x2_c1000_text": ["zeta", "--n", "16", "--d", "2", "--s", "2", "--cutoff", "1000", "--format", "text"],
+    "zeta_16x2_s2.5_c1000_text": ["zeta", "--n", "16", "--d", "2", "--s", "2.5", "--cutoff", "1000", "--format", "text"],
 }
 
 

@@ -156,3 +156,23 @@ def test_precision_is_fixed():
     assert [(p.name, f) for p in sources for f in functions_taking(p.read_text(), "bits")] == []
     planted = "def zeta_discrete(n, d, s, bits=128):\n    return f(lambda *, bits: bits)\n"
     assert functions_taking(planted, "bits") == ["zeta_discrete", "<lambda>"]
+
+
+def functions_defined(source: str) -> set[str]:
+    """The names of the functions defined anywhere in ``source``."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, functions)}
+
+
+def test_one_continuum_loop():
+    # the continuum sum is one shell loop for every s, which alone holds the
+    # grid step: the shell terms are computed in that loop and nowhere else
+    source = (Path(dtorus.__file__).parent / "zeta.py").read_text()
+    assert callers(source, "_term_of") == [("zeta_continuum_partial",)]
+    assert "_shell_terms" not in functions_defined(source)
+    planted = (
+        "def _shell_terms(s, shells):\n    term = _term_of(s)\n    return (term(m, rm) for m, rm in shells if rm)\n\n\n"
+        "def zeta_continuum_partial(s, cutoff):\n    term = _term_of(s)\n"
+    )
+    assert callers(planted, "_term_of") == [("_shell_terms",), ("zeta_continuum_partial",)]
+    assert "_shell_terms" in functions_defined(planted)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import mpmath
 import pytest
@@ -25,6 +26,18 @@ def test_r2_examples():
 def test_r2_matches_brute_force():
     counts = r2_upto(3000)
     assert counts == [brute_r2(m) for m in range(3001)]
+
+
+def test_r2_upto_allocates_one_list():
+    # one list of 10^6 + 1 slots is 8 MB; building it from two lists (say
+    # [1] + [0] * limit) holds 16 MB at once
+    tracemalloc.start()
+    try:
+        r2_upto(10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * (10**6 + 1)
 
 
 def test_zeta_discrete_hand_values():
@@ -103,8 +116,8 @@ def test_zeta_continuum_monotone_in_cutoff():
 
 # zeta_continuum_partial(s, cutoff)._mpf_ recorded from the loop written with
 # mpf operators (total += rm / (c*m)**s); (2, 10**6), the benchmark's emit
-# input, and (11, 10**4) recorded from the libmp loop (helpers); the integer
-# loop must match every bit.
+# input, and (11, 10**4) recorded from the libmp loop (helpers); the shell
+# loop must match every bit, at integer and non-integer s alike.
 CONTINUUM_PINNED = {
     (2, 10**6): (0, 78430953784530813436117770083, -104, 96),
     (11, 10**4): (0, 62932408901980599530507650487, -152, 96),
@@ -141,8 +154,24 @@ def test_shell_terms_match_libmp(s):
     # every m up to 3000 with counts 1..7, so that rounding ties occur
     shells = [(m, 1 + m % 7) for m in range(1, 3001)]
     shells += [(m, 1) for m in DIRECTED_POW_SHELLS.values()]
-    terms = [zeta._mpf(man, exp) for man, exp in zeta._shell_terms(s, shells)]
+    term = zeta._term_of(s)
+    terms = [zeta._mpf(*term(m, rm)) for m, rm in shells]
     assert terms == list(libmp_shell_terms(s, shells))
+
+
+def grid_step_cases():
+    """(am, ae, bm, shift) for the grid step of zeta_continuum_partial: totals
+    at both ends of the PREC-bit range (and 2^96, which _round returns on a
+    carry), exact ties under the total's ulp, and terms whose high bits carry
+    the total into the next binade."""
+    cases = []
+    for shift in range(1, 2 * zeta.PREC + 2):
+        half = 1 << (shift - 1)
+        for am in (2**95, 2**95 + 1, 2**96 - 2, 2**96 - 1, 2**96):
+            for bm in (half, half - 1, half + 1, 3 * half, (1 << min(shift, 96)) - 1, 2**96):
+                cases.append((am, -50, bm, shift))
+                cases.append((am, -50, bm | 1 << (shift + 1), shift))  # 2 over am's ulp: a carry
+    return cases
 
 
 def test_add_matches_mpf_add():
@@ -158,43 +187,53 @@ def test_add_matches_mpf_add():
                 for _ in range(2)
             )
             cases.append((am, rng.randint(-300, 100), bm, shift))
-    # the grid step: totals at both ends of the PREC-bit range (and 2^96, which
-    # _round returns on a carry), exact ties under the total's ulp, and terms
-    # whose high bits carry the total into the next binade
-    for shift in range(1, 2 * zeta.PREC + 2):
-        half = 1 << (shift - 1)
-        for am in (2**95, 2**95 + 1, 2**96 - 2, 2**96 - 1, 2**96):
-            for bm in (half, half - 1, half + 1, 3 * half, (1 << min(shift, 96)) - 1, 2**96):
-                cases.append((am, -50, bm, shift))
-                cases.append((am, -50, bm | 1 << (shift + 1), shift))  # 2 over am's ulp: a carry
+    cases += grid_step_cases()
     for am, ae, bm, shift in cases:
         got = zeta._add(am, ae, bm, ae - shift)
         want = mpf_add(zeta._mpf(am, ae), zeta._mpf(bm, ae - shift), zeta.PREC, round_nearest)
         assert zeta._mpf(*got) == want, (am, ae, bm, shift)
 
 
+def test_grid_step_matches_mpf_add(monkeypatch):
+    # the grid step lives in the shell loop alone: each case is a sum over
+    # shells 1 and 2 at s = 1.5 (no term reuse, and no early stop under a
+    # total at 2^-50), whose terms are the case's two numbers; a total of
+    # 2^96 leaves the grid step for _add, so its cases stay with the test above
+    terms = {}
+    monkeypatch.setattr(zeta, "r2_upto", lambda limit: [1, 1, 1])
+    monkeypatch.setattr(zeta, "_term_of", lambda s: lambda m, rm: terms[m])
+    cases = [case for case in grid_step_cases() if case[0] < 2**96]
+    assert len(cases) == 4 * 193 * 12
+    for am, ae, bm, shift in cases:
+        terms[1], terms[2] = (am, ae), (bm, ae - shift)
+        got = zeta_continuum_partial(1.5, 2)._mpf_
+        want = mpf_add(zeta._mpf(am, ae), zeta._mpf(bm, ae - shift), zeta.PREC, round_nearest)
+        assert got == want, (am, ae, bm, shift)
+
+
 @pytest.mark.parametrize("s", [2, 3, 10, 11, 12, 13])
 def test_shell_terms_scale_with_powers_of_two(s):
-    # r2(2m) = r2(m), so the even shells of the integer loop reuse the term
+    # r2(2m) = r2(m), so at an integer s the loop's even shells reuse the term
     # of their half: it must be the same mantissa, exponent lowered by s
     pairs = [(m, k) for m in range(1, 3001) for k in (1, 2)]
     pairs += [(m, k) for m in DIRECTED_POW_SHELLS.values() for k in (1, 2)]
-    odd = list(zeta._shell_terms(s, [(m, 1 + m % 7) for m, _ in pairs]))
-    even = list(zeta._shell_terms(s, [(m << k, 1 + m % 7) for m, k in pairs]))
-    for (m, k), (om, oe), (em, ee) in zip(pairs, odd, even):
-        assert (em, ee) == (om, oe - k * s), (m, k)
+    term = zeta._term_of(s)
+    for m, k in pairs:
+        om, oe = term(m, 1 + m % 7)
+        assert term(m << k, 1 + m % 7) == (om, oe - k * s), (m, k)
 
 
-@pytest.mark.parametrize("s", [40, 10**6])
+@pytest.mark.parametrize("s", [40, 40.5, 10**6])
 def test_zeta_continuum_stops_early_bit_identical(s):
     # past the first shells every term lies far under the total's ulp, and
-    # the loop stops; the libmp loop adds (and drops) every one of them
+    # the loop stops, at non-integer s too; the libmp loop adds (and drops)
+    # every one of them
     assert zeta_continuum_partial(s, 10**4)._mpf_ == libmp_continuum_partial(s, 10**4)
 
 
 def test_zeta_continuum_large_s_computes_few_terms(monkeypatch):
     # at s = 10^6 only shell 1 counts; the loop stops within the first binades
-    # of shells instead of powering each of the 10^6
+    # of shells instead of powering each of the 10^6, at non-integer s too
     calls = []
     term_of = zeta._term_of
 
@@ -203,9 +242,11 @@ def test_zeta_continuum_large_s_computes_few_terms(monkeypatch):
         return lambda m, rm: calls.append(m) or term(m, rm)
 
     monkeypatch.setattr(zeta, "_term_of", counting_term_of)
-    value = zeta_continuum_partial(10**6, 10**6)
-    assert value == zeta_continuum_partial(10**6, 1) > 0
-    assert calls and max(calls) < 8
+    for s in (10**6, 10**6 + 0.5):
+        calls.clear()
+        value = zeta_continuum_partial(s, 10**6)
+        assert value == zeta_continuum_partial(s, 1) > 0
+        assert calls and max(calls) < 8, s
 
 
 @pytest.mark.parametrize("s", [30.5, 40])
