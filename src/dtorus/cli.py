@@ -59,7 +59,7 @@ def _decimal(x, digits: int = 30) -> str:
     return mpmath.nstr(x, digits)
 
 
-# the table fields: each is a list of row tuples in the order of its columns
+# the table fields: each is an iterable of row tuples in the order of its columns
 TABLE_COLUMNS = {
     "entries": ("value_decimal", "key_coeffs", "multiplicity", "representative"),
     "sums": ("exponents", "minimal", "symmetric"),
@@ -88,17 +88,37 @@ def _json(v, pad: str = "\n") -> str:
 def _emit(args, fields: dict) -> int:
     """Prints ``schema``, ``command`` and ``fields`` in ``--format``; returns 0.
 
-    csv prints one row per table row under the table's columns, even with no
-    rows, and otherwise one row of all the fields; text prints the fields
-    that are not lists, then the table rows.
+    A table field (TABLE_COLUMNS) may be any iterable of row tuples, a
+    generator included: each row is written as it is taken, so only one row
+    is held at a time.  json prints what json.dumps(indent=2) would print
+    with each row a dict under the table's columns; csv prints one row per
+    table row under the table's columns, even with no rows, and otherwise
+    one row of all the fields; text prints the fields that are not lists,
+    then the table rows.
     """
     payload = {"schema": SCHEMA, "command": args.command, **fields}
     table = next((k for k in payload if k in TABLE_COLUMNS), None)
     columns, rows = TABLE_COLUMNS.get(table, ()), payload.get(table, ())
     if args.format == "json":
-        if table:
-            payload[table] = [dict(zip(columns, row)) for row in rows]
-        print(_json(payload))
+        # the payload's dict and the table's list are written here, a row at a
+        # time, with the layout _json gives them; each row is a dict at depth 2
+        write = sys.stdout.write
+        names = [_json(c) + ": " for c in columns]
+        pad = "\n      "
+        sep = "{\n  "
+        for k, v in payload.items():
+            write(sep + _json(k) + ": ")
+            sep = ",\n  "
+            if k != table:
+                write(_json(v, "\n  "))
+                continue
+            empty = True
+            for row in rows:
+                cells = (name + _json(cell, pad) for name, cell in zip(names, row))
+                write(("[" if empty else ",") + "\n    {" + pad + ("," + pad).join(cells) + "\n    }")
+                empty = False
+            write("[]" if empty else "\n  ]")
+        write("\n}\n")
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns or payload)
@@ -106,7 +126,7 @@ def _emit(args, fields: dict) -> int:
             writer.writerow(" ".join(map(str, v)) if isinstance(v, (list, tuple)) else v for v in row)
     else:
         for k, v in payload.items():
-            if not isinstance(v, list):
+            if k != table and not isinstance(v, list):
                 print(f"{k}: {v}")
         for row in rows:
             print("  " + "  ".join(f"{k}={v}" for k, v in zip(columns, row)))
@@ -116,10 +136,11 @@ def _emit(args, fields: dict) -> int:
 def cmd_spectrum(args) -> int:
     get_context(args.n)  # refuses a modulus over the context cap before any table work
     table = torus_spectrum(args.n, args.d, args.budget)
-    rows = [
+    # a generator: each row's key and coefficients are built as _emit writes it
+    rows = (
         (_decimal(value.real), list(key.coeffs), str(e.count), list(e.representative))
         for value, key, e in table.sorted_entries()
-    ]
+    )
     fields = {
         "n": args.n,
         "d": args.d,

@@ -228,14 +228,15 @@ class ApproxReal:
 def _fixed_tables(n: int, prec: int) -> tuple[int, ...]:
     """Integers within 1 of 2^prec cos(2 pi k / n), k < n.
 
-    Each entry is the integer nearest the midpoint of one interval
-    enclosure at prec + 32 bits, whose width is asserted to be at most 1.
+    Each entry for k <= n/2 is the integer nearest the midpoint of one
+    interval enclosure at prec + 32 bits, whose width is asserted to be at
+    most 1; the entry for k > n/2 is that for n - k, as cos is even.
     """
     iv = mpmath.iv
     old = iv.prec
     try:
         iv.prec = prec + 32
-        cosines = [iv.cos(2 * iv.pi * k / n) for k in range(n)]
+        cosines = [iv.cos(2 * iv.pi * k / n) for k in range(n // 2 + 1)]
     finally:
         iv.prec = old
 
@@ -249,7 +250,8 @@ def _fixed_tables(n: int, prec: int) -> tuple[int, ...]:
     # the sum and the shifts are exact; nint rounds to the working precision,
     # which must hold the (prec + 1)-bit result (the ambient 53 bits would not)
     with mpmath.workprec(prec + 96):
-        return tuple(map(nearest, cosines))
+        half = list(map(nearest, cosines))
+    return tuple(half + half[(n - 1) // 2 : 0 : -1])
 
 
 def approx_value(n: int, exponents: Iterable[int]) -> ApproxReal:

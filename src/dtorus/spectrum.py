@@ -25,7 +25,7 @@ import itertools
 import operator
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .cyclotomic import ApproxReal, CycElt, ModEmbedding, approx_value, get_context, key_embedding
 from .cyclotomic import key_of_tuple, sum_reduce
@@ -115,28 +115,27 @@ class SpectrumTable:
         count = self.counts.get(f, 0)
         return count if count and self.key_of(self.entry(f).representative) == key else 0
 
-    def sorted_entries(self) -> list[tuple[ApproxReal, CycElt, Entry]]:
+    def sorted_entries(self) -> Iterator[tuple[ApproxReal, CycElt, Entry]]:
         """(value, key, entry) for every row, by value descending (by_value)."""
         return by_value(self, self.counts)
 
 
-def by_value(table: SpectrumTable, images) -> list[tuple[ApproxReal, CycElt, Entry]]:
+def by_value(table: SpectrumTable, images) -> Iterator[tuple[ApproxReal, CycElt, Entry]]:
     """(value, key, entry) for the rows of ``table`` at the F images ``images``,
-    value descending.
+    value descending, as an iterator.
 
     Each row is unpacked and evaluated once (as SpectrumTable.value) and
     sorts on the float of its certified midpoint; distinct values whose
-    floats coincide stay distinct rows (in_float_order).
+    floats coincide stay distinct rows (in_float_order).  The rows are
+    evaluated and sorted by the call; a row's key is built, and the row
+    let go, only when the iterator reaches it.
     """
     rows = {}
     for f in images:
         e = table.entry(f)
         rows[f] = (table._value_of(f, e.representative), e)
-    out = []
-    for _, f in in_float_order(table, [(-float(v), f) for f, (v, _) in rows.items()]):
-        v, e = rows[f]
-        out.append((v, table.key_of(e.representative), e))
-    return out
+    order = in_float_order(table, [(-float(v), f) for f, (v, _) in rows.items()])
+    return ((v, table.key_of(e.representative), e) for v, e in (rows.pop(f) for _, f in order))
 
 
 def in_float_order(table: SpectrumTable, rows: list[tuple]) -> list[tuple]:

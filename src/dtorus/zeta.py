@@ -31,14 +31,19 @@ _NEGLIGIBLE_SHIFT = 2 * PREC + 1
 # the mantissas of PREC bits, whose ulp is 2^exponent: [_LOW, _TOP)
 _LOW = 1 << (PREC - 1)
 _TOP = 1 << PREC
+# a term kept for reuse is one int, exponent << _MAN_BITS | mantissa: a
+# rounded mantissa is below 2^(PREC+1), and the shift floors back to the
+# exponent whatever its sign
+_MAN_BITS = PREC + 1
+_MAN_MASK = (1 << _MAN_BITS) - 1
 
 
 def check_cutoff(cutoff: int, budget: int) -> None:
     """Refuse a continuum cutoff above the budget.
 
     The sum keeps an r2 list of cutoff + 1 ints; for an integer s the slots
-    of the nonzero shells up to cutoff / 2 hold their terms instead, about
-    20 bytes per unit of cutoff in all at 10^6.
+    of the nonzero shells up to cutoff / 2 hold their terms instead, one
+    packed int each, about 13 bytes per unit of cutoff in all at 10^6.
     """
     if cutoff > budget:
         raise BudgetExceeded(f"continuum cutoff {cutoff} exceeds the budget {budget}")
@@ -213,8 +218,9 @@ def zeta_continuum_partial(s, cutoff: int, budget: int = DEFAULT_BUDGET) -> mpma
     the libmp loop's to the bit (README, "How the continuum partial sum is
     computed").  The loop stops once no later term can change the total;
     for an integer s an even shell reuses the term of its half, which it
-    keeps in the r2 slot of that shell.  Raises BudgetExceeded when cutoff
-    exceeds budget, before the r2 list of cutoff + 1 ints is built.
+    keeps in the r2 slot of that shell as one int (_MAN_BITS).  Raises
+    BudgetExceeded when cutoff exceeds budget, before the r2 list of
+    cutoff + 1 ints is built.
     """
     if not (s > 1 and mpmath.isfinite(s)):
         raise ValueError("need finite s > 1")
@@ -226,6 +232,7 @@ def zeta_continuum_partial(s, cutoff: int, budget: int = DEFAULT_BUDGET) -> mpma
     # for an integer s the term of an even shell is its half's, the exponent
     # lowered by s (_term_of); a non-integer s powers every shell
     step = int(s) if s == int(s) else None
+    step_down = (step or 0) << _MAN_BITS  # lowers a packed term's exponent by step
     am, ae = 0, 0
     for j in range(cutoff.bit_length()):
         # a shell m >= 2^j has r2(m) <= 4 sqrt(m) + 2 < sqrt(4 pi^2 m), so its
@@ -241,10 +248,10 @@ def zeta_continuum_partial(s, cutoff: int, budget: int = DEFAULT_BUDGET) -> mpma
             if m & 1 or step is None:
                 bm, be = term(m, rm)
             else:
-                bm, be = counts[m >> 1]  # r2(m) = r2(m/2)
-                be -= step
+                packed = counts[m >> 1] - step_down  # r2(m) = r2(m/2)
+                bm, be = packed & _MAN_MASK, packed >> _MAN_BITS
             if step and 2 * m <= cutoff:
-                counts[m] = bm, be  # r2(m) is spent; shell 2m reuses the term
+                counts[m] = be << _MAN_BITS | bm  # r2(m) is spent; shell 2m reuses the term
             # the grid step: bm's bits under am's ulp round onto am's grid,
             # half to even on the new sum, unless the sum carries into the
             # next binade; it stays here, as a call per term costs about 9 %

@@ -6,6 +6,7 @@ never calls the convolution machinery it is checking.
 
 import math
 import operator
+import tracemalloc
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd, isqrt
 
@@ -223,3 +224,33 @@ def residue_approx(e, bits=128):
         prec *= 2
     re = sum(map(operator.mul, coeffs, _fixed_tables(e.n, prec)))
     return ApproxReal(*(mpmath.mp.make_mpf(from_man_exp(m, -prec)) for m in (re, w)))
+
+
+def interval_fixed_table(n, prec):
+    """The integers nearest the midpoints of interval enclosures of
+    2^prec cos(2 pi k / n) at prec + 32 bits, each enclosure computed, for
+    every k < n: the table dtorus.cyclotomic._fixed_tables mirrors from k <= n/2."""
+    with mpmath.workprec(prec + 96):
+        iv = mpmath.iv
+        old = iv.prec
+        try:
+            iv.prec = prec + 32
+            cosines = [iv.cos(2 * iv.pi * k / n) for k in range(n)]
+        finally:
+            iv.prec = old
+        out = []
+        for x in cosines:
+            lo, hi = (mpmath.mp.make_mpf(end) for end in x._mpi_)
+            assert mpmath.ldexp(mpmath.fsub(hi, lo, exact=True), prec) <= 1
+            out.append(int(mpmath.nint(mpmath.ldexp(mpmath.fadd(lo, hi, exact=True), prec - 1))))
+        return tuple(out)
+
+
+def traced_peak(fn, *args):
+    """The tracemalloc peak, in bytes, of the call fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

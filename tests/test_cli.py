@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import resource
@@ -15,6 +18,7 @@ import dtorus
 from dtorus import cli, cyclotomic, spectrum, zeta
 from dtorus.cli import main
 from dtorus.errors import Bound24Violated
+from helpers import traced_peak
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -331,11 +335,14 @@ def test_golden_output(capsys, name):
     assert out.encode() == (GOLDEN_DIR / f"{name}.out").read_bytes()
 
 
-# sha256 of stdout of the benchmark's two largest emit commands, copied from
-# its record of the seed commit's output; "verify cjk --s 2" runs at the
+# sha256 of stdout of the benchmark's three emit commands at full size, copied
+# from its record of the seed commit's output; "verify cjk --s 2" runs at the
 # default cutoff 10^6
 EMIT_SHA256 = {
     ("spectrum", "--n", "240", "--d", "2"): "bc4ec0d3b54c1924cb24961b332ee1da29f53271685c2507ad29b63925f7afb4",
+    ("spectrum", "--n", "180", "--d", "2", "--format", "csv"): (
+        "6896a786d00227ef2734c62ce4809adef3329b47ad33f820a685e98e13f68fb6"
+    ),
     ("verify", "cjk", "--s", "2"): "6dff03ead83846f940701bcdb781cac16ff86e52dc265aa0ddd60185c75e287f",
 }
 
@@ -361,6 +368,80 @@ _json_values = st.recursive(
 @given(_json_values)
 def test_json_writer_matches_json_dumps(value):
     assert cli._json(value) == json.dumps(value, indent=2)
+
+
+def emitted(fmt: str, fields: dict) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli._emit(argparse.Namespace(command="spectrum", format=fmt), fields) == 0
+    return out.getvalue()
+
+
+_reserved = {"schema", "command", *cli.TABLE_COLUMNS}
+# cells as the tables hold them (decimal strings, int lists, flags, None),
+# nested a little; test_json_writer_matches_json_dumps covers _json itself
+_cells = st.recursive(
+    st.none() | st.booleans() | st.integers() | _text,
+    lambda children: st.lists(children, max_size=3) | st.lists(st.integers()).map(tuple),
+    max_leaves=6,
+)
+_tables = st.sampled_from(sorted(cli.TABLE_COLUMNS)).flatmap(
+    lambda name: st.tuples(st.just(name), st.lists(st.tuples(*[_cells] * len(cli.TABLE_COLUMNS[name])), max_size=3))
+)
+_fields = st.lists(st.tuples(_text.filter(lambda k: k not in _reserved), _cells), max_size=3, unique_by=lambda kv: kv[0])
+
+
+def with_table(fields, name, rows, at) -> dict:
+    """The fields with the table ``name`` inserted at position ``at``."""
+    fields = list(fields)
+    fields.insert(min(at, len(fields)), (name, rows))
+    return dict(fields)
+
+
+@given(_tables, _fields, st.integers(0, 3))
+def test_emit_streams_the_json_of_row_dicts(table, fields, at):
+    # rows from a generator, written as they come, against json.dumps of the
+    # whole payload with each row a dict; the draws include empty tables
+    name, rows = table
+    columns = cli.TABLE_COLUMNS[name]
+    dicts = [dict(zip(columns, row)) for row in rows]
+    want = json.dumps({"schema": cli.SCHEMA, "command": "spectrum", **with_table(fields, name, dicts, at)}, indent=2)
+    assert emitted("json", with_table(fields, name, (row for row in rows), at)) == want + "\n"
+
+
+@given(_tables, _fields, st.integers(0, 3))
+def test_emit_csv_and_text_stream_a_generator(table, fields, at):
+    name, rows = table
+    for fmt in ("csv", "text"):
+        listed = emitted(fmt, with_table(fields, name, rows, at))
+        assert emitted(fmt, with_table(fields, name, (row for row in rows), at)) == listed
+
+
+class ByteCounter:
+    """A stdout that keeps nothing and counts what is written to it (ASCII here)."""
+
+    def __init__(self):
+        self.written = 0
+
+    def write(self, text: str) -> int:
+        self.written += len(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_spectrum_holds_one_row_at_a_time():
+    # 3.3 MB of output: holding every row (or the whole string) at once
+    # would take more memory than that
+    argv = ["spectrum", "--n", "127", "--d", "2"]
+    sink = ByteCounter()
+    with contextlib.redirect_stdout(sink):
+        assert main(argv) == 0  # fills the table, context and cosine caches
+        sink.written = 0
+        peak = traced_peak(main, argv)
+    assert sink.written > 3 * 10**6
+    assert peak < sink.written
 
 
 def test_empty_table_csv_keeps_its_columns(capsys):

@@ -19,7 +19,7 @@ from dtorus.cyclotomic import (
     sum_reduce,
 )
 from dtorus.errors import BudgetExceeded
-from helpers import phi_brute, reduce_mod_phi
+from helpers import interval_fixed_table, phi_brute, reduce_mod_phi
 
 moduli = st.integers(min_value=1, max_value=60)
 
@@ -267,6 +267,13 @@ def test_fixed_tables_within_one(n, prec):
     for k, (lo, hi) in enumerate(iv_enclosures(n, 4 * prec)):
         assert table[k] - 1 <= mpmath.ldexp(lo, prec)
         assert mpmath.ldexp(hi, prec) <= table[k] + 1
+
+
+def test_fixed_tables_mirror_the_full_computation():
+    # the entries for k > n/2 are copied from n - k: the same integers as
+    # an enclosure of each cosine gives, odd and even n, prime and composite
+    for n in [*range(1, 65), 180, 240, 419, 420]:
+        assert _fixed_tables(n, cyclotomic.PREC) == interval_fixed_table(n, cyclotomic.PREC), n
 
 
 def test_phi_divides_x_n_minus_1():

@@ -406,7 +406,7 @@ def test_sorted_entries_descending():
 def test_sorted_entries_order_matches_reference(n):
     # independent reference: mpmath's 2cos(2 pi k / n), summed over each row's
     # representative at 200 bits; distinct keys have distinct values
-    rows = torus_spectrum(n, 2).sorted_entries()
+    rows = list(torus_spectrum(n, 2).sorted_entries())  # read twice below
     with mpmath.workprec(200):
         two_cos = [2 * mpmath.cos(2 * mpmath.pi * k / n) for k in range(n)]
         refs = [sum(two_cos[k] for k in e.representative) for _, _, e in rows]

@@ -1,6 +1,5 @@
 import math
 import random
-import tracemalloc
 
 import mpmath
 import pytest
@@ -11,7 +10,7 @@ from mpmath.libmp import mpf_add, round_nearest
 from dtorus import cli, zeta
 from dtorus.errors import BudgetExceeded
 from dtorus.zeta import cjk_table, r2_upto, zeta_continuum_partial, zeta_discrete
-from helpers import brute_r2, libmp_continuum_partial, libmp_shell_terms
+from helpers import brute_r2, libmp_continuum_partial, libmp_shell_terms, traced_peak
 
 
 def test_r2_examples():
@@ -31,13 +30,14 @@ def test_r2_matches_brute_force():
 def test_r2_upto_allocates_one_list():
     # one list of 10^6 + 1 slots is 8 MB; building it from two lists (say
     # [1] + [0] * limit) holds 16 MB at once
-    tracemalloc.start()
-    try:
-        r2_upto(10**6)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.25 * 8 * (10**6 + 1)
+    assert traced_peak(r2_upto, 10**6) < 1.25 * 8 * (10**6 + 1)
+
+
+def test_continuum_keeps_each_reused_term_in_one_int():
+    # at cutoff 10^6 the r2 list is 8 MB, and about 10^5 nonzero shells up to
+    # half the cutoff keep their terms for reuse: a (mantissa, exponent)
+    # tuple each would take about 12 MB more, one packed int about 5 MB
+    assert traced_peak(zeta_continuum_partial, 2, 10**6) < 15 * 10**6
 
 
 def test_zeta_discrete_hand_values():
