@@ -3,7 +3,7 @@
 Subcommands expose every computation; ``verify`` drives the reproduction
 checks.  Exit codes: 0 pass, 1 verified-claim failure, 2 resource/budget,
 3 internal consistency violation (formula vs enumeration mismatch),
-64 usage or input error.
+64 usage or input error, 141 (128 + SIGPIPE) stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -29,14 +29,9 @@ from .criteria import (
     verify_table60,
     zero_growth,
 )
-from .cyclotomic import approx_value, get_context, key_embedding
+from .cyclotomic import CycElt, approx_value, get_context, key_embedding
 from .errors import BudgetExceeded, Bound24Violated, DtorusError, NotApplicable
-from .spectrum import (
-    DEFAULT_BUDGET,
-    membership,
-    multiplicity_of_tuple,
-    torus_spectrum,
-)
+from .spectrum import DEFAULT_BUDGET, by_value, membership, multiplicity_of_tuple, torus_spectrum
 from .vanishing import (
     classify_cos4,
     find_vanishing_multiset,
@@ -85,6 +80,13 @@ def _json(v, pad: str = "\n") -> str:
     return json.dumps(v)
 
 
+def _cell(v):
+    """A field as one csv cell or text value: a list space-joined, None empty."""
+    if isinstance(v, (list, tuple)):
+        return " ".join(map(str, v))
+    return "" if v is None else v
+
+
 def _emit(args, fields: dict) -> int:
     """Prints ``schema``, ``command`` and ``fields`` in ``--format``; returns 0.
 
@@ -93,8 +95,8 @@ def _emit(args, fields: dict) -> int:
     is held at a time.  json prints what json.dumps(indent=2) would print
     with each row a dict under the table's columns; csv prints one row per
     table row under the table's columns, even with no rows, and otherwise
-    one row of all the fields; text prints the fields that are not lists,
-    then the table rows.
+    one row of all the fields; text prints each field but the table as
+    ``name: cell`` (_cell), then the table rows.
     """
     payload = {"schema": SCHEMA, "command": args.command, **fields}
     table = next((k for k in payload if k in TABLE_COLUMNS), None)
@@ -123,11 +125,11 @@ def _emit(args, fields: dict) -> int:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns or payload)
         for row in rows if table else [payload.values()]:
-            writer.writerow(" ".join(map(str, v)) if isinstance(v, (list, tuple)) else v for v in row)
+            writer.writerow(map(_cell, row))
     else:
         for k, v in payload.items():
-            if k != table and not isinstance(v, list):
-                print(f"{k}: {v}")
+            if k != table:
+                print(f"{k}: {_cell(v)}")
         for row in rows:
             print("  " + "  ".join(f"{k}={v}" for k, v in zip(columns, row)))
     return 0
@@ -138,8 +140,8 @@ def cmd_spectrum(args) -> int:
     table = torus_spectrum(args.n, args.d, args.budget)
     # a generator: each row's key and coefficients are built as _emit writes it
     rows = (
-        (_decimal(value.real), list(key.coeffs), str(e.count), list(e.representative))
-        for value, key, e in table.sorted_entries()
+        (_decimal(v.real), list(table.key_of(e.representative).coeffs), str(e.count), list(e.representative))
+        for v, _, e in by_value(table, table.counts)
     )
     fields = {
         "n": args.n,
@@ -156,7 +158,6 @@ def _parse_tuple(text: str) -> tuple[int, ...]:
 
 def cmd_mult(args) -> int:
     ks = _parse_tuple(args.tuple)
-    get_context(args.n)  # refuses a modulus over the context cap before any table work
     mult = multiplicity_of_tuple(args.n, args.d, ks, args.budget)
     closed = d2_closed_form(args.n, *ks) if args.d == 2 else None
     # F is injective on the keys of T^d_n and zero, so F = 0 is exactly the empty sum
@@ -257,7 +258,6 @@ def cmd_zeta(args) -> int:
         if not args.s > 1:
             raise ValueError("the continuum partial sum (--cutoff) needs s > 1")
         check_cutoff(args.cutoff, args.budget)
-    get_context(args.n)  # refuses a modulus over the context cap before any table work
     zv = zeta_discrete(args.n, args.d, args.s, args.budget)
     fields = {
         "n": args.n,
@@ -349,7 +349,7 @@ def verify_table60_cmd(args) -> int:
 @_checks
 def verify_zero_cmd(args):
     for n in range(3, args.nmax + 1):
-        zero = get_context(n).zero
+        zero = CycElt(n, 0)
         for d in range(1, args.dmax + 1):
             formula = is_zero_eigenvalue(n, d)
             spectral = membership(n, d, zero, args.budget)
@@ -501,7 +501,14 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; with stdout on devnull the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 
 from .arith import factorize, is_prime, semigroup_member
-from .cyclotomic import ApproxReal, CycElt, get_context, key_of_tuple
+from .cyclotomic import ApproxReal, CycElt, key_of_tuple
 from .errors import Bound24Violated, PreconditionViolated, ZeroNotEigenvalue
 from .spectrum import (
     DEFAULT_BUDGET,
@@ -125,7 +125,8 @@ def eigenvalue_growth(n: int, d: int, ks, budget: int = DEFAULT_BUDGET) -> Growt
 
     Linear growth holds iff for some r in [1, d] the index r admits a
     growth witness and the eigenvalue already occurs in T^(d-r)_n; the
-    smallest such r is returned.
+    smallest such r is returned.  The key is built only once some r has a
+    witness.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -134,11 +135,13 @@ def eigenvalue_growth(n: int, d: int, ks, budget: int = DEFAULT_BUDGET) -> Growt
     ks = tuple(ks)
     if len(ks) != d:
         raise ValueError(f"expected {d} indices, got {len(ks)}")
-    key = key_of_tuple(n, ks)
+    key = None
     for r in range(1, d + 1):
         w = in_I0(n, r)
         if w is None:
             continue
+        if key is None:
+            key = key_of_tuple(n, ks)
         if membership(n, d - r, key, budget):
             return GrowthClass("LinearGrowth", r, w, d - r)
     return GrowthClass("Bounded")
@@ -191,7 +194,7 @@ class Bound24Report:
 
     @functools.cached_property
     def attained(self) -> tuple[CycElt, ...]:
-        return tuple(key for _, key, _ in by_value(self.table, self.images))
+        return tuple(self.table.key_of(e.representative) for _, _, e in by_value(self.table, self.images))
 
 
 def verify_bound24(n: int, budget: int = DEFAULT_BUDGET) -> Bound24Report:
@@ -219,7 +222,8 @@ def verify_bound24(n: int, budget: int = DEFAULT_BUDGET) -> Bound24Report:
 class Table60Report:
     """High multiplicities of T^2_60 checked against the published table.
 
-    ``ok`` asserts everything the published table gets right: the set of
+    Eigenvalues are held as their F images in the rows of T^2_60.  ``ok``
+    asserts everything the published table gets right: the set of
     multiplicities above 8 is exactly {12, 16, 20, 24, 118}, every listed
     eigenvalue has exactly its listed multiplicity, and the rows 12, 20,
     24 and 118 are complete.  ``row16_extra`` holds the multiplicity-16
@@ -227,15 +231,15 @@ class Table60Report:
     total, e.g. 2cos(pi/30) via cos(pi/30) = cos(3pi/10) + cos(11pi/30));
     it is reported rather than folded into ``ok`` because the omission is
     a defect of the published row, not of the computation.  ``high`` holds
-    by_value's (value, key, entry) for every key above multiplicity 8, by
-    multiplicity and then value descending.
+    by_value's (value, f, entry) for every eigenvalue above multiplicity
+    8, by multiplicity and then value descending.
     """
 
     ok: bool
     printed: dict
     computed: dict
-    row16_extra: tuple[CycElt, ...]
-    high: tuple[tuple[ApproxReal, CycElt, Entry], ...]
+    row16_extra: tuple[int, ...]
+    high: tuple[tuple[ApproxReal, int, Entry], ...]
 
 
 def verify_table60(budget: int = DEFAULT_BUDGET) -> Table60Report:
@@ -243,22 +247,22 @@ def verify_table60(budget: int = DEFAULT_BUDGET) -> Table60Report:
 
     Printed rows: 12 at +-(2cos(pi/5)+1) and +-(2cos(2pi/5)-1), 16 at
     +-(2cos(pi/15)+1), 20 at +-1, 24 at +-2cos(pi/5) and +-2cos(2pi/5),
-    and 118 at 0.
+    and 118 at 0.  Each is named by an index pair (k1, k2) of N = 60, whose
+    eigenvalue is 2cos(pi k1/30) + 2cos(pi k2/30); 2cos(pi/2) = 0.
     """
-    ctx = get_context(60)
-    c2, c6, c12 = (key_of_tuple(60, (k,)) for k in (2, 6, 12))
-    printed = {
-        12: frozenset({c6 + 1, -(c6 + 1), c12 - 1, 1 - c12}),
-        16: frozenset({c2 + 1, -(c2 + 1)}),
-        20: frozenset({ctx.one, -ctx.one}),
-        24: frozenset({c6, -c6, c12, -c12}),
-        118: frozenset({ctx.zero}),
+    printed_pairs = {
+        12: ((6, 10), (24, 20), (12, 20), (18, 10)),
+        16: ((2, 10), (28, 20)),
+        20: ((10, 15), (20, 15)),
+        24: ((6, 15), (24, 15), (12, 15), (18, 15)),
+        118: ((15, 15),),
     }
     t = torus_spectrum(60, 2, budget)
+    printed = {m: frozenset(map(t.embedding.cos_image, pairs)) for m, pairs in printed_pairs.items()}
     above8 = [f for f, c in t.counts.items() if c > 8]
     # sorted is stable: by_value's order holds within each multiplicity
     high = sorted(by_value(t, above8), key=lambda row: row[2].count)
-    computed = {c: frozenset(k for _, k, _ in g) for c, g in groupby(high, lambda row: row[2].count)}
+    computed = {c: frozenset(f for _, f, _ in g) for c, g in groupby(high, lambda row: row[2].count)}
     ok = set(computed) == set(printed)
     if ok:
         for mult, keys in printed.items():
@@ -267,7 +271,7 @@ def verify_table60(budget: int = DEFAULT_BUDGET) -> Table60Report:
         for mult in (12, 20, 24, 118):
             if computed[mult] != printed[mult]:
                 ok = False
-    extra = tuple(key for _, key, e in high if e.count == 16 and key not in printed[16])
+    extra = tuple(f for _, f, e in high if e.count == 16 and f not in printed[16])
     return Table60Report(ok, printed, computed, extra, tuple(high))
 
 
@@ -335,5 +339,5 @@ def zero_lower_bound_family(n: int, k: int, budget: int = DEFAULT_BUDGET) -> boo
         raise ValueError("need k >= 1")
     p1 = factorize(n).primes[0]
     d = k * p1
-    m = key_multiplicity(n, d, get_context(n).zero, budget)
+    m = key_multiplicity(n, d, CycElt(n, 0), budget)
     return m >= (n // p1) ** k

@@ -2,14 +2,15 @@
 
 A sum of N-th roots of unity is stored as its canonical residue modulo the
 N-th cyclotomic polynomial Phi_N.  Two sums are equal as complex numbers
-exactly when their residues are, so a residue doubles as a hashable
-dictionary key when eigenvalues get grouped into multiplicity tables.
+exactly when their residues are, so a residue is the exact key of an
+eigenvalue.  A CycElt is built only where its coefficients are printed or a
+key crosses the API; tables and searches compare F images (ModEmbedding).
 
 Only this module knows the storage format: the residue sum(c_i x^i), i < phi,
 is the int sum(c_i 2^(64 i)) with balanced 64-bit digits (Kronecker
 substitution), so residues add as ints, zero is 0 and the constant c is c.
-Every CycElt digit lies in [-2^62, 2^62), tested wherever one is formed: the
-sum of two stays one-to-one, and overflow raises instead of wrapping.
+Every CycElt digit lies in [-2^62, 2^62), tested when one is built, so
+overflow raises there instead of wrapping.
 Unchecked int sums rest on counts: powers of x have digits below 2^31 (tested
 per context) and a torus key sums 2d < 2^31 powers (torus_spectrum rejects
 d >= 2^30).  Phi_N is a dense coefficient list, constant term first, built
@@ -125,29 +126,6 @@ class CycElt:
     def is_zero(self) -> bool:
         return not self.v
 
-    def _coerce(self, other: "CycElt | int") -> int:
-        if isinstance(other, int):
-            return CycElt(1, other).v  # a constant is a residue modulo Phi_1: one digit
-        if not isinstance(other, CycElt):
-            raise TypeError(f"cannot combine CycElt with {type(other).__name__}")
-        if other.n != self.n:
-            raise ValueError(f"mixed moduli {self.n} and {other.n}")
-        return other.v
-
-    def __add__(self, other: "CycElt | int") -> "CycElt":
-        return CycElt(self.n, self.v + self._coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "CycElt | int") -> "CycElt":
-        return CycElt(self.n, self.v - self._coerce(other))
-
-    def __rsub__(self, other: int) -> "CycElt":
-        return CycElt(self.n, self._coerce(other) - self.v)
-
-    def __neg__(self) -> "CycElt":
-        return CycElt(self.n, -self.v)
-
 
 class CycContext:
     """Shared immutable reduction data for one modulus N.
@@ -158,7 +136,7 @@ class CycContext:
     N * phi(N) >= N, a larger N is refused before it is factored.
     """
 
-    __slots__ = ("n", "phi", "powers", "zero", "one")
+    __slots__ = ("n", "phi", "powers", "zero")
 
     def __init__(self, n: int):
         phi = totient(n) if n <= MAX_CONTEXT_DIGITS else n  # totient: ValueError unless n >= 1
@@ -178,10 +156,6 @@ class CycContext:
             raise AssertionError(f"Phi_{n} does not divide x^{n}-1")
         self.powers = tuple(powers)
         self.zero = CycElt(n, 0)
-        self.one = CycElt(n, 1)
-
-    def const(self, c: int) -> CycElt:
-        return self.zero + c
 
     def __repr__(self) -> str:
         return f"CycContext(n={self.n}, phi={self.phi})"

@@ -1,9 +1,9 @@
 """Exact spectrum tables for discrete tori and abelian Cayley graphs.
 
-A table maps canonical eigenvalue keys (CycElt) to exact multiplicities.
-Torus tables are built by convolving distinct-value tables - roughly N/2
-keys for a cycle graph - rather than enumerating N^d index tuples, which
-keeps things like the 4-dimensional torus over Z/105Z comfortably cheap.
+A table maps eigenvalues to exact multiplicities.  Torus tables are built
+by convolving distinct-value tables - roughly N/2 keys for a cycle graph -
+rather than enumerating N^d index tuples, which keeps things like the
+4-dimensional torus over Z/105Z comfortably cheap.
 Cayley tables enumerate the n^d characters.
 
 Every table keys its rows by F(key) = key(omega) mod M, the image under a
@@ -12,10 +12,11 @@ ring map Z[zeta_n] -> Z/M that is injective on the table's keys
 table serves, sums of g roots for a Cayley table with g generators.  A
 row is two ints: its count in ``counts`` and its representative, packed
 base n, in ``reps``, so a table build allocates no object per key.  Keys
-then add as ints mod M, lookups probe the rows at F(key) and confirm the
-hit exactly, and the CycElt keys are rebuilt from the representatives only
-when ``entries`` is first read.  Values are certified from them too: a
-torus row sums 2d fixed-point cosines whatever phi(n) (SpectrumTable.value).
+then add as ints mod M and lookups probe the rows at F(key).  A CycElt key
+is rebuilt from a representative (key_of) only where its coefficients are
+printed or a lookup confirms a hit exactly.  Values are certified from the
+representatives too: a torus row sums 2d fixed-point cosines whatever
+phi(n) (by_value).
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ class SpectrumTable:
     lexicographic order of the tuples.  ``generators`` is None for a torus
     table, whose representatives are index tuples, and the normalized
     generator multiset of a Cayley table, whose representatives are
-    characters.  ``entry(f)`` is the Entry view of one row and ``value(f)``
-    its certified value; ``entries`` maps the CycElt keys, rebuilt from the
-    representatives (key_of), to those views on first access.
+    characters.  ``entry(f)`` is the Entry view of one row; ``entries`` maps
+    the CycElt keys, rebuilt from the representatives (key_of), to those
+    views on first access.
     """
 
     n: int
@@ -98,57 +99,43 @@ class SpectrumTable:
             return key_of_tuple(self.n, rep)
         return sum_reduce(get_context(self.n), self.exponents(rep))
 
-    def value(self, f: int) -> ApproxReal:
-        """Certified value of the row at image f, from its representative."""
-        return self._value_of(f, _unpack(self.reps[f], self.n, self.d))
-
-    def _value_of(self, f: int, rep: tuple[int, ...]) -> ApproxReal:
-        # F is injective on the keys and zero, so f = 0 is exactly 0
-        return approx_value(self.n, self.exponents(rep) if f else ())
-
     def count_of(self, key: CycElt) -> int:
-        """The count of ``key``, 0 if it is no key of this table: the row at
-        F(key) is confirmed exactly, since ``key`` need not be a key."""
+        """The count of ``key``, 0 if it is no key of this table.  A nonzero
+        ``key`` need not be a key, so the row at F(key) is confirmed exactly;
+        zero needs no check, as F is injective on the keys and zero."""
         if key.n != self.n:
             return 0
         f = self.embedding.image(key)
         count = self.counts.get(f, 0)
-        return count if count and self.key_of(self.entry(f).representative) == key else 0
-
-    def sorted_entries(self) -> Iterator[tuple[ApproxReal, CycElt, Entry]]:
-        """(value, key, entry) for every row, by value descending (by_value)."""
-        return by_value(self, self.counts)
+        if not count or key.is_zero():
+            return count
+        return count if self.key_of(self.entry(f).representative) == key else 0
 
 
-def by_value(table: SpectrumTable, images) -> Iterator[tuple[ApproxReal, CycElt, Entry]]:
-    """(value, key, entry) for the rows of ``table`` at the F images ``images``,
+def by_value(table: SpectrumTable, images) -> Iterator[tuple[ApproxReal, int, Entry]]:
+    """(value, f, entry) for the rows of ``table`` at the F images ``images``,
     value descending, as an iterator.
 
-    Each row is unpacked and evaluated once (as SpectrumTable.value) and
-    sorts on the float of its certified midpoint; distinct values whose
-    floats coincide stay distinct rows (in_float_order).  The rows are
-    evaluated and sorted by the call; a row's key is built, and the row
-    let go, only when the iterator reaches it.
+    Each row is unpacked and evaluated once, from the exponents of its
+    representative (the row at f = 0 is exactly 0, as F is injective on
+    the keys and zero), and sorts on the float of its certified midpoint.
+    Distinct values whose floats coincide stay distinct rows, in the
+    coefficient order of their keys, built for those rows alone.  The rows
+    are evaluated and sorted by the call and let go as the iterator
+    reaches them.
     """
     rows = {}
     for f in images:
         e = table.entry(f)
-        rows[f] = (table._value_of(f, e.representative), e)
-    order = in_float_order(table, [(-float(v), f) for f, (v, _) in rows.items()])
-    return ((v, table.key_of(e.representative), e) for v, e in (rows.pop(f) for _, f in order))
-
-
-def in_float_order(table: SpectrumTable, rows: list[tuple]) -> list[tuple]:
-    """``rows`` (x, f, ...) of ``table`` sorted on the float x, ascending; rows
-    whose x coincide in the coefficient order of their keys, built for them alone."""
+        rows[f] = (approx_value(table.n, table.exponents(e.representative) if f else ()), e)
     first = operator.itemgetter(0)
-    out = []
-    for _, run in itertools.groupby(sorted(rows, key=first), first):
+    order = []
+    for _, run in itertools.groupby(sorted([(-float(v), f) for f, (v, _) in rows.items()], key=first), first):
         run = list(run)
         if run[1:]:
-            run.sort(key=lambda row: table.key_of(table.entry(row[1]).representative))
-        out += run
-    return out
+            run.sort(key=lambda row: table.key_of(rows[row[1]][1].representative))
+        order += run
+    return ((v, f, e) for f, (v, e) in ((f, rows.pop(f)) for _, f in order))
 
 
 def cn_spectrum(
@@ -297,9 +284,10 @@ def _mitm_matches(n: int, d: int, target: CycElt, budget: int):
     when d = 1; for d = 0 only the empty sum, which is zero), with rows
     under key_embedding(n, 2d).  The smaller table is walked and the larger
     one probed at F(target) - F(key_a) mod M.  F never drops a true split.
-    ``target`` need not be a key, so hits are checked exactly until one
-    holds; then target is a key of T^d_n, every later hit differs from a
-    true split by at most 4d in every embedding, and F is injective there.
+    A nonzero ``target`` need not be a key, so hits are checked exactly
+    until one holds; then target is a key of T^d_n, every later hit differs
+    from a true split by at most 4d in every embedding, and F is injective
+    there.  A zero target needs no check, as F is injective on the keys and zero.
     """
     if d == 0:
         if target.is_zero():
@@ -317,7 +305,7 @@ def _mitm_matches(n: int, d: int, target: CycElt, budget: int):
     tb = _torus(n, d - a, emb, budget)
     small, big = (ta, tb) if len(ta.counts) <= len(tb.counts) else (tb, ta)
     probe = big.counts.get
-    exact = False
+    exact = target.is_zero()
     for f, c in small.counts.items():
         g = (goal - f) % modulus
         other = probe(g)

@@ -16,7 +16,7 @@ from mpmath.libmp import fzero, mpf_pow, mpf_pow_int
 from mpmath.libmp import round_nearest as rnd
 
 from .errors import BudgetExceeded, PreconditionViolated
-from .spectrum import DEFAULT_BUDGET, in_float_order, torus_spectrum
+from .spectrum import DEFAULT_BUDGET, by_value, torus_spectrum
 
 # working precision of the continuum partial sum, in bits
 PREC = 96
@@ -99,35 +99,32 @@ def zeta_discrete(n: int, d: int, s, budget: int = DEFAULT_BUDGET) -> ZetaValue:
     """Sum of lambda^-s over the nonzero Laplacian eigenvalues of T^d_n.
 
     lambda = 2d - mu is taken exactly from mu's fixed-point value
-    (SpectrumTable.value), radius 2d / 2^cyclotomic.PREC; the error bound
-    tracks the radii to first order plus summation rounding at
-    DISCRETE_PREC bits.  Terms are added in ascending eigenvalue order
-    (in_float_order), so output is deterministic.  The bound grows with s;
+    (by_value), radius 2d / 2^cyclotomic.PREC; the error bound tracks the
+    radii to first order plus summation rounding at DISCRETE_PREC bits.
+    Terms are added in ascending eigenvalue order, which is by_value's
+    descending mu, so output is deterministic.  The bound grows with s;
     past 10^-30 of the value, which would leave printed digits uncovered,
     PreconditionViolated is raised.
     """
     if not (s > 0 and mpmath.isfinite(s)):
         raise ValueError("need finite s > 0")
     t = torus_spectrum(n, d, budget)
-    rows = []
-    for f, count in t.counts.items():
-        if not t.reps[f]:
-            continue  # packed 0 is the tuple (0, ..., 0): mu = 2d, lambda = 0
-        mu = t.value(f)
-        lam = mpmath.fsub(2 * d, mu.real, exact=True)
-        rows.append((float(lam), f, lam, mu.radius, count))
+    rows = by_value(t, t.counts)
     with mpmath.workprec(DISCRETE_PREC):
         s_mp = mpmath.mpf(s)
         total = mpmath.mpf(0)
         err = mpmath.mpf(0)
-        for _, _, lam, radius, cnt in in_float_order(t, rows):
-            if not lam > radius:
+        for mu, _, e in rows:
+            if not any(e.representative):
+                continue  # the tuple (0, ..., 0): mu = 2d, lambda = 0
+            lam = mpmath.fsub(2 * d, mu.real, exact=True)
+            if not lam > mu.radius:
                 raise AssertionError("nonzero Laplacian eigenvalue not separated from 0")
             term = lam ** (-s_mp)
-            total += cnt * term
-            err += cnt * s_mp * lam ** (-s_mp - 1) * radius
-        # summation/powering rounding, a few ulps per term
-        err += (3 * len(rows) + 4) * total * mpmath.mpf(2) ** (4 - DISCRETE_PREC)
+            total += e.count * term
+            err += e.count * s_mp * lam ** (-s_mp - 1) * mu.radius
+        # summation/powering rounding, a few ulps per term, one term per nonzero row
+        err += (3 * (len(t.counts) - 1) + 4) * total * mpmath.mpf(2) ** (4 - DISCRETE_PREC)
         if err > total * mpmath.mpf(10) ** -30:
             raise PreconditionViolated(
                 f"zeta of T^{d}_{n} at s = {s}: relative error bound {mpmath.nstr(err / total, 3)} "

@@ -84,8 +84,7 @@ def test_criterion_03_bound24():
             best = (rep.max_multiplicity, n)
     if best != (24, 60):
         bad.append(f"global max {best}")
-    c6, c12 = key_of_tuple(60, (6,)), key_of_tuple(60, (12,))
-    expected_24 = {c6, -c6, c12, -c12}
+    expected_24 = {key_of_tuple(60, (k,)) for k in (6, 24, 12, 18)}  # +-2cos(pi/5), +-2cos(2pi/5)
     rep60 = verify_bound24(60)
     if set(rep60.attained) != expected_24:
         bad.append("N=60 attaining set mismatch")

@@ -165,19 +165,45 @@ def test_budget_exit_code(capsys, monkeypatch):
     assert code == 2 and "budget" in err
     code, out, err = run_cli(capsys, "vanishing", "--n", "30", "--max-len", "6", "--budget", "100")
     assert code == 2 and out == "" and err.startswith("budget exceeded: ") and err.count("\n") == 1
-    # the cyclotomic context cap: 10007 * 10006 digits, refused before any table work
+    # above the cyclotomic context cap (5003 * 5002 digits) mult and zeta answer
+    # on F images, as they print no key coefficients
+    code, out, _ = run_cli(capsys, "mult", "--n", "5003", "--d", "1", "--tuple", "7")
+    assert code == 0 and json.loads(out)["multiplicity"] == "2"
+    code, out, _ = run_cli(capsys, "zeta", "--n", "5003", "--d", "1", "--s", "2")
+    assert code == 0 and json.loads(out)["n"] == 5003
+
+    # spectrum prints them: 10007 * 10006 digits, refused before any table work
     def unreachable(*args, **kwargs):
         raise RuntimeError("a table was started before the context cap was checked")
 
     monkeypatch.setattr(spectrum, "key_embedding", unreachable)
+    code, out, err = run_cli(capsys, "spectrum", "--n", "10007", "--d", "1")
+    assert code == 2 and out == "" and err.startswith("budget exceeded: ") and err.count("\n") == 1
+
+
+def test_answers_without_a_context(capsys, monkeypatch):
+    # these decide on F images and print no key coefficients, so they build no
+    # cyclotomic context
+    cyclotomic.get_context.cache_clear()
     for argv in (
-        ["growth", "--n", "10007", "--d", "1", "--tuple", "1"],
-        ["spectrum", "--n", "10007", "--d", "1"],
-        ["mult", "--n", "10007", "--d", "1", "--tuple", "1"],
-        ["zeta", "--n", "10007", "--d", "1", "--s", "2"],
+        ["verify", "zero", "--nmax", "30"],
+        ["verify", "table60"],
+        ["mult", "--n", "60", "--d", "2", "--tuple", "6,15"],
+        ["zeta", "--n", "16", "--d", "2", "--s", "2"],
     ):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == "" and err.startswith("budget exceeded: ") and err.count("\n") == 1
+        assert run_cli(capsys, *argv)[0] == 0
+    assert dtorus.zero_lower_bound_family(15, 1)
+    assert cyclotomic.get_context.cache_info().currsize == 0
+
+    # 10007 is prime, so no r <= 1 has a growth witness: Bounded, with no key
+    # (its context would exceed the cap) and no table
+    def unreachable(*args, **kwargs):
+        raise RuntimeError("growth built a table though no r has a witness")
+
+    monkeypatch.setattr(spectrum, "key_embedding", unreachable)
+    code, out, _ = run_cli(capsys, "growth", "--n", "10007", "--d", "1", "--tuple", "1")
+    assert code == 0 and json.loads(out)["classification"] == "Bounded"
+    assert cyclotomic.get_context.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize(
@@ -526,6 +552,18 @@ def test_deterministic_across_processes():
         return proc.stdout
 
     assert run("1") == run("2") != b""
+
+
+def test_closed_stdout_exits_141():
+    # a reader that stops early, like `| head -c 100`: exit 128 + SIGPIPE, no traceback
+    argv = [sys.executable, "-m", "dtorus", "spectrum", "--n", "240", "--d", "2"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode(errors="replace")
+        code = proc.wait(timeout=120)
+    assert code == 141, err
+    assert "Traceback" not in err and err.count("\n") <= 1
 
 
 HUGE = "1000000000000000003"  # a prime: trial division up to its root never ends

@@ -19,7 +19,7 @@ from dtorus.criteria import (
     zero_growth,
     zero_lower_bound_family,
 )
-from dtorus.cyclotomic import get_context, key_of_tuple
+from dtorus.cyclotomic import CycElt, get_context, key_of_tuple
 from dtorus.errors import BudgetExceeded, PreconditionViolated, ZeroNotEigenvalue
 from dtorus.spectrum import membership, multiplicity_of_tuple
 
@@ -236,14 +236,14 @@ def test_verify_bound24():
     assert rep.max_multiplicity == 24
     assert set(rep.attained) == {
         key_of_tuple(60, (6,)),
-        -key_of_tuple(60, (6,)),
+        key_of_tuple(60, (24,)),  # 2cos(4 pi/5) = -2cos(pi/5)
         key_of_tuple(60, (12,)),
-        -key_of_tuple(60, (12,)),
+        key_of_tuple(60, (18,)),  # 2cos(3 pi/5) = -2cos(2 pi/5)
     }
     assert verify_bound24(5).max_multiplicity == 8
     rep12 = verify_bound24(12)
     assert rep12.max_multiplicity == 12
-    assert set(rep12.attained) == {get_context(12).one, -get_context(12).one}
+    assert set(rep12.attained) == {CycElt(12, 1), CycElt(12, -1)}
 
 
 def test_verify_table60():

@@ -176,3 +176,31 @@ def test_one_continuum_loop():
     )
     assert callers(planted, "_term_of") == [("_shell_terms",), ("zeta_continuum_partial",)]
     assert "_shell_terms" in functions_defined(planted)
+
+
+ARITHMETIC_DUNDERS = {"__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__", "__pos__"}
+
+
+def class_methods(source: str, name: str) -> set[str]:
+    """The names bound in the body of the top-level class ``name`` of ``source``."""
+    (cls,) = [node for node in ast.parse(source).body if isinstance(node, ast.ClassDef) and node.name == name]
+    out = set()
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Assign):
+            out |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return out
+
+
+def test_keys_are_built_only_where_printed():
+    # CycElt prints coefficients and carries a key across the API; equality is
+    # decided on F images, so it has no arithmetic, and only spectrum's
+    # pre-check asks for a context ahead of the table work
+    package = Path(dtorus.__file__).parent
+    assert not class_methods((package / "cyclotomic.py").read_text(), "CycElt") & ARITHMETIC_DUNDERS
+    for name in ("criteria.py", "zeta.py"):
+        assert callers((package / name).read_text(), "get_context") == []
+    assert callers((package / "cli.py").read_text(), "get_context") == [("cmd_spectrum",)]
+    planted = "class CycElt:\n    def __add__(self, other):\n        pass\n\n    __radd__ = __add__\n"
+    assert class_methods(planted, "CycElt") == {"__add__", "__radd__"}

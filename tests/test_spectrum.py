@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dtorus import spectrum
 from dtorus.criteria import d2_closed_form, verify_bound24
-from dtorus.cyclotomic import ModEmbedding, get_context, key_embedding, sum_reduce
+from dtorus.cyclotomic import CycElt, ModEmbedding, get_context, key_embedding, sum_reduce
 from dtorus.errors import AsymmetricGeneratingSet, BudgetExceeded
 from dtorus.spectrum import (
     CayleySpec,
@@ -33,14 +33,11 @@ def counts_by_key(table):
 
 def test_cn_spectrum_charts():
     t3 = cn_spectrum(3)
-    ctx3 = get_context(3)
-    assert counts_by_key(t3) == {ctx3.const(2): 1, ctx3.const(-1): 2}
+    assert counts_by_key(t3) == {CycElt(3, 2): 1, CycElt(3, -1): 2}
     t4 = cn_spectrum(4)
-    ctx4 = get_context(4)
-    assert counts_by_key(t4) == {ctx4.const(2): 1, ctx4.zero: 2, ctx4.const(-2): 1}
+    assert counts_by_key(t4) == {CycElt(4, 2): 1, get_context(4).zero: 2, CycElt(4, -2): 1}
     t5 = cn_spectrum(5)
-    ctx5 = get_context(5)
-    assert t5.count_of(ctx5.const(2)) == 1
+    assert t5.count_of(CycElt(5, 2)) == 1
     assert t5.count_of(key_of_tuple(5, (1,))) == 2
     assert t5.count_of(key_of_tuple(5, (2,))) == 2
     assert t5.total == 5
@@ -53,11 +50,10 @@ def test_convolve_examples():
 
     t3 = cn_spectrum(3)
     sq3 = convolve(t3, t3)
-    ctx3 = get_context(3)
     assert counts_by_key(sq3) == {
-        ctx3.const(4): 1,
-        ctx3.const(1): 4,
-        ctx3.const(-2): 4,
+        CycElt(3, 4): 1,
+        CycElt(3, 1): 4,
+        CycElt(3, -2): 4,
     }
 
 
@@ -101,7 +97,7 @@ def test_torus_budget_applies_to_cached_tables():
 
 
 def test_torus_examples():
-    assert torus_spectrum(12, 2).count_of(get_context(12).one) == 12
+    assert torus_spectrum(12, 2).count_of(CycElt(12, 1)) == 12
     assert torus_spectrum(60, 2).count_of(get_context(60).zero) == 118
     t = torus_spectrum(9, 1)
     assert counts_by_key(t) == counts_by_key(cn_spectrum(9))
@@ -193,7 +189,7 @@ def test_even_antisymmetry(half):
     n = 2 * half
     table = torus_spectrum(n, 2)
     for key, e in table.entries.items():
-        assert table.count_of(-key) == e.count
+        assert table.count_of(CycElt(n, -key.v)) == e.count
 
 
 @given(
@@ -224,16 +220,16 @@ def test_key_multiplicity_matches_table(n, d):
     for key, e in table.entries.items():
         assert key_multiplicity(n, d, key) == e.count
     # anything above the top eigenvalue 2d is never attained
-    assert key_multiplicity(n, d, get_context(n).const(2 * d + 1)) == 0
+    assert key_multiplicity(n, d, CycElt(n, 2 * d + 1)) == 0
 
 
 def test_membership_examples():
     assert not membership(10, 1, get_context(10).zero)
     assert membership(12, 1, get_context(12).zero)
-    assert membership(6, 1, get_context(6).one)
+    assert membership(6, 1, CycElt(6, 1))
     # dimension 0 accepts only the zero element
     assert membership(9, 0, get_context(9).zero)
-    assert not membership(9, 0, get_context(9).one)
+    assert not membership(9, 0, CycElt(9, 1))
 
 
 @given(st.integers(min_value=3, max_value=14), st.integers(min_value=1, max_value=4))
@@ -242,16 +238,12 @@ def test_membership_matches_table_keys(n, d):
     some_keys = list(table.entries)[:5]
     for key in some_keys:
         assert membership(n, d, key)
-    assert not membership(n, d, get_context(n).const(2 * d + 1))
+    assert not membership(n, d, CycElt(n, 2 * d + 1))
 
 
 def element(ctx, coeffs):
-    """sum of c_i zeta^i, by repeated addition."""
-    out = ctx.zero
-    for i, c in enumerate(coeffs):
-        for _ in range(abs(c)):
-            out = out + sum_reduce(ctx, (i,)) if c > 0 else out - sum_reduce(ctx, (i,))
-    return out
+    """sum of c_i zeta^i, from the packed residues of the powers."""
+    return CycElt(ctx.n, sum(c * sum_reduce(ctx, (i,)).v for i, c in enumerate(coeffs)))
 
 
 @given(
@@ -264,10 +256,10 @@ def test_probes_of_non_keys_match_enumeration(n, d, k, coeffs):
     oracle = enumerate_spectrum(n, d)
     ctx = get_context(n)
     targets = [
-        ctx.const(2 * d + 1),
+        CycElt(n, 2 * d + 1),
         sum_reduce(ctx, (k,)),
         element(ctx, coeffs[: ctx.phi]),
-        key_of_tuple(n, [k] * d) + 1,
+        CycElt(n, key_of_tuple(n, [k] * d).v + 1),
     ]
     for target in targets:
         want = oracle.get(target.coeffs, (0, None))[0]
@@ -282,7 +274,7 @@ def test_probe_checks_hits_exactly(monkeypatch):
     monkeypatch.setattr(spectrum, "key_embedding", lambda n, d: weak)
     monkeypatch.setattr(spectrum, "_TORUS_CACHE", OrderedDict())
     ctx = get_context(5)
-    zeta, three = sum_reduce(ctx, (1,)), ctx.const(3)
+    zeta, three = sum_reduce(ctx, (1,)), CycElt(5, 3)
     table = spectrum.torus_spectrum(5, 1)
     cycle = table.counts
     assert weak.image(three) in cycle  # F(3) = F(2 cos(4 pi / 5))
@@ -290,7 +282,7 @@ def test_probe_checks_hits_exactly(monkeypatch):
     for target, d in ((three, 1), (zeta, 2), (zeta, 1)):
         assert key_multiplicity(5, d, target) == 0
         assert not membership(5, d, target)
-    assert key_multiplicity(5, 2, ctx.const(4)) == 1
+    assert key_multiplicity(5, 2, CycElt(5, 4)) == 1
     assert weak.image(zeta) in cycle  # F(zeta) = F(2 cos(4 pi / 5)) too
     for non_key in (three, zeta):
         assert table.count_of(non_key) == 0
@@ -303,10 +295,10 @@ def test_count_of_probes_rows(monkeypatch):
     t = torus_spectrum(n, 2)
     ctx = get_context(n)
     assert t.count_of(ctx.zero) == 0  # odd n: zero is no eigenvalue
-    assert t.count_of(ctx.const(4)) == 1
+    assert t.count_of(CycElt(n, 4)) == 1
     for ks in ((3, 17), (0, 5), (7, 7), (0, 209)):
         assert t.count_of(key_of_tuple(n, ks)) == d2_closed_form(n, *ks)
-    assert t.count_of(ctx.const(5)) == 0  # above the top eigenvalue 4
+    assert t.count_of(CycElt(n, 5)) == 0  # above the top eigenvalue 4
     assert t.count_of(get_context(7).zero) == 0  # a key of another modulus
     assert "entries" not in vars(t)  # no exact key was built
 
@@ -398,7 +390,7 @@ def test_cayley_rejects_asymmetric_set():
 
 def test_sorted_entries_descending():
     t = torus_spectrum(12, 2)
-    values = [float(value) for value, _, _ in t.sorted_entries()]
+    values = [float(value) for value, _, _ in spectrum.by_value(t, t.counts)]
     assert values == sorted(values, reverse=True)
 
 
@@ -406,7 +398,8 @@ def test_sorted_entries_descending():
 def test_sorted_entries_order_matches_reference(n):
     # independent reference: mpmath's 2cos(2 pi k / n), summed over each row's
     # representative at 200 bits; distinct keys have distinct values
-    rows = list(torus_spectrum(n, 2).sorted_entries())  # read twice below
+    t = torus_spectrum(n, 2)
+    rows = list(spectrum.by_value(t, t.counts))  # read twice below
     with mpmath.workprec(200):
         two_cos = [2 * mpmath.cos(2 * mpmath.pi * k / n) for k in range(n)]
         refs = [sum(two_cos[k] for k in e.representative) for _, _, e in rows]
@@ -418,9 +411,8 @@ def test_sorted_entries_order_matches_reference(n):
 def assert_values_match_residue_oracle(table):
     # each row's value, from its representative, against the evaluation of
     # its exact key from the phi(n) residue coefficients
-    for f in table.counts:
-        new = table.value(f)
-        old = residue_approx(table.key_of(table.entry(f).representative))
+    for new, f, e in spectrum.by_value(table, table.counts):
+        old = residue_approx(table.key_of(e.representative))
         with mpmath.workprec(400):
             assert abs(new.real - old.real) <= new.radius + old.radius
         if not f:

@@ -34,10 +34,10 @@ def test_r2_upto_allocates_one_list():
 
 
 def test_continuum_keeps_each_reused_term_in_one_int():
-    # at cutoff 10^6 the r2 list is 8 MB, and about 10^5 nonzero shells up to
-    # half the cutoff keep their terms for reuse: a (mantissa, exponent)
-    # tuple each would take about 12 MB more, one packed int about 5 MB
-    assert traced_peak(zeta_continuum_partial, 2, 10**6) < 15 * 10**6
+    # at cutoff 10^5 the r2 list is 0.8 MB, and about 10^4 nonzero shells up
+    # to half the cutoff keep their terms for reuse: a (mantissa, exponent)
+    # tuple each peaks at about 2.1 MB in all, one packed int at about 1.35 MB
+    assert traced_peak(zeta_continuum_partial, 2, 10**5) < 1.5 * 10**6
 
 
 def test_zeta_discrete_hand_values():
