@@ -375,7 +375,6 @@ def cayley_spectrum(spec: CayleySpec, budget: int = DEFAULT_BUDGET) -> SpectrumT
         raise AsymmetricGeneratingSet("generating multiset is not closed under negation")
     if n**d > budget:
         raise BudgetExceeded(f"{n}^{d} characters to enumerate, budget {budget}")
-    get_context(n)  # key_of needs it: an oversized modulus is refused before any work
     emb = key_embedding(n, len(gens))
     w, modulus = emb.powers, emb.modulus
     counts: dict[int, int] = {}

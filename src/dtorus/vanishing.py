@@ -19,6 +19,11 @@ from .cyclotomic import ModEmbedding, key_embedding
 from .errors import BudgetExceeded, NotApplicable, ZeroEigenvalue
 from .spectrum import DEFAULT_BUDGET
 
+# entries of the pair table of _vanishing_tuples, n(n+1)/2 for modulus n: an
+# entry takes about 108 bytes while M is one prime (28 MB at the cap) and
+# about 230 bytes at n = 723, the largest n under the cap, where M has 992 bits
+MAX_PAIR_TABLE = 1 << 18
+
 
 @dataclass(frozen=True)
 class RootMultiset:
@@ -274,14 +279,25 @@ def _is_minimal(emb: ModEmbedding, exponents: tuple[int, ...]) -> bool:
     return not vanishing_part(0, 0, 0)
 
 
+def _pair_table(powers: tuple[int, ...], modulus: int) -> dict[int, int]:
+    """F(zeta^a + zeta^b) -> a * n + b for a <= b < n, given the n powers
+    omega^e mod M of F (see _vanishing_tuples)."""
+    n = len(powers)
+    pairs: dict[int, int] = {}
+    for a, pa in enumerate(powers):
+        pairs.update(zip([(pa + w) % modulus for w in powers[a:]], range(a * n + a, a * n + n)))
+    return pairs
+
+
 def _vanishing_tuples(n: int, max_len: int, budget: int, first: int | None = None):
     """Every vanishing nondecreasing exponent tuple of length <= max_len.
 
     Yields in depth-first, hence lexicographic, order; ``first`` pins the
     smallest exponent.  The budget counts visited partial-sum states, one
-    per exponent tried.  Memory is O(n log M) for the powers of omega below,
-    O(n * phi(n)) floats for the conjugate tables and O(max_len * phi(n))
-    for the stack.
+    per exponent tried, and each entry of the pair table below.  Memory is
+    O(n log M) for the powers of omega below, O(n * phi(n)) floats for the
+    conjugate tables, O(max_len * phi(n)) for the stack and at most
+    MAX_PAIR_TABLE images for the pair table.
 
     Vanishing is decided exactly on F images, under one embedding
     F: zeta -> omega mod M per call, _exact_embedding(n, max_len), whose
@@ -293,6 +309,27 @@ def _vanishing_tuples(n: int, max_len: int, budget: int, first: int | None = Non
     one lookup of it in {omega^e mod M: e}.  omega has exact order n modulo
     each prime of M, so the powers are distinct, at most one exponent
     closes the prefix, and that exponent counts no state.
+
+    A prefix with two roots to go is closed, once the pair table is built,
+    by two lookups of minus its image: in {omega^e mod M: e} for the root
+    that closes it one root shorter, and in ``pairs``, which maps
+    F(zeta^a + zeta^b), a <= b, to a * n + b, for the pair that closes it.
+    One pair per image suffices, for max_len >= 4.  The difference of two
+    pair sums is a signed sum of 4 roots, whose norm is at most
+    4^phi(n) <= max_len^phi(n) < M in absolute value, so equal images mean
+    equal sums.  Two roots lie symmetric about their sum, at the angle its
+    length fixes, so equal nonzero pair sums come from the same pair.  The
+    roots zeta^k with 0 < k < n/2 lie above the real axis, so a vanishing
+    sum has its largest exponent at least n/2.  Hence no pair a >= e closes
+    a vanishing prefix (whose image 0 the antipodal pairs (a, a + n/2),
+    a < n/2, share), and when a root s and a pair (a, b) both close a
+    prefix, zeta^a + zeta^b = zeta^s puts a at s - n/6 or s + n/6 - n,
+    below s, so the pair comes first in lexicographic order.  The table is
+    never built for max_len <= 3 nor above MAX_PAIR_TABLE entries, and
+    otherwise only for the first prefix with two roots to go that comes
+    after the last-level scans have visited as many states as it has
+    entries, n(n+1)/2.  So an early exit never pays for it, and no search
+    does much more than twice the work of scanning alone.
 
     Floats only prune.  A partial sum S of `depth` roots that `left` more
     roots bring to zero has |sigma_a(S)| <= left for every unit a mod n,
@@ -313,6 +350,10 @@ def _vanishing_tuples(n: int, max_len: int, budget: int, first: int | None = Non
     emb = _exact_embedding(n, max_len)
     powers, modulus = emb.powers, emb.modulus
     closer = dict(zip(powers, range(n)))
+    size = n * (n + 1) // 2
+    build_at = size if max_len >= 4 and size <= MAX_PAIR_TABLE else math.inf
+    pairs: dict[int, int] | None = None
+    scanned = 0  # states of the last-level scans pushed so far
     root = [complex(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)) for k in range(n)]
     # a conjugate is tested only where depth > left >= 2, so from max_len 5 on
     units = [a for a in range(2, n // 2 + 1) if math.gcd(a, n) == 1] if max_len >= 5 else []
@@ -340,6 +381,18 @@ def _vanishing_tuples(n: int, max_len: int, budget: int, first: int | None = Non
                 last = closer.get(neg2)
                 if last is not None and last >= e:
                     yield (*path, e, last)
+            elif left == 2 and (pairs is not None or scanned >= build_at):
+                if pairs is None:
+                    visited += size
+                    if visited > budget:
+                        raise BudgetExceeded(f"more than {budget} partial-sum states")
+                    pairs = _pair_table(powers, modulus)
+                ab = pairs.get(neg2, -1)
+                if ab >= e * n:
+                    yield (*path, e, *divmod(ab, n))
+                last = closer.get(neg2, -1)
+                if last >= e:
+                    yield (*path, e, last)
             elif left > 1:
                 z2 = z + root[e]
                 if abs(z2) > lim:
@@ -349,6 +402,8 @@ def _vanishing_tuples(n: int, max_len: int, budget: int, first: int | None = Non
                     path.append(e)
                     sums.append((neg2, z2, conj2))
                     levels.append(iter(range(e, n)))
+                    if left == 2:
+                        scanned += n - e
                     break
         else:
             levels.pop()

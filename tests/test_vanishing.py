@@ -286,6 +286,40 @@ def test_pinned_searches_match_scan_oracle():
             assert got == [t for t in want if len(t) <= length], (n, length)
 
 
+def test_pair_table_built_partway_matches_scan_oracle():
+    # n(n+1)/2 last-level states pass before the pair table is built, so
+    # these searches close their first prefixes by scanning, the rest by lookup
+    for n, first in ((60, None), (60, 0), (84, 0)):
+        want = list(scan_vanishing_tuples(n, 5, DEFAULT_BUDGET, first=first))
+        assert list(_vanishing_tuples(n, 5, DEFAULT_BUDGET, first=first)) == want, (n, first)
+
+
+def test_pair_lookup_shrinks_the_search():
+    # 95,478 states when every last level is scanned; 47,305 with the pair
+    # table, whose 465 entries count as states
+    assert len(minimal_vanishing_sums(30, 6, budget=47_305)) == 1061
+    with pytest.raises(BudgetExceeded):
+        minimal_vanishing_sums(30, 6, budget=47_304)
+
+
+def test_search_without_pair_table_matches_scan_oracle(monkeypatch):
+    monkeypatch.setattr(vanishing, "MAX_PAIR_TABLE", 0)
+    for n, max_len in ((24, 6), (36, 5)):
+        want = list(scan_vanishing_tuples(n, max_len, DEFAULT_BUDGET))
+        assert list(_vanishing_tuples(n, max_len, DEFAULT_BUDGET)) == want, n
+    with pytest.raises(BudgetExceeded):
+        minimal_vanishing_sums(30, 6, budget=60_000)
+
+
+def test_pair_table_is_never_paid_up_front():
+    # the first hit comes after 353 states, long before 700 * 701 / 2
+    assert find_vanishing_multiset(700, 4, budget=353).exponents == (0, 0, 350, 350)
+    # 1000 * 1001 / 2 pairs lie above the cap: the first hit comes after
+    # 503 states, and a fruitless search scans all of its 500,500
+    assert find_vanishing_multiset(1000, 4, budget=503).exponents == (0, 0, 500, 500)
+    assert find_vanishing_multiset(999, 4, budget=500_500) is None
+
+
 def test_search_reach():
     # the full scan visits 217,081 states on (27, 7) and more than the
     # default budget on (35, 9); neither length lies in the semigroup
