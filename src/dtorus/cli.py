@@ -414,6 +414,16 @@ def _int_at_least(low: int):
     return parse
 
 
+class _Increasing(argparse.Action):
+    """Stores a list of values that strictly increase; verify cjk checks a gap
+    shrinking along it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if any(a >= b for a, b in zip(values, values[1:])):
+            raise argparse.ArgumentError(self, f"values must strictly increase, got {' '.join(map(str, values))}")
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises on usage errors: argparse's own exit code 2 is the budget code."""
 
@@ -475,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(vsub, "cjk", verify_cjk_cmd)
     p.add_argument("--s", type=_finite_float, default=2.0)
     p.add_argument("--cutoff", type=_int_at_least(1), default=10**6)
-    p.add_argument("--n-list", type=_int_at_least(3), nargs="+", default=[16, 32, 64, 128])
+    p.add_argument("--n-list", type=_int_at_least(3), nargs="+", action=_Increasing, default=[16, 32, 64, 128])
     p = command(vsub, "semigroup", verify_semigroup_cmd)
     p.add_argument("--lmax", type=_int_at_least(1), default=8)
 

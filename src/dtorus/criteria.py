@@ -183,8 +183,8 @@ class Bound24Report:
     ``images`` holds the F images, in table order, of the keys of
     ``table`` that attain it.  Nearly every key of a table attains the
     generic maximum 8, so nothing per key is built up front: ``attained``
-    builds their keys, by value descending and then coefficients, on first
-    access.
+    builds their keys, by value descending and then F image (by_value), on
+    first access.
     """
 
     n: int

@@ -83,9 +83,9 @@ def _layout(n: int) -> tuple[int, int, int, int]:
 class CycElt:
     """Canonical residue of a root-of-unity sum; immutable, hashable, exact.
 
-    ``v`` is the packed residue; ``coeffs`` unpacks its phi(n) coefficients,
-    which also order instances.  Instances are equal iff modulus and residue
-    are: distinct eigenvalues never collide and equal ones never split.
+    ``v`` is the packed residue; ``coeffs`` unpacks its phi(n) coefficients.
+    Instances are equal iff modulus and residue are: distinct eigenvalues
+    never collide and equal ones never split.  They have no order.
     """
 
     __slots__ = ("n", "v")
@@ -114,11 +114,6 @@ class CycElt:
         if not isinstance(other, CycElt):
             return NotImplemented
         return self.n == other.n and self.v == other.v
-
-    def __lt__(self, other: "CycElt") -> bool:
-        if not isinstance(other, CycElt):
-            return NotImplemented
-        return self.coeffs < other.coeffs
 
     def __repr__(self) -> str:
         return f"CycElt(n={self.n}, coeffs={list(self.coeffs)})"

@@ -100,11 +100,10 @@ class SpectrumTable:
         return sum_reduce(get_context(self.n), self.exponents(rep))
 
     def count_of(self, key: CycElt) -> int:
-        """The count of ``key``, 0 if it is no key of this table.  A nonzero
-        ``key`` need not be a key, so the row at F(key) is confirmed exactly;
-        zero needs no check, as F is injective on the keys and zero."""
-        if key.n != self.n:
-            return 0
+        """The count of ``key``, 0 if it is no key of this table; ValueError
+        for a key of another modulus.  A nonzero ``key`` need not be a key,
+        so the row at F(key) is confirmed exactly; zero needs no check, as F
+        is injective on the keys and zero."""
         f = self.embedding.image(key)
         count = self.counts.get(f, 0)
         if not count or key.is_zero():
@@ -119,8 +118,8 @@ def by_value(table: SpectrumTable, images) -> Iterator[tuple[ApproxReal, int, En
     Each row is unpacked and evaluated once, from the exponents of its
     representative (the row at f = 0 is exactly 0, as F is injective on
     the keys and zero), and sorts on the float of its certified midpoint.
-    Distinct values whose floats coincide stay distinct rows, in the
-    coefficient order of their keys, built for those rows alone.  The rows
+    Distinct values whose floats coincide stay distinct rows, in ascending
+    order of their F images, so no key is built to order rows.  The rows
     are evaluated and sorted by the call and let go as the iterator
     reaches them.
     """
@@ -128,13 +127,7 @@ def by_value(table: SpectrumTable, images) -> Iterator[tuple[ApproxReal, int, En
     for f in images:
         e = table.entry(f)
         rows[f] = (approx_value(table.n, table.exponents(e.representative) if f else ()), e)
-    first = operator.itemgetter(0)
-    order = []
-    for _, run in itertools.groupby(sorted([(-float(v), f) for f, (v, _) in rows.items()], key=first), first):
-        run = list(run)
-        if run[1:]:
-            run.sort(key=lambda row: table.key_of(rows[row[1]][1].representative))
-        order += run
+    order = sorted([(-float(v), f) for f, (v, _) in rows.items()])
     return ((v, f, e) for f, (v, e) in ((f, rows.pop(f)) for _, f in order))
 
 

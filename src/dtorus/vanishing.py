@@ -8,6 +8,7 @@ cosine sums.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections import Counter
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import factorize, is_prime, semigroup_member
-from .cyclotomic import ModEmbedding, key_embedding
+from .cyclotomic import key_embedding
 from .errors import BudgetExceeded, NotApplicable, ZeroEigenvalue
 from .spectrum import DEFAULT_BUDGET
 
@@ -249,36 +250,6 @@ class FoundSum:
     minimal: bool
 
 
-def _exact_embedding(n: int, max_len: int) -> ModEmbedding:
-    """F that maps a sum of at most max_len n-th roots to 0 only when the sum
-    is 0 (see _vanishing_tuples)."""
-    return key_embedding(n, -(-max_len * max_len // 2))
-
-
-def _is_minimal(emb: ModEmbedding, exponents: tuple[int, ...]) -> bool:
-    """No proper nonempty sub-multiset of the vanishing ``exponents`` vanishes.
-
-    A vanishing part has a vanishing complement, so only parts of at most
-    half the roots are summed, one power of ``emb`` added per pick; ``emb``
-    must be exact on sums of len(exponents) roots (_exact_embedding).
-    """
-    powers, modulus, half = emb.powers, emb.modulus, len(exponents) // 2
-    counts = list(Counter(exponents).items())
-
-    def vanishing_part(i: int, size: int, acc: int) -> bool:
-        # acc sums the size roots picked from counts[:i]; pick on from counts[i:]
-        if i == len(counts):
-            return size > 0 and not acc % modulus
-        e, c = counts[i]
-        for size in range(size, min(size + c, half) + 1):
-            if vanishing_part(i + 1, size, acc):
-                return True
-            acc += powers[e]
-        return False
-
-    return not vanishing_part(0, 0, 0)
-
-
 def _pair_table(powers: tuple[int, ...], modulus: int) -> dict[int, int]:
     """F(zeta^a + zeta^b) -> a * n + b for a <= b < n, given the n powers
     omega^e mod M of F (see _vanishing_tuples)."""
@@ -300,11 +271,11 @@ def _vanishing_tuples(n: int, max_len: int, budget: int, first: int | None = Non
     MAX_PAIR_TABLE images for the pair table.
 
     Vanishing is decided exactly on F images, under one embedding
-    F: zeta -> omega mod M per call, _exact_embedding(n, max_len), whose
-    M > max_len^phi(n).  If a sum S of at most max_len roots has F(S) = 0,
-    S lies in a degree-one prime above each prime of M, so M divides its
-    norm to Q, which is at most max_len^phi(n) in absolute value; hence
-    S = 0.  The stack holds minus each prefix's image mod M: a prefix
+    F: zeta -> omega mod M per call, key_embedding(n, ceil(max_len^2 / 2)),
+    whose M^2 > (max_len^2)^phi(n).  If a sum S of at most max_len roots
+    has F(S) = 0, S lies in a degree-one prime above each prime of M, so
+    M divides its norm to Q, which is at most max_len^phi(n) in absolute
+    value; hence S = 0.  The stack holds minus each prefix's image mod M: a prefix
     vanishes when that is 0, and a prefix with one root to go is closed by
     one lookup of it in {omega^e mod M: e}.  omega has exact order n modulo
     each prime of M, so the powers are distinct, at most one exponent
@@ -347,7 +318,7 @@ def _vanishing_tuples(n: int, max_len: int, budget: int, first: int | None = Non
     max_len^2 2^-46 is twice that bound and also covers the rounding of abs
     and of left + slack, so no prefix of a vanishing tuple is ever pruned.
     """
-    emb = _exact_embedding(n, max_len)
+    emb = key_embedding(n, -(-max_len * max_len // 2))
     powers, modulus = emb.powers, emb.modulus
     closer = dict(zip(powers, range(n)))
     size = n * (n + 1) // 2
@@ -420,16 +391,25 @@ def minimal_vanishing_sums(
     Depth-first over canonically sorted multisets; each result is tagged
     minimal when no proper nonempty sub-multiset vanishes.  The budget
     counts visited partial-sum states.
+
+    Minimality is read off the answer set.  A vanishing tuple T that is not
+    minimal splits into two vanishing parts, and the smaller has at most
+    len(T) / 2 <= max_len roots, so the complete search yields it too; the
+    sub-multisets of a sorted tuple are its combinations, sorted tuples as
+    the search yields them.  So T is minimal iff none of its combinations
+    of 1 to len(T) // 2 roots is an answer.
     """
     if max_len < 1:
         raise ValueError("max_len must be positive")
     if max_len > 12:
         raise ValueError("enumeration is desk-scale only (max_len <= 12)")
-    emb = _exact_embedding(n, max_len)
-    return [
-        FoundSum(RootMultiset(n, exps), _is_minimal(emb, exps))
-        for exps in _vanishing_tuples(n, max_len, budget)
-    ]
+    found = list(_vanishing_tuples(n, max_len, budget))
+    answers = set(found)
+    out = []
+    for exps in found:
+        parts = (part for k in range(1, len(exps) // 2 + 1) for part in itertools.combinations(exps, k))
+        out.append(FoundSum(RootMultiset(n, exps), answers.isdisjoint(parts)))
+    return out
 
 
 def find_vanishing_multiset(

@@ -55,6 +55,21 @@ def enumerate_spectrum(n, d):
     return out
 
 
+def walk_traces(n, d, k_max):
+    """trace(A^k) of T^d_n for 0 <= k <= k_max, the closed walks of length k.
+
+    A cycle has t_j = n * #{+-1 sequences of length j summing to 0 mod n}
+    closed walks of length j, and the d steps of a product walk interleave,
+    so sum_k trace(A^k) x^k / k! = (sum_j t_j x^j / j!)^d: each power of the
+    exponential generating function is a binomial convolution.
+    """
+    cycle = [n * sum(math.comb(j, up) for up in range(j + 1) if (2 * up - j) % n == 0) for j in range(k_max + 1)]
+    traces = [1] + [0] * k_max  # T^0: one vertex, no edges
+    for _ in range(d):
+        traces = [sum(math.comb(k, j) * cycle[j] * traces[k - j] for j in range(k + 1)) for k in range(k_max + 1)]
+    return traces
+
+
 def brute_cayley_spectrum(n, d, gens):
     """Key coefficients -> (count, smallest character t) over all n^d characters.
 

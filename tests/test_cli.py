@@ -274,7 +274,17 @@ def test_input_error_exit_code(capsys, monkeypatch, argv, env):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("arg", [["--n-list", "2"], ["--cutoff", "0"]])
+@pytest.mark.parametrize(
+    "arg",
+    [
+        ["--n-list", "2"],
+        ["--cutoff", "0"],
+        # the check compares gaps along the list, so another order is a usage error, not a FAIL
+        ["--n-list", "32", "16"],
+        ["--n-list", "16", "16"],
+        ["--n-list", "8", "16", "16", "32"],
+    ],
+)
 def test_cjk_arguments_checked_before_work(capsys, monkeypatch, arg):
     def unreachable(*args, **kwargs):
         raise RuntimeError("cjk_table ran before the arguments were checked")

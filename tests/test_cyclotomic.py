@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dtorus import arith, cyclotomic, spectrum
+from dtorus import arith, cyclotomic
 from dtorus.arith import factorize, is_prime, totient
 from dtorus.cyclotomic import (
-    ApproxReal,
     CycElt,
     _fixed_tables,
     approx_value,
@@ -150,21 +149,6 @@ def test_digit_guard():
             e = CycElt(5, e.v + e.v)
             assert e != x
     assert doublings == 31 and e.coeffs == (2**61, 0, 0, 0)
-
-
-def test_sorted_entries_breaks_ties_in_coefficient_order(monkeypatch):
-    # coefficient order puts b first; ordering by the packed int, by the top
-    # digit first, by representative or by input order would put a first
-    a = CycElt(5, pack((2, 0, 0, 0)))
-    b = CycElt(5, pack((0, 0, 1, 1)))
-    assert b < a and not a < b
-    t = spectrum.torus_spectrum(5, 1)
-    assert [t.key_of((k,)) for k in (0, 2)] == [a, b]
-    # force equal values, so only the key order can decide
-    half = mpmath.mpf(0.5)
-    monkeypatch.setattr(spectrum, "approx_value", lambda n, exponents: ApproxReal(half, half))
-    images = [t.embedding.cos_image((k,)) for k in (0, 2)]
-    assert [t.key_of(e.representative) for _, _, e in spectrum.by_value(t, images)] == [b, a]
 
 
 def test_context_cap_raises_before_allocating(monkeypatch):

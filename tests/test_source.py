@@ -178,6 +178,41 @@ def test_one_continuum_loop():
     assert "_shell_terms" in functions_defined(planted)
 
 
+def self_calling(source: str) -> set[str]:
+    """The functions of ``source`` that call themselves by name."""
+    return {name for name in functions_defined(source) if any(name in scope for scope in callers(source, name))}
+
+
+def test_one_vanishing_search():
+    # the searches share one iterative DFS; minimality is read off its
+    # answer set, with no second search over sub-multisets.  The one
+    # recursion left is the exact vanishing test, one level per prime of n
+    source = (Path(dtorus.__file__).parent / "vanishing.py").read_text()
+    assert "_is_minimal" not in functions_defined(source)
+    assert self_calling(source) == {"_roots_sum_is_zero"}
+    planted = (
+        "def _is_minimal(emb, exps):\n    def part(i, acc):\n        return part(i + 1, acc)\n\n"
+        "    return not part(0, 0)\n\n\ndef _roots_sum_is_zero(n, terms):\n    return _roots_sum_is_zero(n, terms)\n"
+    )
+    assert "_is_minimal" in functions_defined(planted)
+    assert self_calling(planted) == {"part", "_roots_sum_is_zero"}
+
+
+KEY_BUILDERS = ("key_of", "key_of_tuple", "get_context")
+
+
+def test_rows_are_ordered_without_keys():
+    # by_value breaks float ties on the F image each row carries
+    source = (Path(dtorus.__file__).parent / "spectrum.py").read_text()
+    assert "by_value" in functions_defined(source)
+    assert [name for name in KEY_BUILDERS if ("by_value",) in callers(source, name)] == []
+    planted = (
+        "def by_value(table, images):\n"
+        "    run.sort(key=lambda row: table.key_of(rows[row[1]][1].representative))\n"
+    )
+    assert [name for name in KEY_BUILDERS if ("by_value",) in callers(planted, name)] == ["key_of"]
+
+
 ARITHMETIC_DUNDERS = {"__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__", "__pos__"}
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dtorus import spectrum
 from dtorus.criteria import d2_closed_form, verify_bound24
-from dtorus.cyclotomic import CycElt, ModEmbedding, get_context, key_embedding, sum_reduce
+from dtorus.cyclotomic import ApproxReal, CycElt, ModEmbedding, get_context, key_embedding, sum_reduce
 from dtorus.errors import AsymmetricGeneratingSet, BudgetExceeded
 from dtorus.spectrum import (
     CayleySpec,
@@ -24,7 +24,7 @@ from dtorus.spectrum import (
     multiplicity_of_tuple,
     torus_spectrum,
 )
-from helpers import brute_cayley_spectrum, enumerate_spectrum, residue_approx
+from helpers import brute_cayley_spectrum, enumerate_spectrum, residue_approx, walk_traces
 
 
 def counts_by_key(table):
@@ -299,8 +299,20 @@ def test_count_of_probes_rows(monkeypatch):
     for ks in ((3, 17), (0, 5), (7, 7), (0, 209)):
         assert t.count_of(key_of_tuple(n, ks)) == d2_closed_form(n, *ks)
     assert t.count_of(CycElt(n, 5)) == 0  # above the top eigenvalue 4
-    assert t.count_of(get_context(7).zero) == 0  # a key of another modulus
+    with pytest.raises(ValueError, match="mixed moduli"):
+        t.count_of(get_context(7).zero)  # a key of another modulus, refused as key_multiplicity refuses it
     assert "entries" not in vars(t)  # no exact key was built
+
+
+@pytest.mark.parametrize("n, d", [(419, 2), (105, 3), (60, 4), (3, 1000)])
+def test_power_sums_match_walk_traces(n, d):
+    # sum count * lambda^k is trace(A^k), the closed walks of length k, an
+    # integer; F is a ring map, so the rows' F images give it modulo M.  No
+    # enumeration oracle reaches these tables
+    t = torus_spectrum(n, d)
+    p = t.embedding.primes[0]
+    for k, trace in enumerate(walk_traces(n, d, 6)):
+        assert sum(c * pow(f, k, p) for f, c in t.counts.items()) % p == trace % p, k
 
 
 def test_torus_1009_matches_closed_form():
@@ -401,6 +413,23 @@ def test_sorted_entries_descending():
     t = torus_spectrum(12, 2)
     values = [float(value) for value, _, _ in spectrum.by_value(t, t.counts)]
     assert values == sorted(values, reverse=True)
+
+
+def test_float_ties_break_on_f_images(monkeypatch):
+    # force equal values, so only the tie-break can decide; it reads the F
+    # image each row carries, and no key or context is built to order rows
+    t = torus_spectrum(13, 2)
+    images = list(reversed(t.counts))  # descending representative order
+    assert sorted(images) not in (images, list(t.counts))
+    half = mpmath.mpf(0.5)
+    monkeypatch.setattr(spectrum, "approx_value", lambda n, exponents: ApproxReal(half, half))
+
+    def unreachable(*args, **kwargs):
+        raise RuntimeError("a key was built to order rows")
+
+    monkeypatch.setattr(spectrum.SpectrumTable, "key_of", unreachable)
+    monkeypatch.setattr(spectrum, "get_context", unreachable)
+    assert [f for _, f, _ in spectrum.by_value(t, images)] == sorted(images)
 
 
 @pytest.mark.parametrize("n", [12, 60, 97])  # phi(97) = 96 digits
