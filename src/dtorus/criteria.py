@@ -14,15 +14,15 @@ from dataclasses import dataclass, field
 from itertools import groupby
 
 from .arith import factorize, is_prime, semigroup_member
-from .cyclotomic import ApproxReal, CycElt, key_of_tuple
+from .cyclotomic import ApproxReal, CycElt, key_embedding
 from .errors import Bound24Violated, PreconditionViolated, ZeroNotEigenvalue
 from .spectrum import (
     DEFAULT_BUDGET,
     Entry,
     SpectrumTable,
+    _mitm_matches,
     by_value,
     key_multiplicity,
-    membership,
     multiplicity_of_tuple,
     torus_spectrum,
 )
@@ -125,8 +125,9 @@ def eigenvalue_growth(n: int, d: int, ks, budget: int = DEFAULT_BUDGET) -> Growt
 
     Linear growth holds iff for some r in [1, d] the index r admits a
     growth witness and the eigenvalue already occurs in T^(d-r)_n; the
-    smallest such r is returned.  The key is built only once some r has a
-    witness.
+    smallest such r is returned.  The probe, F(eigenvalue) under
+    key_embedding(n, 2d), injective on it and every split of T^(d-r)_n, is
+    set up only once some r has a witness.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -135,14 +136,15 @@ def eigenvalue_growth(n: int, d: int, ks, budget: int = DEFAULT_BUDGET) -> Growt
     ks = tuple(ks)
     if len(ks) != d:
         raise ValueError(f"expected {d} indices, got {len(ks)}")
-    key = None
+    emb = None
     for r in range(1, d + 1):
         w = in_I0(n, r)
         if w is None:
             continue
-        if key is None:
-            key = key_of_tuple(n, ks)
-        if membership(n, d - r, key, budget):
+        if emb is None:
+            emb = key_embedding(n, 2 * d)
+            goal = emb.cos_image(ks)
+        if any(_mitm_matches(n, d - r, emb, goal, None, budget)):
             return GrowthClass("LinearGrowth", r, w, d - r)
     return GrowthClass("Bounded")
 

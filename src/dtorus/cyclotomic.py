@@ -46,7 +46,6 @@ MAX_CONTEXT_DIGITS = 1 << 24
 PREC = 192
 
 
-@functools.lru_cache(maxsize=1024)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n (monic, degree totient(n), constant term first).
 

@@ -240,6 +240,8 @@ def torus_spectrum(n: int, d: int, budget: int = DEFAULT_BUDGET) -> SpectrumTabl
 
 def _torus(n: int, d: int, emb: ModEmbedding, budget: int) -> SpectrumTable:
     """T^d_n with rows under emb; the budget also applies to cached tables."""
+    if d == 0:
+        return SpectrumTable(n, 0, 1, {0: 1}, {0: 0}, emb)  # the empty sum, not cached
     key = (n, d, len(emb.primes))
     t = _TORUS_CACHE.pop(key, None)  # re-inserted below as the most recent
     if t is None:
@@ -270,43 +272,33 @@ def multiplicity_of_tuple(n: int, d: int, ks, budget: int = DEFAULT_BUDGET) -> i
     return count
 
 
-def _mitm_matches(n: int, d: int, target: CycElt, budget: int):
-    """Yield count_a * count_b for each split target = key_a + key_b.
+def _mitm_matches(n: int, d: int, emb: ModEmbedding, goal: int, target: CycElt | None, budget: int):
+    """Yield count_a * count_b for each split goal = F(key_a) + F(key_b) mod M.
 
-    The keys come from the two half-dimension tables of T^d_n (one table
-    when d = 1; for d = 0 only the empty sum, which is zero), with rows
-    under key_embedding(n, 2d).  The smaller table is walked and the larger
-    one probed at F(target) - F(key_a) mod M.  F never drops a true split.
-    A nonzero ``target`` need not be a key, so hits are checked exactly
-    until one holds; then target is a key of T^d_n, every later hit differs
-    from a true split by at most 4d in every embedding, and F is injective
-    there.  A zero target needs no check, as F is injective on the keys and zero.
+    The keys come from T^ceil(d/2)_n and T^floor(d/2)_n under ``emb``; the
+    smaller table is walked and the larger one probed at goal - F(key_a).
+    F never drops a true split.  No hit needs a check when ``target`` is
+    None (F is injective on the goal and every split) or zero (F is
+    injective on the keys and zero).  A nonzero target, with goal = F(target)
+    under key_embedding(n, 2d), need not be a key, so hits are checked
+    exactly until one holds; then target is a key of T^d_n, every later hit
+    differs from a true split by at most 4d in every embedding, and F is
+    injective there.
     """
-    if d == 0:
-        if target.is_zero():
-            yield 1
-        return
-    emb = key_embedding(n, 2 * d)
-    goal, modulus = emb.image(target), emb.modulus
+    modulus = emb.modulus
     a = (d + 1) // 2
-    ta = _torus(n, a, emb, budget)
-    if a == d:
-        count = ta.count_of(target)
-        if count:
-            yield count
-        return
-    tb = _torus(n, d - a, emb, budget)
+    ta, tb = _torus(n, a, emb, budget), _torus(n, d - a, emb, budget)
     small, big = (ta, tb) if len(ta.counts) <= len(tb.counts) else (tb, ta)
     probe = big.counts.get
-    exact = target.is_zero()
+    exact = target is None or target.is_zero()
     for f, c in small.counts.items():
         g = (goal - f) % modulus
         other = probe(g)
         if other is None:
             continue
         if not exact:
-            split = key_of_tuple(n, small.entry(f).representative + big.entry(g).representative)
-            if split != target:
+            rep = small.entry(f).representative + big.entry(g).representative
+            if not rep or key_of_tuple(n, rep) != target:  # the empty sum is zero, target is not
                 continue
             exact = True
         yield c * other
@@ -319,7 +311,10 @@ def key_multiplicity(n: int, d: int, target: CycElt, budget: int = DEFAULT_BUDGE
     torus_spectrum entry-by-entry (property-tested) but stays cheap for
     single-key questions in high dimension.
     """
-    return sum(_mitm_matches(n, d, target, budget))
+    if d < 0:
+        raise ValueError("dimension must be nonnegative")
+    emb = key_embedding(n, 2 * d)
+    return sum(_mitm_matches(n, d, emb, emb.image(target), target, budget))
 
 
 def membership(n: int, dprime: int, target: CycElt, budget: int = DEFAULT_BUDGET) -> bool:
@@ -330,7 +325,8 @@ def membership(n: int, dprime: int, target: CycElt, budget: int = DEFAULT_BUDGET
     """
     if dprime < 0:
         raise ValueError("dimension must be nonnegative")
-    return any(_mitm_matches(n, dprime, target, budget))
+    emb = key_embedding(n, 2 * dprime)
+    return any(_mitm_matches(n, dprime, emb, emb.image(target), target, budget))
 
 
 @dataclass(frozen=True)

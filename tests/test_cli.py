@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dtorus
-from dtorus import cli, cyclotomic, spectrum, zeta
+from dtorus import cli, criteria, cyclotomic, spectrum, zeta
 from dtorus.cli import main
 from dtorus.errors import Bound24Violated
 from helpers import traced_peak
@@ -203,6 +203,24 @@ def test_answers_without_a_context(capsys, monkeypatch):
     monkeypatch.setattr(spectrum, "key_embedding", unreachable)
     code, out, _ = run_cli(capsys, "growth", "--n", "10007", "--d", "1", "--tuple", "1")
     assert code == 0 and json.loads(out)["classification"] == "Bounded"
+    assert cyclotomic.get_context.cache_info().currsize == 0
+
+
+def test_growth_builds_no_context(capsys, monkeypatch):
+    # growth compares F images under key_embedding(n, 2d) alone: 10006 has a
+    # witness at r = 2, and its context (10006 * 5002 digits) exceeds the cap
+    def unreachable(*args, **kwargs):
+        raise RuntimeError("growth built a cyclotomic context")
+
+    cyclotomic.get_context.cache_clear()
+    monkeypatch.setattr(cyclotomic, "get_context", unreachable)
+    code, out, _ = run_cli(capsys, "growth", "--n", "10006", "--d", "2", "--tuple", "1,2")
+    assert code == 0 and json.loads(out)["classification"] == "Bounded"
+    # 10007 is prime, so no r <= 1 has a witness: not even the embedding is built
+    monkeypatch.setattr(criteria, "key_embedding", unreachable)
+    code, out, _ = run_cli(capsys, "growth", "--n", "10007", "--d", "1", "--tuple", "1")
+    assert code == 0 and json.loads(out)["classification"] == "Bounded"
+    monkeypatch.undo()
     assert cyclotomic.get_context.cache_info().currsize == 0
 
 

@@ -209,6 +209,17 @@ def test_eigenvalue_growth_examples():
     assert g.tag == "LinearGrowth" and g.r == 2
 
 
+@given(st.data(), st.integers(min_value=3, max_value=60), st.integers(min_value=1, max_value=5))
+def test_growth_matches_public_membership(data, n, d):
+    # the class the public path gives: the smallest r with a growth witness
+    # whose residual torus T^(d-r)_n already holds the eigenvalue's exact key
+    ks = tuple(data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=d, max_size=d)))
+    key = key_of_tuple(n, ks)
+    r = next((r for r in range(1, d + 1) if in_I0(n, r) and membership(n, d - r, key)), None)
+    g = eigenvalue_growth(n, d, ks)
+    assert (g.tag, g.r, g.residual_dim) == (("Bounded", None, None) if r is None else ("LinearGrowth", r, d - r))
+
+
 def test_growth_witness_consistency():
     g = eigenvalue_growth(15, 4, (1, 0, 5, 10))
     w = g.witness

@@ -328,9 +328,3 @@ def test_key_embedding_is_a_ring_map(n):
     assert emb.cos_image((1, 2, n - 1)) == emb.image(key_of_tuple(n, (1, 2, 1)))
     with pytest.raises(ValueError):
         emb.image(CycElt(n + 1, 1))
-
-
-def test_cyclotomic_poly_cache_is_bounded():
-    cyclotomic_poly(30)
-    info = cyclotomic_poly.cache_info()
-    assert info.maxsize is not None and info.currsize <= info.maxsize

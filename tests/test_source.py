@@ -239,3 +239,19 @@ def test_keys_are_built_only_where_printed():
     assert callers((package / "cli.py").read_text(), "get_context") == [("cmd_spectrum",)]
     planted = "class CycElt:\n    def __add__(self, other):\n        pass\n\n    __radd__ = __add__\n"
     assert class_methods(planted, "CycElt") == {"__add__", "__radd__"}
+
+
+def test_growth_probes_without_keys():
+    # eigenvalue_growth compares F images under key_embedding(n, 2d), on which
+    # F is injective, and the meet-in-the-middle walk probes rows, never
+    # count_of's exact confirmation
+    package = Path(dtorus.__file__).parent
+    criteria = (package / "criteria.py").read_text()
+    assert [name for name in ("key_of_tuple", "get_context") if callers(criteria, name)] == []
+    spectrum = (package / "spectrum.py").read_text()
+    assert "_mitm_matches" in functions_defined(spectrum)
+    assert [s for s in callers(spectrum, "count_of") if "_mitm_matches" in s] == []
+    planted = "def eigenvalue_growth(n, ks):\n    return membership(n, 0, key_of_tuple(n, ks))\n"
+    assert callers(planted, "key_of_tuple") == [("eigenvalue_growth",)]
+    planted = "def _mitm_matches(n, d, target):\n    yield _torus(n, d).count_of(target)\n"
+    assert callers(planted, "count_of") == [("_mitm_matches",)]

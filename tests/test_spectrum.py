@@ -232,6 +232,12 @@ def test_membership_examples():
     assert not membership(9, 0, CycElt(9, 1))
 
 
+def test_negative_dimension_is_refused():
+    for probe in (membership, key_multiplicity):
+        with pytest.raises(ValueError, match="dimension must be nonnegative"):
+            probe(7, -1, CycElt(7, 0))
+
+
 @given(st.integers(min_value=3, max_value=14), st.integers(min_value=1, max_value=4))
 def test_membership_matches_table_keys(n, d):
     table = torus_spectrum(n, d)
@@ -304,15 +310,24 @@ def test_count_of_probes_rows(monkeypatch):
     assert "entries" not in vars(t)  # no exact key was built
 
 
-@pytest.mark.parametrize("n, d", [(419, 2), (105, 3), (60, 4), (3, 1000)])
+# no enumeration oracle reaches these tables
+LARGE_TABLES = [(419, 2), (105, 3), (60, 4), (3, 1000)]
+
+
+@pytest.mark.parametrize("n, d", LARGE_TABLES)
 def test_power_sums_match_walk_traces(n, d):
     # sum count * lambda^k is trace(A^k), the closed walks of length k, an
-    # integer; F is a ring map, so the rows' F images give it modulo M.  No
-    # enumeration oracle reaches these tables
+    # integer; F is a ring map, so the rows' F images give it modulo M
     t = torus_spectrum(n, d)
     p = t.embedding.primes[0]
     for k, trace in enumerate(walk_traces(n, d, 6)):
         assert sum(c * pow(f, k, p) for f, c in t.counts.items()) % p == trace % p, k
+
+
+@pytest.mark.parametrize("n, d", LARGE_TABLES)
+def test_representatives_map_to_their_rows(n, d):
+    t = torus_spectrum(n, d)
+    assert all(t.embedding.cos_image(t.entry(f).representative) == f for f in t.counts)
 
 
 def test_torus_1009_matches_closed_form():
