@@ -31,7 +31,7 @@ from .criteria import (
 )
 from .cyclotomic import CycElt, approx_value, get_context, key_embedding
 from .errors import BudgetExceeded, Bound24Violated, DtorusError, NotApplicable
-from .spectrum import DEFAULT_BUDGET, by_value, membership, multiplicity_of_tuple, torus_spectrum
+from .spectrum import DEFAULT_BUDGET, by_value, check_cycle_keys, membership, multiplicity_of_tuple, torus_spectrum
 from .vanishing import (
     classify_cos4,
     find_vanishing_multiset,
@@ -136,6 +136,7 @@ def _emit(args, fields: dict) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    check_cycle_keys(args.n, args.budget)
     get_context(args.n)  # refuses a modulus over the context cap before any table work
     table = torus_spectrum(args.n, args.d, args.budget)
     # a generator: each row's key and coefficients are built as _emit writes it

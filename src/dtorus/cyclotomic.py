@@ -41,6 +41,8 @@ from .errors import BudgetExceeded
 # CycContext holds N packed powers of phi(N) 64-bit digits: at most this many
 # digits (128 MiB), which admits every N up to 4096
 MAX_CONTEXT_DIGITS = 1 << 24
+# key_embedding's primes lie below this: one CPython digit each
+KEY_PRIMES_BELOW = 1 << 30
 # fixed-point bits of approx_value: outputs print 30 significant digits (about
 # 100 bits), and a sum of fewer than 2^64 roots keeps its radius below 2^-128
 PREC = 192
@@ -273,12 +275,12 @@ class ModEmbedding:
 def _split_prime(n: int, below: int) -> tuple[int, int]:
     """The largest prime p = 1 (mod n) below ``below``, and an element of
     exact order n modulo p.  Cached, as key_embedding(n, roots) takes the
-    same primes for every roots."""
+    same primes for every roots; ValueError if there is no such prime."""
     p = (below - 2) // n * n + 1
     while not is_prime(p):
         p -= n
         if p < 2:
-            raise ValueError(f"too few primes p = 1 (mod {n}) below 2^62")
+            raise ValueError(f"too few primes p = 1 (mod {n}) below {below}")
     qs = factorize(n).primes
     for g in range(2, p):
         h = pow(g, (p - 1) // n, p)
@@ -292,23 +294,34 @@ def key_embedding(n: int, roots: int) -> ModEmbedding:
 
     A torus key of T^d_n is such a sum with roots = 2d, and a key of a Cayley
     graph with a symmetric generating multiset of g elements one with
-    roots = g.  The primes are the largest p = 1 (mod n) below 2^62, in
-    descending order; they split completely in Q(zeta_n) (Washington,
-    Introduction to Cyclotomic Fields, Thm 2.13), so Phi_n has roots modulo
-    each.  A key is a real cyclotomic integer with |sigma(key)| <= roots
-    under every embedding sigma.  If F(a) = F(b) for keys a != b, then a - b
-    lies in a degree-one prime of the real subring above each p_i, so M
-    divides its norm to Q.  For n >= 3 that subring is Z[zeta + 1/zeta] of
-    degree phi/2 and the norm is at most (2 roots)^(phi/2) in absolute value;
-    for n <= 2 it is Z itself (phi = 1) and |a - b| <= 2 roots.  Both are
-    impossible once M^2 > (2 roots)^max(phi, 2).  The same holds with the
-    zero element (an empty sum) in place of either key.
+    roots = g.  The primes are the largest p = 1 (mod n) below
+    KEY_PRIMES_BELOW = 2^30, in descending order, so each is one CPython
+    digit and is_prime certifies it with 4 bases; they split completely in
+    Q(zeta_n) (Washington, Introduction to Cyclotomic Fields, Thm 2.13), so
+    Phi_n has roots modulo each.  A key is a real cyclotomic integer with
+    |sigma(key)| <= roots under every embedding sigma.  If F(a) = F(b) for
+    keys a != b, then a - b lies in a degree-one prime of the real subring
+    above each p_i, so M divides its norm to Q.  For n >= 3 that subring is
+    Z[zeta + 1/zeta] of degree phi/2 and the norm is at most
+    (2 roots)^(phi/2) in absolute value; for n <= 2 it is Z itself
+    (phi = 1) and |a - b| <= 2 roots.  Both are impossible once
+    M^2 > (2 roots)^max(phi, 2).  The same holds with the zero element (an
+    empty sum) in place of either key.
 
     The n powers take the place of a CycContext's and share its ceiling of
-    64 * MAX_CONTEXT_DIGITS bits: BudgetExceeded is raised, before n is
-    factored or any prime tested, when n times an upper estimate of bits(M)
-    exceeds it.  M^2 is at most the bound before the last prime below 2^62
-    joins M, and phi <= n, so bits(M) <= max(n, 2) bits(2 roots) / 2 + 63.
+    64 * MAX_CONTEXT_DIGITS = 2^30 bits: BudgetExceeded is raised, before n
+    is factored or any prime tested, when n times an upper estimate of
+    bits(M) exceeds it.  M^2 is at most the bound before the last prime
+    below 2^30 joins M, and phi <= n, so bits(M) <= max(n, 2) bits(2 roots)
+    / 2 + 63.  That ceiling is also why the primes below 2^30 always
+    suffice: it admits only (n, roots) whose M has fewer than 2^30 / n bits,
+    while the primes = 1 (mod n) below 2^30 multiply to about
+    2^30 / (phi(n) ln 2) >= 1.44 * 2^30 / n bits (the prime number theorem
+    in progressions).  Counted exactly in the tests: n = 8179 with
+    roots = 2^31 - 2 (the most a torus key has; no larger prime n is
+    admitted there) takes 4462 of its 6728 primes, and n = 23143 with
+    roots = 4 (T^2_n) 1176 of 2366.  A modulus that ran short would raise
+    ValueError, never get a smaller M.
     """
     if n * (max(n, 2) * (2 * roots).bit_length() // 2 + 63) > 64 * MAX_CONTEXT_DIGITS:
         raise BudgetExceeded(
@@ -317,7 +330,7 @@ def key_embedding(n: int, roots: int) -> ModEmbedding:
     bound = (2 * roots) ** max(totient(n), 2)
     primes, modulus, omega = [], 1, 0
     while modulus * modulus <= bound:
-        p, h = _split_prime(n, primes[-1] if primes else 1 << 62)
+        p, h = _split_prime(n, primes[-1] if primes else KEY_PRIMES_BELOW)
         omega += modulus * ((h - omega) * pow(modulus, -1, p) % p)  # CRT
         modulus *= p
         primes.append(p)

@@ -131,6 +131,18 @@ def by_value(table: SpectrumTable, images) -> Iterator[tuple[ApproxReal, int, En
     return ((v, f, e) for f, (v, e) in ((f, rows.pop(f)) for _, f in order))
 
 
+def check_cycle_keys(n: int, budget: int) -> None:
+    """Refuse the cycle table of n, n//2 + 1 keys, above the budget.
+
+    Every torus table and every probe of T^d_n, d >= 1, starts from it, so
+    they call this before the embedding or any context is built.
+    """
+    if n < 3:
+        raise ValueError("need n >= 3")
+    if n // 2 + 1 > budget:
+        raise BudgetExceeded(f"cycle table needs {n // 2 + 1} keys, budget {budget}")
+
+
 def cn_spectrum(
     n: int, budget: int = DEFAULT_BUDGET, embedding: ModEmbedding | None = None
 ) -> SpectrumTable:
@@ -141,11 +153,8 @@ def cn_spectrum(
     -2).
     Rows are keyed under ``embedding``, by default key_embedding(n, 2).
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
+    check_cycle_keys(n, budget)
     half = n // 2
-    if half + 1 > budget:
-        raise BudgetExceeded(f"cycle table needs {half + 1} keys, budget {budget}")
     emb = embedding or key_embedding(n, 2)
     counts: dict[int, int] = {}
     reps: dict[int, int] = {}
@@ -231,10 +240,9 @@ def torus_spectrum(n: int, d: int, budget: int = DEFAULT_BUDGET) -> SpectrumTabl
     n^d.  Rows are keyed under key_embedding(n, 2d).  Tables are cached per
     (n, d, number of primes in M) since they are immutable.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
     if not 1 <= d < 1 << 30:
         raise ValueError("need 1 <= d < 2^30")
+    check_cycle_keys(n, budget)  # and n >= 3
     return _torus(n, d, key_embedding(n, 2 * d), budget)
 
 
@@ -313,6 +321,8 @@ def key_multiplicity(n: int, d: int, target: CycElt, budget: int = DEFAULT_BUDGE
     """
     if d < 0:
         raise ValueError("dimension must be nonnegative")
+    if d:
+        check_cycle_keys(n, budget)
     emb = key_embedding(n, 2 * d)
     return sum(_mitm_matches(n, d, emb, emb.image(target), target, budget))
 
@@ -325,6 +335,8 @@ def membership(n: int, dprime: int, target: CycElt, budget: int = DEFAULT_BUDGET
     """
     if dprime < 0:
         raise ValueError("dimension must be nonnegative")
+    if dprime:
+        check_cycle_keys(n, budget)
     emb = key_embedding(n, 2 * dprime)
     return any(_mitm_matches(n, dprime, emb, emb.image(target), target, budget))
 

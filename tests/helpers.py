@@ -115,6 +115,25 @@ def brute_r2_upto(limit):
     return out
 
 
+def split_primes_below(n, top):
+    """The primes p = 1 (mod n) below ``top``, descending: the progression
+    1 + k n sieved by every prime q <= sqrt(top) that does not divide n."""
+    root = isqrt(top)
+    small = bytearray([1]) * (root + 1)  # Eratosthenes up to sqrt(top)
+    for q in range(2, isqrt(root) + 1):
+        small[q * q :: q] = bytes(len(range(q * q, root + 1, q)))
+    count = (top - 2) // n + 1  # the candidates 1 + k n, 0 <= k < count
+    alive = bytearray([1]) * count
+    alive[0] = 0
+    for q in range(2, root + 1):
+        if small[q] and n % q:
+            k = -pow(n, -1, q) % q  # 1 + k n = 0 (mod q)
+            if 1 + k * n == q:
+                k += q
+            alive[k::q] = bytes(len(range(k, count, q)))
+    return [1 + k * n for k in range(count - 1, 0, -1) if alive[k]]
+
+
 def phi_brute(n):
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 

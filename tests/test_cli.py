@@ -181,6 +181,28 @@ def test_budget_exit_code(capsys, monkeypatch):
     assert code == 2 and out == "" and err.startswith("budget exceeded: ") and err.count("\n") == 1
 
 
+def test_budget_refused_before_any_table(capsys, monkeypatch):
+    # the cycle table's n//2 + 1 keys are counted before the embedding or a
+    # context is built
+    def unreachable(*args, **kwargs):
+        raise RuntimeError("work was started before the key count was checked")
+
+    for module in (cli, spectrum):
+        monkeypatch.setattr(module, "key_embedding", unreachable)
+        monkeypatch.setattr(module, "get_context", unreachable)
+    for argv, keys in (
+        (["mult", "--n", "4093", "--d", "2", "--tuple", "1,2"], 2047),
+        (["spectrum", "--n", "4096", "--d", "1"], 2049),
+        (["zeta", "--n", "4093", "--d", "2", "--s", "2"], 2047),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--budget", "1000")
+        assert (code, out) == (2, "") and err == f"budget exceeded: cycle table needs {keys} keys, budget 1000\n"
+    zero = cyclotomic.CycElt(4093, 0)
+    for probe in (spectrum.key_multiplicity, spectrum.membership):
+        with pytest.raises(dtorus.BudgetExceeded, match="cycle table needs 2047 keys"):
+            probe(4093, 3, zero, 1000)
+
+
 def test_answers_without_a_context(capsys, monkeypatch):
     # these decide on F images and print no key coefficients, so they build no
     # cyclotomic context

@@ -81,11 +81,51 @@ def test_is_prime_rejects_strong_pseudoprimes(n):
 
 
 def test_is_prime_certifies_large_primes():
-    for p in (2**61 - 1, 2**62 - 57, 2**62 - 87, 2**63 - 25, 2**64 - 59):
+    for p in (2**30 - 35, 2**61 - 1, 2**62 - 57, 2**62 - 87, 2**63 - 25, 2**64 - 59):
         assert is_prime(p)
+    assert not any(is_prime(2**30 - k) for k in range(1, 35))  # key_embedding's first candidates
     assert not any(is_prime(2**62 - k) for k in range(1, 57))
     with pytest.raises(ValueError):
         is_prime(3317044064679887385961981)  # a strong pseudoprime to every base used
+
+
+def _strong_probable_prime(n, a):
+    """Whether odd n > a passes the Miller-Rabin round to base a."""
+    s = 0
+    while (n - 1) >> s & 1 == 0:
+        s += 1
+    x = pow(a, (n - 1) >> s, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_is_prime_bases_table():
+    # psi_k is composite and passes the first k bases, so no fewer bases decide
+    # below it; where psi_(k+1) > psi_k the next base catches it
+    psi, bases = arith._MR_PSI, arith._MR_BASES
+    assert len(psi) == len(bases) and list(psi) == sorted(psi) and arith._MR_LIMIT == psi[-1]
+    factor = {  # one prime factor of each
+        2047: 23,
+        1373653: 829,
+        25326001: 2251,
+        3215031751: 151,
+        2152302898747: 6763,
+        3474749660383: 1303,
+        341550071728321: 10670053,
+        3825123056546413051: 149491,
+        318665857834031151167461: 399165290221,
+        3317044064679887385961981: 1287836182261,
+    }
+    for k, n in enumerate(psi, 1):
+        assert n % 2 and 1 < factor[n] < n and n % factor[n] == 0, n
+        assert all(_strong_probable_prime(n, a) for a in bases[:k]), k
+        if k < len(psi) and psi[k] > n:
+            assert not _strong_probable_prime(n, bases[k]), k
 
 
 def test_semigroup_member():

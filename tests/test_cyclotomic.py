@@ -18,7 +18,7 @@ from dtorus.cyclotomic import (
     sum_reduce,
 )
 from dtorus.errors import BudgetExceeded
-from helpers import interval_fixed_table, phi_brute, reduce_mod_phi
+from helpers import interval_fixed_table, phi_brute, reduce_mod_phi, split_primes_below
 
 moduli = st.integers(min_value=1, max_value=60)
 
@@ -292,10 +292,10 @@ def test_key_embedding_modulus(n, d):
     assert emb.modulus == math.prod(emb.primes)
     # the upper estimate the ceiling on the powers rests on
     assert emb.modulus.bit_length() <= n * (2 * 2 * d).bit_length() // 2 + 63
-    # the largest primes p = 1 (mod n) below 2^62, in descending order
-    assert 2**62 > emb.primes[0]
+    # the largest primes p = 1 (mod n) below 2^30, in descending order
+    assert 2**30 > emb.primes[0]
     assert emb.primes == key_embedding(n, 200 * d).primes[: len(emb.primes)]
-    assert not any(is_prime(q) for q in range(emb.primes[0] + n, 2**62, n))
+    assert not any(is_prime(q) for q in range(emb.primes[0] + n, 2**30, n))
     for hi, lo in zip(emb.primes, emb.primes[1:]):
         assert not any(is_prime(q) for q in range(lo + n, hi, n))
     for p in emb.primes:
@@ -305,11 +305,34 @@ def test_key_embedding_modulus(n, d):
         assert all(pow(w, n // q, p) != 1 for q in factorize(n).primes)
 
 
+def test_key_primes_sieve_matches_key_embedding():
+    assert cyclotomic.KEY_PRIMES_BELOW == 2**30
+    for n, roots in ((1009, 4), (1260, 12), (2003, 2)):
+        primes = key_embedding(n, roots).primes
+        assert list(primes) == split_primes_below(n, 2**30)[: len(primes)]
+
+
+@pytest.mark.parametrize("n, roots, supply, need", [(8179, 2**31 - 2, 6728, 4462), (23143, 4, 2366, 1176)])
+def test_key_primes_below_2_30_suffice(n, roots, supply, need):
+    # counted, no embedding built: the ceiling on the powers admits (n, roots)
+    # (8179 is the largest prime n it admits at a torus key's most roots), and
+    # the primes = 1 (mod n) below 2^30 outnumber those M needs
+    assert n * (n * (2 * roots).bit_length() // 2 + 63) <= 64 * cyclotomic.MAX_CONTEXT_DIGITS
+    primes = split_primes_below(n, 2**30)
+    bound = (2 * roots) ** totient(n)
+    m = 1
+    for used, p in enumerate(primes, 1):
+        m *= p
+        if 2 * m.bit_length() >= bound.bit_length() and m * m > bound:
+            break
+    assert (len(primes), used) == (supply, need) and m * m > bound
+
+
 @pytest.mark.parametrize("roots", [0, 1, 2, 5, 64, 2**61])
 @pytest.mark.parametrize("n", [1, 2])
 def test_key_embedding_rational_case(n, roots):
     # phi = 1: keys are integers of size at most roots, so M > 2 roots is
-    # needed; at 2^61 roots that takes two primes below 2^62, not one
+    # needed; at 2^61 roots that takes three primes below 2^30, not two
     emb = key_embedding(n, roots)
     assert emb.modulus == math.prod(emb.primes) > 2 * roots
     assert not emb.primes or math.prod(emb.primes[:-1]) <= 2 * roots

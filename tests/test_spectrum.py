@@ -74,10 +74,10 @@ def test_convolve_needs_rows_serving_the_product():
         for a, b in ((t, c), (c, t), (c, c)):
             with pytest.raises(ValueError, match="torus_spectrum"):
                 convolve(a, b)
-    # T^1_419 is keyed under 7 primes; T^2_419 needs 11
+    # T^1_419 is keyed under 14 primes; T^2_419 needs 21
     t419 = cn_spectrum(419)
     wide = cn_spectrum(419, embedding=key_embedding(419, 4))
-    assert len(t419.embedding.primes) == 7 and len(wide.embedding.primes) == 11
+    assert len(t419.embedding.primes) == 14 and len(wide.embedding.primes) == 21
     for a, b in ((t419, t419), (t419, wide), (wide, t419)):
         with pytest.raises(ValueError, match="torus_spectrum"):
             convolve(a, b)
@@ -319,9 +319,24 @@ def test_power_sums_match_walk_traces(n, d):
     # sum count * lambda^k is trace(A^k), the closed walks of length k, an
     # integer; F is a ring map, so the rows' F images give it modulo M
     t = torus_spectrum(n, d)
-    p = t.embedding.primes[0]
+    m = t.embedding.modulus
+    powers = {f: 1 for f in t.counts}
     for k, trace in enumerate(walk_traces(n, d, 6)):
-        assert sum(c * pow(f, k, p) for f, c in t.counts.items()) % p == trace % p, k
+        assert sum(c * powers[f] for f, c in t.counts.items()) % m == trace % m, k
+        powers = {f: p * f % m for f, p in powers.items()}
+
+
+@pytest.mark.parametrize("n, d", LARGE_TABLES[:3])
+def test_counts_are_galois_invariant(n, d):
+    # sigma_j: zeta -> zeta^j, j a unit mod n, permutes the eigenvalues with
+    # their multiplicities, and sends the key of a tuple to that of j * tuple
+    t = torus_spectrum(n, d)
+    units = [j for j in range(2, n) if math.gcd(j, n) == 1][:8]
+    assert len(units) == 8
+    for f, c in t.counts.items():
+        rep = t.entry(f).representative
+        for j in units:
+            assert t.counts[t.embedding.cos_image([j * k for k in rep])] == c, (rep, j)
 
 
 @pytest.mark.parametrize("n, d", LARGE_TABLES)
