@@ -22,6 +22,7 @@ from .spectrum import (
     SpectrumTable,
     _mitm_matches,
     by_value,
+    check_cycle_keys,
     key_multiplicity,
     multiplicity_of_tuple,
     torus_spectrum,
@@ -141,6 +142,8 @@ def eigenvalue_growth(n: int, d: int, ks, budget: int = DEFAULT_BUDGET) -> Growt
         w = in_I0(n, r)
         if w is None:
             continue
+        if r < d:  # the walk starts from the cycle table
+            check_cycle_keys(n, budget)
         if emb is None:
             emb = key_embedding(n, 2 * d)
             goal = emb.cos_image(ks)

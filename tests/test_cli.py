@@ -187,13 +187,15 @@ def test_budget_refused_before_any_table(capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise RuntimeError("work was started before the key count was checked")
 
-    for module in (cli, spectrum):
+    for module in (cli, criteria, spectrum):
         monkeypatch.setattr(module, "key_embedding", unreachable)
+    for module in (cli, spectrum):
         monkeypatch.setattr(module, "get_context", unreachable)
     for argv, keys in (
         (["mult", "--n", "4093", "--d", "2", "--tuple", "1,2"], 2047),
         (["spectrum", "--n", "4096", "--d", "1"], 2049),
         (["zeta", "--n", "4093", "--d", "2", "--s", "2"], 2047),
+        (["growth", "--n", "4096", "--d", "3", "--tuple", "1,2,3"], 2049),  # a witness at r = 2
     ):
         code, out, err = run_cli(capsys, *argv, "--budget", "1000")
         assert (code, out) == (2, "") and err == f"budget exceeded: cycle table needs {keys} keys, budget 1000\n"
