@@ -21,6 +21,7 @@ phi(n) (by_value).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
@@ -68,7 +69,10 @@ class SpectrumTable:
     generator multiset of a Cayley table, whose representatives are
     characters.  ``entry(f)`` is the Entry view of one row; ``entries`` maps
     the CycElt keys, rebuilt from the representatives (key_of), to those
-    views on first access.
+    views on first access.  ``sorted_images`` lists the rows' F images in
+    ascending order, built on first access for the meet-in-the-middle walk
+    (_mitm_matches), which walks it in slices and reads a row's count only
+    where its probe hits.
     """
 
     n: int
@@ -82,6 +86,10 @@ class SpectrumTable:
     @functools.cached_property
     def entries(self) -> dict[CycElt, Entry]:
         return {self.key_of(e.representative): e for e in map(self.entry, self.counts)}
+
+    @functools.cached_property
+    def sorted_images(self) -> list[int]:
+        return sorted(self.counts)
 
     def entry(self, f: int) -> Entry:
         """The row at image f, unpacked; KeyError if f is no image of a key."""
@@ -281,35 +289,61 @@ def multiplicity_of_tuple(n: int, d: int, ks, budget: int = DEFAULT_BUDGET) -> i
 
 
 def _mitm_matches(n: int, d: int, emb: ModEmbedding, goal: int, target: CycElt | None, budget: int):
-    """Yield count_a * count_b for each split goal = F(key_a) + F(key_b) mod M.
+    """Yield counts whose sum is that of count_a * count_b over the splits
+    goal = F(key_a) + F(key_b) mod M, each yielded value nonzero.
 
     The keys come from T^ceil(d/2)_n and T^floor(d/2)_n under ``emb``; the
-    smaller table is walked and the larger one probed at goal - F(key_a).
+    smaller table is walked in slices of its ``sorted_images`` and the larger
+    one probed at the partner image, which needs no reduction mod M: since
+    0 <= goal, x < M, the partner of x is goal - x for x <= goal and
+    goal + M - x for x > goal.  When both halves are one table (even d >= 2,
+    as _torus caches T^(d/2)_n), x -> goal - x mod M is an involution on
+    each of those two ranges, so the splits come in pairs {x, y} and only
+    one side of each range is walked, the one with fewer rows; each hit
+    there stands for (x, y) and (y, x) and yields 2 c_x c_y.  M is a
+    product of primes p = 1 (mod n), n >= 3, so it is odd and 2 is a unit:
+    the one fixed point x0 = goal / 2 mod M (goal // 2 or (goal + M) // 2,
+    whichever is an integer) lies between the two sides of its range and
+    yields c_x0^2.  The walk is then a reindexing of the same finite sum,
+    and a self-split probes at most half the table's rows plus one.
+
     F never drops a true split.  No hit needs a check when ``target`` is
     None (F is injective on the goal and every split) or zero (F is
     injective on the keys and zero).  A nonzero target, with goal = F(target)
     under key_embedding(n, 2d), need not be a key, so hits are checked
-    exactly until one holds; then target is a key of T^d_n, every later hit
-    differs from a true split by at most 4d in every embedding, and F is
-    injective there.
+    exactly on the concatenated representatives until one holds (the key
+    of the concatenation is the same whichever side x is on); then target
+    is a key of T^d_n, every later hit differs from a true split by at most
+    4d in every embedding, and F is injective there.
     """
-    modulus = emb.modulus
+    top = goal + emb.modulus
     a = (d + 1) // 2
     ta, tb = _torus(n, a, emb, budget), _torus(n, d - a, emb, budget)
     small, big = (ta, tb) if len(ta.counts) <= len(tb.counts) else (tb, ta)
+    xs = small.sorted_images
+    split = bisect.bisect_right(xs, goal)
+    if small is big:
+        walks = []
+        for lo, hi, partner in ((0, split, goal), (split, len(xs), top)):
+            below = bisect.bisect_left(xs, (partner + 1) // 2, lo, hi)  # 2x < partner
+            above = bisect.bisect_right(xs, partner // 2, lo, hi)  # 2x > partner
+            side = (lo, below) if below - lo <= hi - above else (above, hi)
+            walks += [(*side, partner, 2), (below, above, partner, 1)]  # the second is x0 or empty
+    else:
+        walks = [(0, split, goal, 1), (split, len(xs), top, 1)]
     probe = big.counts.get
     exact = target is None or target.is_zero()
-    for f, c in small.counts.items():
-        g = (goal - f) % modulus
-        other = probe(g)
-        if other is None:
-            continue
-        if not exact:
-            rep = small.entry(f).representative + big.entry(g).representative
-            if not rep or key_of_tuple(n, rep) != target:  # the empty sum is zero, target is not
+    for lo, hi, partner, weight in walks:
+        for x in xs[lo:hi]:
+            other = probe(partner - x)
+            if other is None:
                 continue
-            exact = True
-        yield c * other
+            if not exact:
+                rep = small.entry(x).representative + big.entry(partner - x).representative
+                if not rep or key_of_tuple(n, rep) != target:  # the empty sum is zero, target is not
+                    continue
+                exact = True
+            yield weight * small.counts[x] * other
 
 
 def key_multiplicity(n: int, d: int, target: CycElt, budget: int = DEFAULT_BUDGET) -> int:

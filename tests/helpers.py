@@ -1,7 +1,9 @@
 """Independent brute-force oracles used by the tests.
 
 Everything here enumerates index tuples or lattice points directly and
-never calls the convolution machinery it is checking.
+never calls the convolution machinery it is checking; plain_mitm_count
+reads finished tables through their public attributes to check the
+meet-in-the-middle walk, not the tables.
 """
 
 import math
@@ -14,8 +16,9 @@ import mpmath
 from mpmath.libmp import from_man_exp, fzero, mpf_add, mpf_mul_int, mpf_pow, mpf_pow_int, mpf_rdiv_int
 from mpmath.libmp import round_nearest as rnd
 
-from dtorus.cyclotomic import ApproxReal, _fixed_tables, cyclotomic_poly, get_context
+from dtorus.cyclotomic import ApproxReal, _fixed_tables, cyclotomic_poly, get_context, key_embedding, key_of_tuple
 from dtorus.errors import BudgetExceeded
+from dtorus.spectrum import torus_spectrum
 
 
 def reduce_mod_phi(poly, n):
@@ -68,6 +71,29 @@ def walk_traces(n, d, k_max):
     for _ in range(d):
         traces = [sum(math.comb(k, j) * cycle[j] * traces[k - j] for j in range(k + 1)) for k in range(k_max + 1)]
     return traces
+
+
+def plain_mitm_count(n, d, target):
+    """The count of ``target`` in T^d_n, d >= 2, by the meet-in-the-middle
+    walk dtorus.spectrum made before it sliced sorted images.
+
+    Every row of T^ceil(d/2)_n is paired with the row of T^floor(d/2)_n at
+    goal - F(row) mod M, all images taken under key_embedding(n, 2d) from the
+    rows' representatives, and a hit counts only when the concatenated
+    representatives have the target's exact key.
+    """
+    emb = key_embedding(n, 2 * d)
+    a = (d + 1) // 2
+    first, second = (
+        {emb.cos_image(e.representative): e for e in map(table.entry, table.counts)}
+        for table in (torus_spectrum(n, a), torus_spectrum(n, d - a))
+    )
+    goal, total = emb.image(target), 0
+    for fx, x in first.items():
+        y = second.get((goal - fx) % emb.modulus)
+        if y is not None and key_of_tuple(n, x.representative + y.representative) == target:
+            total += x.count * y.count
+    return total
 
 
 def brute_cayley_spectrum(n, d, gens):

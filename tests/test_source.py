@@ -36,22 +36,36 @@ def test_every_cache_is_bounded():
 LEN_OF_PHI = re.compile(r"\blen\(\s*cyclotomic_poly\(")
 
 
-def callers(source: str, name: str) -> list[tuple[str, ...]]:
-    """The enclosing class and function names of each call of ``name``."""
+def scopes(source: str, found) -> list[tuple[str, ...]]:
+    """The enclosing class and function names of each node of ``source``
+    for which ``found(node)`` holds."""
     out = []
 
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope += (node.name,)
-        if isinstance(node, ast.Call):
-            func = node.func
-            if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
-                out.append(scope)
+        if found(node):
+            out.append(scope)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(ast.parse(source), ())
     return out
+
+
+def callers(source: str, name: str) -> list[tuple[str, ...]]:
+    """The enclosing class and function names of each call of ``name``."""
+
+    def call(node):
+        func = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and name in (getattr(func, "id", None), getattr(func, "attr", None))
+
+    return scopes(source, call)
+
+
+def readers(source: str, attribute: str) -> list[tuple[str, ...]]:
+    """The enclosing class and function names of each use of ``attribute``."""
+    return scopes(source, lambda node: isinstance(node, ast.Attribute) and node.attr == attribute)
 
 
 def test_phi_once():
@@ -255,3 +269,13 @@ def test_growth_probes_without_keys():
     assert callers(planted, "key_of_tuple") == [("eigenvalue_growth",)]
     planted = "def _mitm_matches(n, d, target):\n    yield _torus(n, d).count_of(target)\n"
     assert callers(planted, "count_of") == [("_mitm_matches",)]
+
+
+def test_one_reader_of_sorted_images():
+    # one meet-in-the-middle helper: a table's sorted images are walked by
+    # _mitm_matches alone, so no second walk grows beside it
+    sources = sorted(Path(dtorus.__file__).parent.glob("*.py"))
+    found = [(p.name,) + scope for p in sources for scope in readers(p.read_text(), "sorted_images")]
+    assert found == [("spectrum.py", "_mitm_matches")]
+    planted = "def eigenvalue_growth(n, t):\n    return bisect.bisect(t.sorted_images, 0)\n"
+    assert readers(planted, "sorted_images") == [("eigenvalue_growth",)]

@@ -24,11 +24,23 @@ from dtorus.spectrum import (
     multiplicity_of_tuple,
     torus_spectrum,
 )
-from helpers import brute_cayley_spectrum, enumerate_spectrum, residue_approx, walk_traces
+from helpers import brute_cayley_spectrum, enumerate_spectrum, plain_mitm_count, residue_approx, walk_traces
 
 
 def counts_by_key(table):
     return {k: e.count for k, e in table.entries.items()}
+
+
+def assert_table_oracles(t):
+    # sum count * lambda^k is trace(A^k), the closed walks of length k, an
+    # integer; F is a ring map, so the rows' F images give it modulo M.  And
+    # every row's representative maps to the row's own image
+    m = t.embedding.modulus
+    powers = {f: 1 for f in t.counts}
+    for k, trace in enumerate(walk_traces(t.n, t.d, 6)):
+        assert sum(c * powers[f] for f, c in t.counts.items()) % m == trace % m, k
+        powers = {f: p * f % m for f, p in powers.items()}
+    assert all(t.embedding.cos_image(t.entry(f).representative) == f for f in t.counts)
 
 
 def test_cn_spectrum_charts():
@@ -106,6 +118,7 @@ def test_torus_examples():
 @given(st.integers(min_value=3, max_value=13), st.integers(min_value=1, max_value=3))
 def test_torus_matches_enumeration(n, d):
     table = torus_spectrum(n, d)
+    assert_table_oracles(table)
     oracle = enumerate_spectrum(n, d)
     assert len(table.entries) == len(oracle)
     for key, e in table.entries.items():
@@ -152,6 +165,81 @@ def test_key_multiplicity_matches_table_d4(n):
         assert key_multiplicity(n, 4, key) == e.count
 
 
+# d = 5 walks T^2 against T^3 and d = 6 splits into T^3 twice, walking one
+# image of each pair {x, goal - x}
+@pytest.mark.parametrize("n,d", [(n, d) for d in (5, 6) for n in range(3, 9)])
+def test_key_multiplicity_matches_table_d5_d6(n, d):
+    table = torus_spectrum(n, d)
+    for key, e in table.entries.items():
+        assert key_multiplicity(n, d, key) == e.count
+        assert membership(n, d, key)
+
+
+@given(
+    st.integers(min_value=3, max_value=64),
+    st.sampled_from([2, 4, 5, 6]),
+    st.lists(st.integers(min_value=0, max_value=63), min_size=6, max_size=6),
+    st.sampled_from(["key", "shifted", "zero", "root"]),
+)
+def test_key_multiplicity_matches_plain_walk(n, d, ks, kind):
+    key = key_of_tuple(n, ks[:d])
+    ctx = get_context(n)
+    target = {"key": key, "shifted": CycElt(n, key.v + 1), "zero": ctx.zero, "root": sum_reduce(ctx, ks[:1])}[kind]
+    want = plain_mitm_count(n, d, target)
+    assert key_multiplicity(n, d, target) == want
+    assert membership(n, d, target) == (want > 0)
+    assert want or kind != "key"
+    for t in (torus_spectrum(n, (d + 1) // 2), torus_spectrum(n, d // 2)):
+        assert_table_oracles(t)
+
+
+def test_key_multiplicity_edge_goals():
+    # 2 cos(2 pi 3 / 12) = 0, so (3, 3, 3) is a zero of T^3_12
+    n = 12
+    ctx = get_context(n)
+    emb = key_embedding(n, 12)
+    cases = [(ctx.zero, d) for d in (2, 4, 6)]  # x0 = 0 is a row
+    for ks in ((1, 2, 5), (0, 0, 0), (6, 6, 4)):
+        cases.append((key_of_tuple(n, ks + ks), 6))  # x0 = F(key of ks) is a row
+        target = key_of_tuple(n, ks + (3, 3, 3))  # goal is the image of a row, which pairs with 0
+        assert emb.image(target) == emb.cos_image(ks)
+        cases += [(target, 6), (key_of_tuple(n, ks[:2] + (3, 3, 3)), 5)]
+    for target, d in cases:
+        want = torus_spectrum(n, d).count_of(target)
+        assert want
+        assert key_multiplicity(n, d, target) == want == plain_mitm_count(n, d, target), (target, d)
+    # nonzero targets that are no key: two non-real sums, and a constant above the top eigenvalue
+    for target in (sum_reduce(ctx, (1,)), sum_reduce(ctx, (0, 1)), CycElt(n, 13)):
+        for d in (5, 6):
+            assert key_multiplicity(n, d, target) == 0 == plain_mitm_count(n, d, target)
+            assert not membership(n, d, target)
+
+
+class CountingDict(dict):
+    probes = 0
+
+    def get(self, key, default=None):
+        self.probes += 1
+        return super().get(key, default)
+
+
+def test_self_split_probes_half_the_rows(monkeypatch):
+    # even d probes one image of each pair {x, goal - x} and the fixed point
+    monkeypatch.setattr(spectrum, "_TORUS_CACHE", OrderedDict())
+    rng = random.Random(6)
+    for n in (12, 25, 31, 40):
+        half = spectrum._torus(n, 3, key_embedding(n, 12), spectrum.DEFAULT_BUDGET)
+        half.counts = counts = CountingDict(half.counts)
+        ctx = get_context(n)
+        tuples = [tuple(rng.randrange(n) for _ in range(6)) for _ in range(20)]
+        targets = [key_of_tuple(n, ks) for ks in tuples] + [ctx.zero, key_of_tuple(n, tuples[0][:3] * 2)]
+        for target in targets:
+            counts.probes = 0
+            got = key_multiplicity(n, 6, target)
+            assert counts.probes <= -(-len(counts) // 2) + 1
+            assert got == plain_mitm_count(n, 6, target)
+
+
 def test_table_build_allocates_no_object_per_key(monkeypatch):
     # 13861 keys from as many pairs: an object kept per pair or per key
     # would trigger dozens of young-generation collections
@@ -173,6 +261,7 @@ def test_table_build_allocates_no_object_per_key(monkeypatch):
 @given(st.integers(min_value=3, max_value=40), st.integers(min_value=1, max_value=3))
 def test_conservation_and_representatives(n, d):
     table = torus_spectrum(n, d)
+    assert_table_oracles(table)
     assert sum(e.count for e in table.entries.values()) == n**d == table.total
     for key, e in table.entries.items():
         assert key_of_tuple(n, e.representative) == key
@@ -188,6 +277,7 @@ def test_keys_hash_apart_beyond_61_digits():
 def test_even_antisymmetry(half):
     n = 2 * half
     table = torus_spectrum(n, 2)
+    assert_table_oracles(table)
     for key, e in table.entries.items():
         assert table.count_of(CycElt(n, -key.v)) == e.count
 
@@ -206,6 +296,7 @@ def test_multiplicity_invariances(n, ks, rng):
     assert multiplicity_of_tuple(n, d, shuffled) == base
     flipped = [(n - k) % n if rng.random() < 0.5 else k for k in ks]
     assert multiplicity_of_tuple(n, d, flipped) == base
+    assert_table_oracles(torus_spectrum(n, d))
 
 
 def test_multiplicity_examples():
@@ -217,6 +308,7 @@ def test_multiplicity_examples():
 @given(st.integers(min_value=3, max_value=16), st.integers(min_value=1, max_value=3))
 def test_key_multiplicity_matches_table(n, d):
     table = torus_spectrum(n, d)
+    assert_table_oracles(table)
     for key, e in table.entries.items():
         assert key_multiplicity(n, d, key) == e.count
     # anything above the top eigenvalue 2d is never attained
@@ -241,6 +333,7 @@ def test_negative_dimension_is_refused():
 @given(st.integers(min_value=3, max_value=14), st.integers(min_value=1, max_value=4))
 def test_membership_matches_table_keys(n, d):
     table = torus_spectrum(n, d)
+    assert_table_oracles(table)
     some_keys = list(table.entries)[:5]
     for key in some_keys:
         assert membership(n, d, key)
@@ -316,14 +409,7 @@ LARGE_TABLES = [(419, 2), (105, 3), (60, 4), (3, 1000)]
 
 @pytest.mark.parametrize("n, d", LARGE_TABLES)
 def test_power_sums_match_walk_traces(n, d):
-    # sum count * lambda^k is trace(A^k), the closed walks of length k, an
-    # integer; F is a ring map, so the rows' F images give it modulo M
-    t = torus_spectrum(n, d)
-    m = t.embedding.modulus
-    powers = {f: 1 for f in t.counts}
-    for k, trace in enumerate(walk_traces(n, d, 6)):
-        assert sum(c * powers[f] for f, c in t.counts.items()) % m == trace % m, k
-        powers = {f: p * f % m for f, p in powers.items()}
+    assert_table_oracles(torus_spectrum(n, d))
 
 
 @pytest.mark.parametrize("n, d", LARGE_TABLES[:3])
@@ -489,7 +575,9 @@ def assert_values_match_residue_oracle(table):
 
 @given(st.integers(min_value=3, max_value=60), st.integers(min_value=1, max_value=3))
 def test_values_match_residue_oracle_torus(n, d):
-    assert_values_match_residue_oracle(torus_spectrum(n, d))
+    table = torus_spectrum(n, d)
+    assert_table_oracles(table)
+    assert_values_match_residue_oracle(table)
 
 
 @pytest.mark.parametrize("seed", range(20))
