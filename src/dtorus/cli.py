@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -18,6 +19,8 @@ from collections import Counter
 from fractions import Fraction
 
 import mpmath
+from json.encoder import encode_basestring_ascii
+from mpmath import libmp
 
 from .criteria import (
     d2_closed_form,
@@ -51,7 +54,7 @@ def _decimal(x, digits: int = 30) -> str:
     # re-wrapping an mpf would round it to the ambient precision
     if not isinstance(x, mpmath.mpf):
         x = mpmath.mpf(x)
-    return mpmath.nstr(x, digits)
+    return libmp.to_str(x._mpf_, digits)  # what mpmath.nstr does for an mpf
 
 
 # the table fields: each is an iterable of row tuples in the order of its columns
@@ -61,21 +64,31 @@ TABLE_COLUMNS = {
 }
 
 
+@functools.lru_cache(maxsize=64)
+def _joiner(count: int, sep: str) -> str:
+    """A format that writes ``count`` values as str() writes them, sep between:
+    _joiner(len(v), sep) % tuple(v) is sep.join(map(str, v)), in one pass."""
+    return sep.join(["%s"] * count)
+
+
 def _json(v, pad: str = "\n") -> str:
     """json.dumps(v, indent=2) for a v whose dict keys are strings; pad is
     the newline and the indent of the line that v starts on.
 
-    A list of plain ints is one join; keys and scalars go through json.dumps.
+    A string is escaped by the encoder json.dumps uses for it, a list of
+    plain ints is one format (_joiner), and other scalars go through
+    json.dumps.
     """
+    if type(v) is str:
+        return encode_basestring_ascii(v)
     if v and isinstance(v, (list, tuple, dict)):
         inner = pad + "  "
         if isinstance(v, dict):
-            items = (json.dumps(k) + ": " + _json(x, inner) for k, x in v.items())
+            items = (_json(k) + ": " + _json(x, inner) for k, x in v.items())
             return "{" + inner + ("," + inner).join(items) + pad + "}"
         if set(map(type, v)) == {int}:  # bools are ints, but json writes them apart
-            items = map(str, v)
-        else:
-            items = (_json(x, inner) for x in v)
+            return "[" + inner + _joiner(len(v), "," + inner) % tuple(v) + pad + "]"
+        items = (_json(x, inner) for x in v)
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     return json.dumps(v)
 
@@ -83,7 +96,7 @@ def _json(v, pad: str = "\n") -> str:
 def _cell(v):
     """A field as one csv cell or text value: a list space-joined, None empty."""
     if isinstance(v, (list, tuple)):
-        return " ".join(map(str, v))
+        return _joiner(len(v), " ") % tuple(v)
     return "" if v is None else v
 
 
@@ -96,7 +109,7 @@ def _emit(args, fields: dict) -> int:
     with each row a dict under the table's columns; csv prints one row per
     table row under the table's columns, even with no rows, and otherwise
     one row of all the fields; text prints each field but the table as
-    ``name: cell`` (_cell), then the table rows.
+    ``name: cell`` (_cell), then the table rows, a tuple cell as a list.
     """
     payload = {"schema": SCHEMA, "command": args.command, **fields}
     table = next((k for k in payload if k in TABLE_COLUMNS), None)
@@ -105,8 +118,8 @@ def _emit(args, fields: dict) -> int:
         # the payload's dict and the table's list are written here, a row at a
         # time, with the layout _json gives them; each row is a dict at depth 2
         write = sys.stdout.write
-        names = [_json(c) + ": " for c in columns]
         pad = "\n      "
+        names = [pad + _json(c) + ": " for c in columns]  # once per table
         sep = "{\n  "
         for k, v in payload.items():
             write(sep + _json(k) + ": ")
@@ -116,8 +129,8 @@ def _emit(args, fields: dict) -> int:
                 continue
             empty = True
             for row in rows:
-                cells = (name + _json(cell, pad) for name, cell in zip(names, row))
-                write(("[" if empty else ",") + "\n    {" + pad + ("," + pad).join(cells) + "\n    }")
+                cells = ",".join([name + _json(cell, pad) for name, cell in zip(names, row)])
+                write(("[" if empty else ",") + "\n    {" + cells + "\n    }")
                 empty = False
             write("[]" if empty else "\n  ]")
         write("\n}\n")
@@ -131,7 +144,7 @@ def _emit(args, fields: dict) -> int:
             if k != table:
                 print(f"{k}: {_cell(v)}")
         for row in rows:
-            print("  " + "  ".join(f"{k}={v}" for k, v in zip(columns, row)))
+            print("  " + "  ".join(f"{k}={list(v) if type(v) is tuple else v}" for k, v in zip(columns, row)))
     return 0
 
 
@@ -141,7 +154,7 @@ def cmd_spectrum(args) -> int:
     table = torus_spectrum(args.n, args.d, args.budget)
     # a generator: each row's key and coefficients are built as _emit writes it
     rows = (
-        (_decimal(v.real), list(table.key_of(e.representative).coeffs), str(e.count), list(e.representative))
+        (_decimal(v.real), table.key_of(e.representative).coeffs, str(e.count), e.representative)
         for v, _, e in by_value(table, table.counts)
     )
     fields = {

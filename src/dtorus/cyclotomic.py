@@ -165,7 +165,7 @@ def get_context(n: int) -> CycContext:
 def key_of_tuple(n: int, ks: Iterable[int]) -> CycElt:
     """Eigenvalue key of an index tuple: the sum of its 2-cosine values."""
     powers = get_context(n).powers
-    return CycElt(n, sum(powers[k % n] + powers[-k % n] for k in ks))
+    return CycElt(n, sum([powers[k % n] + powers[-k % n] for k in ks]))
 
 
 def sum_reduce(ctx: CycContext, exponents: Iterable[int]) -> CycElt:
@@ -192,6 +192,12 @@ class ApproxReal:
 
     def __float__(self) -> float:
         return float(self.real)
+
+
+def fixed_mpf(m: int) -> mpmath.mpf:
+    """m / 2^PREC as an exact mpf."""
+    # mpf((m, -PREC)) would round m to the ambient 53 bits
+    return mpmath.mp.make_mpf(libmp.from_man_exp(m, -PREC))
 
 
 @functools.lru_cache(maxsize=8)
@@ -224,24 +230,26 @@ def _fixed_tables(n: int, prec: int) -> tuple[int, ...]:
     return tuple(half + half[(n - 1) // 2 : 0 : -1])
 
 
-def approx_value(n: int, exponents: Iterable[int]) -> ApproxReal:
-    """Certify Re sum zeta_n^e over the exponent multiset, with a rigorous radius.
-
-    Fixed point at PREC bits: with the integers C_e within 1 of
-    2^PREC cos(2 pi e / n) (``_fixed_tables``), the value is sum C_e / 2^PREC
-    with radius (number of roots) / 2^PREC, at most 2^-128 below 2^64 roots,
-    far below the last of the 30 digits printed.
-    """
+def fixed_midpoint(n: int, exponents: Iterable[int]) -> int:
+    """sum C_e over the exponent multiset, with the integers C_e within 1 of
+    2^PREC cos(2 pi e / n) (``_fixed_tables``): 2^PREC times the midpoint
+    approx_value certifies, for callers that order or sum many values
+    before they need an mpf."""
     if n < 1:
         raise ValueError("need n >= 1")
     table = _fixed_tables(n, PREC)
+    return sum([table[e % n] for e in exponents])
+
+
+def approx_value(n: int, exponents: Iterable[int]) -> ApproxReal:
+    """Certify Re sum zeta_n^e over the exponent multiset, with a rigorous radius.
+
+    Fixed point at PREC bits: the value is fixed_midpoint / 2^PREC with
+    radius (number of roots) / 2^PREC, at most 2^-128 below 2^64 roots,
+    far below the last of the 30 digits printed.
+    """
     exponents = list(exponents)
-
-    def fixed(m: int) -> mpmath.mpf:
-        # exact: mpf((m, -PREC)) would round m to the ambient 53 bits
-        return mpmath.mp.make_mpf(libmp.from_man_exp(m, -PREC))
-
-    return ApproxReal(real=fixed(sum(table[e % n] for e in exponents)), radius=fixed(len(exponents)))
+    return ApproxReal(fixed_mpf(fixed_midpoint(n, exponents)), fixed_mpf(len(exponents)))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .cyclotomic import ApproxReal, CycElt, ModEmbedding, approx_value, get_context, key_embedding
+from .cyclotomic import PREC, ApproxReal, CycElt, ModEmbedding, fixed_midpoint, fixed_mpf, get_context, key_embedding
 from .cyclotomic import key_of_tuple, sum_reduce
 from .errors import AsymmetricGeneratingSet, BudgetExceeded
 
@@ -125,18 +125,33 @@ def by_value(table: SpectrumTable, images) -> Iterator[tuple[ApproxReal, int, En
 
     Each row is unpacked and evaluated once, from the exponents of its
     representative (the row at f = 0 is exactly 0, as F is injective on
-    the keys and zero), and sorts on the float of its certified midpoint.
+    the keys and zero), and held beside its sort key and image as three
+    ints: its fixed-point midpoint (fixed_midpoint), its count and its
+    packed representative.  Rows sort on the float mid / 2^PREC, which int
+    division rounds to nearest, as float() of the certified mpf does.
     Distinct values whose floats coincide stay distinct rows, in ascending
     order of their F images, so no key is built to order rows.  The rows
-    are evaluated and sorted by the call and let go as the iterator
-    reaches them.
+    are evaluated and sorted by the call; each row's value and entry are
+    built, and the row let go, as the iterator reaches it.
     """
-    rows = {}
+    n, d, counts, reps, exponents = table.n, table.d, table.counts, table.reps, table.exponents
+    one = 1 << PREC
+    rows = []
     for f in images:
-        e = table.entry(f)
-        rows[f] = (approx_value(table.n, table.exponents(e.representative) if f else ()), e)
-    order = sorted([(-float(v), f) for f, (v, _) in rows.items()])
-    return ((v, f, e) for f, (v, e) in ((f, rows.pop(f)) for _, f in order))
+        packed = reps[f]
+        mid = fixed_midpoint(n, exponents(_unpack(packed, n, d))) if f else 0
+        rows.append((-(mid / one), f, mid, counts[f], packed))
+    rows.sort(reverse=True)  # taken from the end: ascending (-value, f)
+    # one unit per root: every representative has as many exponents as the
+    # zero tuple, 2d in a torus table and g in a Cayley table; 0 at f = 0
+    zero, radius = fixed_mpf(0), fixed_mpf(len(exponents((0,) * d)))
+
+    def taken():
+        while rows:
+            _, f, mid, count, packed = rows.pop()
+            yield ApproxReal(fixed_mpf(mid), radius if f else zero), f, Entry(count, _unpack(packed, n, d))
+
+    return taken()
 
 
 def check_cycle_keys(n: int, budget: int) -> None:

@@ -1,11 +1,15 @@
 """Independent brute-force oracles used by the tests.
 
 Everything here enumerates index tuples or lattice points directly and
-never calls the convolution machinery it is checking; plain_mitm_count
-reads finished tables through their public attributes to check the
-meet-in-the-middle walk, not the tables.
+never calls the convolution machinery it is checking; plain_mitm_count,
+plain_by_value and spectrum_output read finished tables through their
+public attributes to check the meet-in-the-middle walk, the row order and
+the CLI writer, not the tables.
 """
 
+import csv
+import io
+import json
 import math
 import operator
 import tracemalloc
@@ -16,7 +20,15 @@ import mpmath
 from mpmath.libmp import from_man_exp, fzero, mpf_add, mpf_mul_int, mpf_pow, mpf_pow_int, mpf_rdiv_int
 from mpmath.libmp import round_nearest as rnd
 
-from dtorus.cyclotomic import ApproxReal, _fixed_tables, cyclotomic_poly, get_context, key_embedding, key_of_tuple
+from dtorus.cyclotomic import (
+    ApproxReal,
+    _fixed_tables,
+    approx_value,
+    cyclotomic_poly,
+    get_context,
+    key_embedding,
+    key_of_tuple,
+)
 from dtorus.errors import BudgetExceeded
 from dtorus.spectrum import torus_spectrum
 
@@ -94,6 +106,48 @@ def plain_mitm_count(n, d, target):
         if y is not None and key_of_tuple(n, x.representative + y.representative) == target:
             total += x.count * y.count
     return total
+
+
+def plain_by_value(table, images):
+    """(value, f, entry) for the rows of ``table`` at ``images``, value
+    descending, as dtorus.spectrum.by_value made them before it held rows
+    as ints: an Entry and an approx_value per row, sorted on (-float, f).
+    """
+    rows = []
+    for f in images:
+        e = table.entry(f)
+        value = approx_value(table.n, table.exponents(e.representative) if f else ())
+        rows.append((-float(value), f, value, e))
+    rows.sort(key=lambda row: row[:2])
+    return [(value, f, e) for _, f, value, e in rows]
+
+
+SPECTRUM_COLUMNS = ("value_decimal", "key_coeffs", "multiplicity", "representative")
+
+
+def spectrum_output(n, d, fmt):
+    """The stdout of ``dtorus spectrum --n n --d d --format fmt``, written
+    the plain way: plain_by_value rows with key_of(...).coeffs, then
+    json.dumps(payload, indent=2), csv.writer over space-joined cells, or
+    one ``name=value`` line per row with lists printed as Python lists."""
+    table = torus_spectrum(n, d)
+    rows = [
+        (mpmath.nstr(v.real, 30), list(table.key_of(e.representative).coeffs), str(e.count), list(e.representative))
+        for v, _, e in plain_by_value(table, table.counts)
+    ]
+    head = {"schema": 1, "command": "spectrum", "n": n, "d": d, "total": str(table.total)}
+    if fmt == "json":
+        return json.dumps({**head, "entries": [dict(zip(SPECTRUM_COLUMNS, row)) for row in rows]}, indent=2) + "\n"
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(SPECTRUM_COLUMNS)
+        for row in rows:
+            writer.writerow([" ".join(map(str, v)) if isinstance(v, list) else v for v in row])
+        return out.getvalue()
+    lines = [f"{k}: {v}" for k, v in head.items()]
+    lines += ["  " + "  ".join(f"{k}={v}" for k, v in zip(SPECTRUM_COLUMNS, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def brute_cayley_spectrum(n, d, gens):

@@ -18,7 +18,7 @@ import dtorus
 from dtorus import cli, criteria, cyclotomic, spectrum, zeta
 from dtorus.cli import main
 from dtorus.errors import Bound24Violated
-from helpers import traced_peak
+from helpers import spectrum_output, traced_peak
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -430,6 +430,18 @@ def test_emit_output_digest(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == EMIT_SHA256[argv]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("n, d", [(3, 1), (12, 2), (97, 2), (60, 3), (8, 4)])
+def test_spectrum_matches_plain_writer(capsys, n, d, fmt):
+    # the streamed rows against json.dumps, csv.writer and a print loop over
+    # the rows of the parent's by_value, beyond the goldens and digests
+    code, out, _ = run_cli(capsys, "spectrum", "--n", str(n), "--d", str(d), "--format", fmt)
+    assert code == 0
+    # compared as lines, so a failure reports the first differing line
+    # instead of diffing megabytes
+    assert out.splitlines(keepends=True) == spectrum_output(n, d, fmt).splitlines(keepends=True)
 
 
 _text = st.text(st.sampled_from(['"', "\\", "/", "\n", "\x00", "a", "é", "☃", "\U0001f600"])) | st.text()

@@ -86,14 +86,16 @@ def attributes_read(source: str, function: str) -> set[str]:
 
 
 def test_one_evaluation_path():
-    # every value is certified by approx_value from an exponent multiset:
-    # the fixed-point cosines are read nowhere else, and no residue
-    # coefficients are summed against them
+    # every value is certified from an exponent multiset by fixed_midpoint,
+    # which approx_value and by_value call: the fixed-point cosines are read
+    # nowhere else, and no residue coefficients are summed against them
     sources = sorted(Path(dtorus.__file__).parent.glob("*.py"))
     found = [(p.name,) + scope for p in sources for scope in callers(p.read_text(), "_fixed_tables")]
-    assert found == [("cyclotomic.py", "approx_value")]
+    assert found == [("cyclotomic.py", "fixed_midpoint")]
     cyclotomic = (Path(dtorus.__file__).parent / "cyclotomic.py").read_text()
-    assert "coeffs" not in attributes_read(cyclotomic, "approx_value")
+    assert ("approx_value",) in callers(cyclotomic, "fixed_midpoint")
+    for name in ("fixed_midpoint", "approx_value"):
+        assert "coeffs" not in attributes_read(cyclotomic, name)
     assert attributes_read(cyclotomic, "_fixed_tables")  # the walk sees attribute reads
     assert attributes_read("def approx_value(e):\n    return e.coeffs", "approx_value") == {"coeffs"}
 
@@ -103,6 +105,7 @@ def test_cli_serializes_in_one_place():
     # its JSON writer _json is the only caller of json.dumps
     source = (Path(dtorus.__file__).parent / "cli.py").read_text()
     assert set(callers(source, "dumps")) == {("_json",)}
+    assert set(callers(source, "encode_basestring_ascii")) == {("_json",)}
     assert set(callers(source, "_json")) == {("_emit",), ("_json",)}
     for name in ("DictWriter", "writer"):
         assert set(callers(source, name)) <= {("_emit",)}

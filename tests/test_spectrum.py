@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 
 from dtorus import spectrum
 from dtorus.criteria import d2_closed_form, verify_bound24
-from dtorus.cyclotomic import ApproxReal, CycElt, ModEmbedding, get_context, key_embedding, sum_reduce
+from dtorus.cyclotomic import (
+    PREC,
+    CycElt,
+    ModEmbedding,
+    approx_value,
+    fixed_midpoint,
+    get_context,
+    key_embedding,
+    sum_reduce,
+)
 from dtorus.errors import AsymmetricGeneratingSet, BudgetExceeded
 from dtorus.spectrum import (
     CayleySpec,
@@ -24,7 +33,14 @@ from dtorus.spectrum import (
     multiplicity_of_tuple,
     torus_spectrum,
 )
-from helpers import brute_cayley_spectrum, enumerate_spectrum, plain_mitm_count, residue_approx, walk_traces
+from helpers import (
+    brute_cayley_spectrum,
+    enumerate_spectrum,
+    plain_by_value,
+    plain_mitm_count,
+    residue_approx,
+    walk_traces,
+)
 
 
 def counts_by_key(table):
@@ -534,11 +550,16 @@ def test_sorted_entries_descending():
 def test_float_ties_break_on_f_images(monkeypatch):
     # force equal values, so only the tie-break can decide; it reads the F
     # image each row carries, and no key or context is built to order rows
-    t = torus_spectrum(13, 2)
+    t = torus_spectrum(13, 2)  # n odd: no row is zero, so every row is evaluated
     images = list(reversed(t.counts))  # descending representative order
     assert sorted(images) not in (images, list(t.counts))
-    half = mpmath.mpf(0.5)
-    monkeypatch.setattr(spectrum, "approx_value", lambda n, exponents: ApproxReal(half, half))
+    evaluated = []
+
+    def half(n, exponents):
+        evaluated.append(n)
+        return 1 << (PREC - 1)
+
+    monkeypatch.setattr(spectrum, "fixed_midpoint", half)
 
     def unreachable(*args, **kwargs):
         raise RuntimeError("a key was built to order rows")
@@ -546,6 +567,7 @@ def test_float_ties_break_on_f_images(monkeypatch):
     monkeypatch.setattr(spectrum.SpectrumTable, "key_of", unreachable)
     monkeypatch.setattr(spectrum, "get_context", unreachable)
     assert [f for _, f, _ in spectrum.by_value(t, images)] == sorted(images)
+    assert len(evaluated) == len(images)
 
 
 @pytest.mark.parametrize("n", [12, 60, 97])  # phi(97) = 96 digits
@@ -580,12 +602,39 @@ def test_values_match_residue_oracle_torus(n, d):
     assert_values_match_residue_oracle(table)
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_values_match_residue_oracle_cayley(seed):
+def cayley_draw(seed):
+    """A Cayley table of at most 2000 characters on 1 to 4 random generator pairs."""
     rng = random.Random(seed)
     n, d = rng.randint(2, 16), rng.randint(1, 3)
     while n**d > 2000:
         d -= 1
     half = [tuple(rng.randrange(n) for _ in range(d)) for _ in range(rng.randint(1, 4))]
     gens = tuple(half + [tuple(-x for x in g) for g in half])
-    assert_values_match_residue_oracle(cayley_spectrum(CayleySpec(n, d, gens)))
+    return cayley_spectrum(CayleySpec(n, d, gens))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_values_match_residue_oracle_cayley(seed):
+    assert_values_match_residue_oracle(cayley_draw(seed))
+
+
+@pytest.mark.parametrize(
+    "table",
+    [("torus", n, d) for n, d in [(240, 2), (180, 2), (97, 2), (60, 3), (12, 4)]]
+    + [("cayley", seed) for seed in range(20)],
+    ids=lambda args: "-".join(map(str, args)),
+)
+def test_by_value_matches_plain_oracle(table):
+    # by_value holds each row as three ints and sorts on mid / 2^PREC; the
+    # parent's way, an approx_value per row sorted on (-float, f), gives the
+    # same values, radii, images and entries in the same order, for all rows
+    # and for a subset given in another order
+    t = torus_spectrum(*table[1:]) if table[0] == "torus" else cayley_draw(*table[1:])
+    images = list(t.counts)
+    for some in (images, images[::-2]):
+        got = [(v.real, v.radius, f, e) for v, f, e in spectrum.by_value(t, some)]
+        assert got == [(v.real, v.radius, f, e) for v, f, e in plain_by_value(t, some)]
+    # int true division rounds to nearest, as float() of the certified mpf does
+    for f in images:
+        exps = t.exponents(t.entry(f).representative) if f else ()
+        assert fixed_midpoint(t.n, exps) / 2**PREC == float(approx_value(t.n, exps).real)
