@@ -27,6 +27,7 @@ from .spectrum import (
     multiplicity_of_tuple,
     torus_spectrum,
 )
+from .vanishing import _index_cos_sum_is_zero
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,9 @@ def eigenvalue_growth(n: int, d: int, ks, budget: int = DEFAULT_BUDGET) -> Growt
     growth witness and the eigenvalue already occurs in T^(d-r)_n; the
     smallest such r is returned.  The probe, F(eigenvalue) under
     key_embedding(n, 2d), injective on it and every split of T^(d-r)_n, is
-    set up only once some r has a witness.
+    set up only once some r < d has a witness.  T^0_n holds only zero, so
+    r = d asks whether the eigenvalue is zero, which the vanishing test
+    answers without an embedding.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -142,12 +145,15 @@ def eigenvalue_growth(n: int, d: int, ks, budget: int = DEFAULT_BUDGET) -> Growt
         w = in_I0(n, r)
         if w is None:
             continue
-        if r < d:  # the walk starts from the cycle table
-            check_cycle_keys(n, budget)
-        if emb is None:
-            emb = key_embedding(n, 2 * d)
-            goal = emb.cos_image(ks)
-        if any(_mitm_matches(n, d - r, emb, goal, None, budget)):
+        if r == d:
+            found = _index_cos_sum_is_zero(n, ks)
+        else:
+            check_cycle_keys(n, budget)  # the walk starts from the cycle table
+            if emb is None:
+                emb = key_embedding(n, 2 * d)
+                goal = emb.cos_image(ks)
+            found = any(_mitm_matches(n, d - r, emb, goal, None, budget))
+        if found:
             return GrowthClass("LinearGrowth", r, w, d - r)
     return GrowthClass("Bounded")
 

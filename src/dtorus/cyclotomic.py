@@ -204,15 +204,17 @@ def fixed_mpf(m: int) -> mpmath.mpf:
 def _fixed_tables(n: int, prec: int) -> tuple[int, ...]:
     """Integers within 1 of 2^prec cos(2 pi k / n), k < n.
 
-    Each entry for k <= n/2 is the integer nearest the midpoint of one
-    interval enclosure at prec + 32 bits, whose width is asserted to be at
-    most 1; the entry for k > n/2 is that for n - k, as cos is even.
+    Each entry for k <= n/2 (k <= n/4 for even n) is the integer nearest
+    the midpoint of one interval enclosure at prec + 32 bits, whose width
+    is asserted to be at most 1.  For even n the entry for n/4 < k <= n/2
+    is minus that for n/2 - k, as cos(2 pi k / n) = -cos(2 pi (n/2 - k) / n),
+    and the entry for k > n/2 is that for n - k, as cos is even.
     """
     iv = mpmath.iv
     old = iv.prec
     try:
         iv.prec = prec + 32
-        cosines = [iv.cos(2 * iv.pi * k / n) for k in range(n // 2 + 1)]
+        cosines = [iv.cos(2 * iv.pi * k / n) for k in range((n // 2 if n % 2 else n // 4) + 1)]
     finally:
         iv.prec = old
 
@@ -227,6 +229,8 @@ def _fixed_tables(n: int, prec: int) -> tuple[int, ...]:
     # which must hold the (prec + 1)-bit result (the ambient 53 bits would not)
     with mpmath.workprec(prec + 96):
         half = list(map(nearest, cosines))
+    if n % 2 == 0:
+        half += [-half[n // 2 - k] for k in range(len(half), n // 2 + 1)]
     return tuple(half + half[(n - 1) // 2 : 0 : -1])
 
 

@@ -14,9 +14,10 @@ row is two ints: its count in ``counts`` and its representative, packed
 base n, in ``reps``, so a table build allocates no object per key.  Keys
 then add as ints mod M and lookups probe the rows at F(key).  A CycElt key
 is rebuilt from a representative (key_of) only where its coefficients are
-printed or a lookup confirms a hit exactly.  Values are certified from the
-representatives too: a torus row sums 2d fixed-point cosines whatever
-phi(n) (by_value).
+printed or a lookup confirms a hit exactly, and no table keeps one: a
+cached table holds its two row dicts and its sorted images, nothing else
+per key.  Values are certified from the representatives too: a torus row
+sums 2d fixed-point cosines whatever phi(n) (by_value).
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ class Entry(NamedTuple):
 
     ``representative`` is the lexicographically smallest index tuple (or
     character) attaining the key, so table contents are deterministic.
-    Tables do not store entries; SpectrumTable.entry builds one on access.
+    Tables store no Entry: SpectrumTable.entry builds one on access, and
+    SpectrumTable.entries a dict of them, which the caller owns.
     """
 
     count: int
@@ -69,10 +71,12 @@ class SpectrumTable:
     generator multiset of a Cayley table, whose representatives are
     characters.  ``entry(f)`` is the Entry view of one row; ``entries`` maps
     the CycElt keys, rebuilt from the representatives (key_of), to those
-    views on first access.  ``sorted_images`` lists the rows' F images in
-    ascending order, built on first access for the meet-in-the-middle walk
-    (_mitm_matches), which walks it in slices and reads a row's count only
-    where its probe hits.
+    views, in a new dict on each access that the table does not keep (a
+    key holds phi(n) digits, far more than its row), so the caller owns its
+    memory.  ``sorted_images`` lists the rows' F images in ascending order,
+    built on first access for the meet-in-the-middle walk (_mitm_matches),
+    which walks it in slices and reads a row's count only where its probe
+    hits; it costs one pointer per row and stays with the table.
     """
 
     n: int
@@ -83,7 +87,7 @@ class SpectrumTable:
     embedding: ModEmbedding
     generators: tuple[tuple[int, ...], ...] | None = None
 
-    @functools.cached_property
+    @property
     def entries(self) -> dict[CycElt, Entry]:
         return {self.key_of(e.representative): e for e in map(self.entry, self.counts)}
 

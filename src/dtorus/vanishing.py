@@ -146,6 +146,20 @@ def _cos_sum_is_zero(angles) -> bool:
     return _roots_sum_is_zero(n, exps, factorize(n).primes)
 
 
+def _index_cos_sum_is_zero(n: int, ks) -> bool:
+    """Exact vanishing of sum(cos(2 pi k / n)) over the indices ks.
+
+    Floats only prune, as in _vanishing_tuples: each float cosine errs by
+    less than 22u (u = 2^-53) and the sum of d of them by less than
+    (22d + d^2) u < d^2 2^-47, so a float sum above twice that is nonzero.
+    The exact test on the 2d roots zeta^(+-k) decides the rest.
+    """
+    d = len(ks)
+    if abs(sum(math.cos(2 * math.pi * (k % n) / n) for k in ks)) > d * d * 2.0**-46:
+        return False
+    return _roots_sum_is_zero(n, Counter(e % n for k in ks for e in (k, -k)), factorize(n).primes)
+
+
 def classify_cos4(angles) -> Cos4Classification:
     """Classify a vanishing sum of four cosines of rational multiples of pi.
 

@@ -231,19 +231,19 @@ def test_answers_without_a_context(capsys, monkeypatch):
 
 
 def test_growth_builds_no_context(capsys, monkeypatch):
-    # growth compares F images under key_embedding(n, 2d) alone: 10006 has a
-    # witness at r = 2, and its context (10006 * 5002 digits) exceeds the cap
+    # growth builds key_embedding(n, 2d) only for a witness r < d: 10006 has
+    # its first witness at r = d = 2, where the vanishing test answers
+    # (its context, 10006 * 5002 digits, exceeds the cap); 10007 is prime, so
+    # no r <= 1 has a witness
     def unreachable(*args, **kwargs):
-        raise RuntimeError("growth built a cyclotomic context")
+        raise RuntimeError("growth built a cyclotomic context or embedding")
 
     cyclotomic.get_context.cache_clear()
     monkeypatch.setattr(cyclotomic, "get_context", unreachable)
-    code, out, _ = run_cli(capsys, "growth", "--n", "10006", "--d", "2", "--tuple", "1,2")
-    assert code == 0 and json.loads(out)["classification"] == "Bounded"
-    # 10007 is prime, so no r <= 1 has a witness: not even the embedding is built
     monkeypatch.setattr(criteria, "key_embedding", unreachable)
-    code, out, _ = run_cli(capsys, "growth", "--n", "10007", "--d", "1", "--tuple", "1")
-    assert code == 0 and json.loads(out)["classification"] == "Bounded"
+    for n, d, ks in (("10006", "2", "1,2"), ("10007", "1", "1")):
+        code, out, _ = run_cli(capsys, "growth", "--n", n, "--d", d, "--tuple", ks)
+        assert code == 0 and json.loads(out)["classification"] == "Bounded"
     monkeypatch.undo()
     assert cyclotomic.get_context.cache_info().currsize == 0
 

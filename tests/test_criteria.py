@@ -19,9 +19,10 @@ from dtorus.criteria import (
     zero_growth,
     zero_lower_bound_family,
 )
-from dtorus.cyclotomic import CycElt, get_context, key_of_tuple
+from dtorus.cyclotomic import CycElt, get_context, key_embedding, key_of_tuple
 from dtorus.errors import BudgetExceeded, PreconditionViolated, ZeroNotEigenvalue
-from dtorus.spectrum import membership, multiplicity_of_tuple
+from dtorus.spectrum import DEFAULT_BUDGET, _mitm_matches, membership, multiplicity_of_tuple
+from dtorus.vanishing import _index_cos_sum_is_zero
 
 
 def test_factorize():
@@ -258,6 +259,25 @@ def test_growth_matches_public_membership(data, n, d):
     r = next((r for r in range(1, d + 1) if in_I0(n, r) and membership(n, d - r, key)), None)
     g = eigenvalue_growth(n, d, ks)
     assert (g.tag, g.r, g.residual_dim) == (("Bounded", None, None) if r is None else ("LinearGrowth", r, d - r))
+
+
+@given(st.data(), st.integers(min_value=3, max_value=64), st.integers(min_value=1, max_value=5))
+def test_growth_zero_residual_matches_walk(data, n, d):
+    # growth's r = d step, a float prune and the exact vanishing test on the
+    # eigenvalue's 2d roots, answers as the walk over T^0_n under
+    # key_embedding(n, 2d) does; the indices a + j n / p, j < p, p | n, sum
+    # to zero, so they lead the tuple often enough for both answers to occur
+    index = st.integers(min_value=0, max_value=n - 1)
+    ks = []
+    cosets = [p for p in factorize(n).primes if p <= d] if data.draw(st.booleans()) else []
+    while cosets and len(ks) + cosets[0] <= d:
+        p = data.draw(st.sampled_from([p for p in cosets if len(ks) + p <= d]))
+        a = data.draw(index)
+        ks += [(a + j * n // p) % n for j in range(p)]
+    ks += data.draw(st.lists(index, min_size=d - len(ks), max_size=d - len(ks)))
+    emb = key_embedding(n, 2 * d)
+    walk = any(_mitm_matches(n, 0, emb, emb.cos_image(ks), None, DEFAULT_BUDGET))
+    assert _index_cos_sum_is_zero(n, ks) == walk
 
 
 def test_growth_witness_consistency():

@@ -245,9 +245,10 @@ def test_fixed_tables_within_one(n, prec):
 
 
 def test_fixed_tables_mirror_the_full_computation():
-    # the entries for k > n/2 are copied from n - k: the same integers as
-    # an enclosure of each cosine gives, odd and even n, prime and composite
-    for n in [*range(1, 65), 180, 240, 419, 420]:
+    # the entries for k > n/2 are copied from n - k, and for even n those for
+    # n/4 < k <= n/2 are negated from n/2 - k: the same integers as an
+    # enclosure of each cosine gives, odd and even n, prime and composite
+    for n in [*range(1, 65), *range(66, 257, 2), 419, 420]:
         assert _fixed_tables(n, cyclotomic.PREC) == interval_fixed_table(n, cyclotomic.PREC), n
 
 

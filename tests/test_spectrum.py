@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import tracemalloc
 from collections import OrderedDict
 
 import mpmath
@@ -136,8 +137,9 @@ def test_torus_matches_enumeration(n, d):
     table = torus_spectrum(n, d)
     assert_table_oracles(table)
     oracle = enumerate_spectrum(n, d)
-    assert len(table.entries) == len(oracle)
-    for key, e in table.entries.items():
+    entries = table.entries
+    assert len(entries) == len(oracle)
+    for key, e in entries.items():
         count, rep = oracle[key.coeffs]
         assert e.count == count
         assert e.representative == rep
@@ -147,10 +149,9 @@ def test_torus_matches_enumeration(n, d):
 def test_torus_matches_enumeration_larger(n, d):
     table = torus_spectrum(n, d)
     oracle = enumerate_spectrum(n, d)
-    assert {k.coeffs: e.count for k, e in table.entries.items()} == {
-        k: c for k, (c, _) in oracle.items()
-    }
-    for key, e in table.entries.items():
+    entries = table.entries
+    assert {k.coeffs: e.count for k, e in entries.items()} == {k: c for k, (c, _) in oracle.items()}
+    for key, e in entries.items():
         assert e.representative == oracle[key.coeffs][1]
 
 
@@ -167,9 +168,10 @@ def packed(rep, n):
 def test_packed_representatives_across_widths(n, d):
     table = torus_spectrum(n, d)
     oracle = enumerate_spectrum(n, d)
-    assert {k.coeffs: tuple(e) for k, e in table.entries.items()} == oracle
+    entries = table.entries
+    assert {k.coeffs: tuple(e) for k, e in entries.items()} == oracle
     want = {k: packed(rep, n) for k, (_, rep) in oracle.items()}
-    assert {k.coeffs: table.reps[table.embedding.image(k)] for k in table.entries} == want
+    assert {k.coeffs: table.reps[table.embedding.image(k)] for k in entries} == want
     assert list(table.reps.values()) == sorted(table.reps.values())  # ascending representatives
     assert list(table.counts) == list(table.reps)
 
@@ -278,8 +280,9 @@ def test_table_build_allocates_no_object_per_key(monkeypatch):
 def test_conservation_and_representatives(n, d):
     table = torus_spectrum(n, d)
     assert_table_oracles(table)
-    assert sum(e.count for e in table.entries.values()) == n**d == table.total
-    for key, e in table.entries.items():
+    entries = table.entries
+    assert sum(e.count for e in entries.values()) == n**d == table.total
+    for key, e in entries.items():
         assert key_of_tuple(n, e.representative) == key
 
 
@@ -409,14 +412,56 @@ def test_count_of_probes_rows(monkeypatch):
     n = 419
     t = torus_spectrum(n, 2)
     ctx = get_context(n)
-    assert t.count_of(ctx.zero) == 0  # odd n: zero is no eigenvalue
-    assert t.count_of(CycElt(n, 4)) == 1
+    built = []
+
+    def counting_key_of_tuple(n, ks):
+        built.append(ks)
+        return key_of_tuple(n, ks)
+
+    def count_of(key):
+        # at most one exact key, the hit's, is built per call
+        before = len(built)
+        count = t.count_of(key)
+        assert len(built) - before <= 1
+        return count
+
+    monkeypatch.setattr(spectrum, "key_of_tuple", counting_key_of_tuple)
+    assert count_of(ctx.zero) == 0  # odd n: zero is no eigenvalue
+    assert count_of(CycElt(n, 4)) == 1
     for ks in ((3, 17), (0, 5), (7, 7), (0, 209)):
-        assert t.count_of(key_of_tuple(n, ks)) == d2_closed_form(n, *ks)
-    assert t.count_of(CycElt(n, 5)) == 0  # above the top eigenvalue 4
+        assert count_of(key_of_tuple(n, ks)) == d2_closed_form(n, *ks)
+    assert count_of(CycElt(n, 5)) == 0  # above the top eigenvalue 4
     with pytest.raises(ValueError, match="mixed moduli"):
-        t.count_of(get_context(7).zero)  # a key of another modulus, refused as key_multiplicity refuses it
-    assert "entries" not in vars(t)  # no exact key was built
+        count_of(get_context(7).zero)  # a key of another modulus, refused as key_multiplicity refuses it
+    assert len(built) == 5  # one for each hit on a nonzero key
+
+
+def test_entries_are_built_on_each_access():
+    t = torus_spectrum(12, 2)
+    assert t.entries is not t.entries
+    assert t.entries == t.entries
+    assert "entries" not in vars(t)
+
+
+def test_cached_tables_keep_no_entries(monkeypatch):
+    # one more table than the cache holds, each read and dropped at once:
+    # whatever a read leaves behind would stay with the cached table
+    monkeypatch.setattr(spectrum, "_TORUS_CACHE", OrderedDict())
+    moduli = [200, 204, 210, 216, 222, 228, 234, 240, 252]
+    assert len(moduli) == spectrum._TORUS_CACHE_SIZE + 1
+    views, left = [], 0
+    for n in moduli:
+        t = torus_spectrum(n, 2)
+        get_context(n)  # the context a read builds is get_context's to keep
+        tracemalloc.start()
+        try:
+            view = t.entries
+            views.append(tracemalloc.get_traced_memory()[0])
+            del view
+            left += tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+    assert left < min(views), (left, views)
 
 
 # no enumeration oracle reaches these tables
