@@ -20,9 +20,11 @@ from .cyclotomic import key_embedding
 from .errors import BudgetExceeded, NotApplicable, ZeroEigenvalue
 from .spectrum import DEFAULT_BUDGET
 
-# entries of the pair table of _vanishing_tuples, n(n+1)/2 for modulus n: an
-# entry takes about 108 bytes while M is one prime (28 MB at the cap) and
-# about 230 bytes at n = 723, the largest n under the cap, where M has 992 bits
+# entries of each lookup table of _vanishing_tuples, n(n+1)/2 pairs (so
+# n <= 723) or n(n+1)(n+2)/6 triples (n <= 115) for modulus n.  Measured with
+# tracemalloc: 90-110 bytes a pair while M has at most 180 bits, 230 at
+# n = 723 (M of 990 bits, 57 MB); 95-115 bytes a triple up to n = 114
+# (27.5 MB there), 130-140 at n = 115 (M of 240-330 bits, 32-35 MB)
 MAX_PAIR_TABLE = 1 << 18
 
 
@@ -274,15 +276,36 @@ def _pair_table(powers: tuple[int, ...], modulus: int) -> dict[int, int]:
     return pairs
 
 
+def _triple_table(powers: tuple[int, ...], modulus: int) -> dict[int, int | tuple[int, ...]]:
+    """F(zeta^a + zeta^b + zeta^c) -> (a * n + b) * n + c for a <= b <= c < n,
+    or the ascending tuple of those codes where several triples share the
+    image, given the n powers omega^e mod M of F (see _vanishing_tuples)."""
+    n = len(powers)
+    triples: dict[int, int | tuple[int, ...]] = {}
+    for a, pa in enumerate(powers):
+        for b in range(a, n):
+            pab, codes = pa + powers[b], range((a * n + b) * n + b, (a * n + b + 1) * n)
+            images = [(pab + w) % modulus for w in powers[b:]]
+            if triples.keys().isdisjoint(images):
+                triples.update(zip(images, codes))
+                continue
+            # codes come in ascending order, so each shared tuple stays sorted
+            for image, code in zip(images, codes):
+                old = triples.setdefault(image, code)
+                if old != code:
+                    triples[image] = (*old, code) if type(old) is tuple else (old, code)
+    return triples
+
+
 def _vanishing_tuples(n: int, max_len: int, budget: int, first: int | None = None):
     """Every vanishing nondecreasing exponent tuple of length <= max_len.
 
     Yields in depth-first, hence lexicographic, order; ``first`` pins the
     smallest exponent.  The budget counts visited partial-sum states, one
-    per exponent tried, and each entry of the pair table below.  Memory is
-    O(n log M) for the powers of omega below, O(n * phi(n)) floats for the
-    conjugate tables, O(max_len * phi(n)) for the stack and at most
-    MAX_PAIR_TABLE images for the pair table.
+    per exponent tried, and each entry of the lookup tables below.  Memory
+    is O(n log M) for the powers of omega below, O(n * phi(n)) floats for
+    the conjugate tables, O(max_len * phi(n)) for the stack and at most
+    MAX_PAIR_TABLE images for each lookup table.
 
     Vanishing is decided exactly on F images, under one embedding
     F: zeta -> omega mod M per call, key_embedding(n, ceil(max_len^2 / 2)),
@@ -309,12 +332,35 @@ def _vanishing_tuples(n: int, max_len: int, budget: int, first: int | None = Non
     a vanishing prefix (whose image 0 the antipodal pairs (a, a + n/2),
     a < n/2, share), and when a root s and a pair (a, b) both close a
     prefix, zeta^a + zeta^b = zeta^s puts a at s - n/6 or s + n/6 - n,
-    below s, so the pair comes first in lexicographic order.  The table is
-    never built for max_len <= 3 nor above MAX_PAIR_TABLE entries, and
-    otherwise only for the first prefix with two roots to go that comes
-    after the last-level scans have visited as many states as it has
-    entries, n(n+1)/2.  So an early exit never pays for it, and no search
-    does much more than twice the work of scanning alone.
+    below s, so the pair comes first in lexicographic order.
+
+    A prefix with three roots to go is closed, once the triple table is
+    built too, by three lookups of minus its image: in {omega^e mod M: e},
+    in ``pairs`` and in ``triples``, which maps
+    F(zeta^a + zeta^b + zeta^c), a <= b <= c, to (a * n + b) * n + c, or to
+    the ascending tuple of every such code where triples share the image
+    (the triples (a, a + n/2, c), a < n/2, all share that of zeta^c).  A
+    listed triple closes the prefix exactly, since the two make a sum of at
+    most max_len roots, which F sends to 0 only when it is 0; and every
+    triple that closes it has minus its image, so is listed.  A vanishing
+    prefix, whose last exponent e is at least n/2, has no such triple
+    a >= e either: three roots vanish only as a rotated 3-gon
+    {a, a + n/3, a + 2n/3}, whose smallest exponent a is below n/3.  The
+    root, pair and triples that start at e or later are all the vanishing
+    tuples below the prefix; they are sorted and yielded, in the order
+    depth first would give, and the search descends no further.
+
+    Neither table is built above MAX_PAIR_TABLE entries.  The pair table,
+    n(n+1)/2 entries, is built only for max_len >= 4, and only for the
+    first prefix with two roots to go that comes after the last-level scans
+    have visited as many states as it has entries.  The triple table,
+    n(n+1)(n+2)/6 entries, is built only for max_len >= 6 (at length 5 it
+    costs about as much as the scans it replaces), after the pair table,
+    and only for the first prefix with three roots to go that comes after
+    the count, pair entries included, has reached its entries.  So an
+    early exit never pays for a table, a table at most doubles the count
+    so far, and no search counts more than four times the states it
+    visits, which are no more than scanning alone visits.
 
     Floats only prune.  A partial sum S of `depth` roots that `left` more
     roots bring to zero has |sigma_a(S)| <= left for every unit a mod n,
@@ -335,9 +381,13 @@ def _vanishing_tuples(n: int, max_len: int, budget: int, first: int | None = Non
     emb = key_embedding(n, -(-max_len * max_len // 2))
     powers, modulus = emb.powers, emb.modulus
     closer = dict(zip(powers, range(n)))
+    nn = n * n
     size = n * (n + 1) // 2
     build_at = size if max_len >= 4 and size <= MAX_PAIR_TABLE else math.inf
+    size3 = size * (n + 2) // 3
+    build3_at = size3 if max_len >= 6 and size3 <= MAX_PAIR_TABLE else math.inf
     pairs: dict[int, int] | None = None
+    triples: dict[int, int | tuple[int, ...]] | None = None
     scanned = 0  # states of the last-level scans pushed so far
     root = [complex(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)) for k in range(n)]
     # a conjugate is tested only where depth > left >= 2, so from max_len 5 on
@@ -378,6 +428,22 @@ def _vanishing_tuples(n: int, max_len: int, budget: int, first: int | None = Non
                 last = closer.get(neg2, -1)
                 if last >= e:
                     yield (*path, e, last)
+            elif left == 3 and pairs is not None and (triples is not None or visited >= build3_at):
+                if triples is None:
+                    visited += size3
+                    if visited > budget:
+                        raise BudgetExceeded(f"more than {budget} partial-sum states")
+                    triples = _triple_table(powers, modulus)
+                last = closer.get(neg2, -1)
+                ab = pairs.get(neg2, -1)
+                abc = triples.get(neg2, ())
+                if last >= e or ab >= e * n or abc:
+                    tails = [(last,)] if last >= e else []
+                    if ab >= e * n:
+                        tails.append(divmod(ab, n))
+                    tails += [(c // nn, c // n % n, c % n) for c in ((abc,) if type(abc) is int else abc) if c // nn >= e]
+                    for tail in sorted(tails):
+                        yield (*path, e, *tail)
             elif left > 1:
                 z2 = z + root[e]
                 if abs(z2) > lim:

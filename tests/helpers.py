@@ -286,6 +286,19 @@ def scan_vanishing_tuples(n: int, max_len: int, budget: int, first: int | None =
                 path.pop()
 
 
+def closed_form_continuum(s, prec=128):
+    """The full continuum sum over Z^2 minus 0 of (4 pi^2 |v|^2)^-s, s > 1, in
+    closed form: 4 zeta(s) beta(s) / (4 pi^2)^s at ``prec`` working bits.
+
+    r2(m) = 4 (d_1(m) - d_3(m)) (Hardy & Wright, ch. XVI) makes the sum of
+    r2(m) m^-s over m >= 1 the Dirichlet product 4 zeta(s) beta(s), beta the
+    L-function of the character mod 4 (mpmath.dirichlet with 0, 1, 0, -1).
+    """
+    with mpmath.workprec(prec):
+        s = mpmath.mpf(s)
+        return 4 * mpmath.zeta(s) * mpmath.dirichlet(s, [0, 1, 0, -1]) / (4 * mpmath.pi**2) ** s
+
+
 def libmp_shell_terms(s, shells, bits=96):
     """Raw mpf term rm * (4 pi^2 m)^-s of each (m, rm) in shells with rm != 0.
 

@@ -251,8 +251,11 @@ def test_minimal_vanishing_sums_tags_decomposable():
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_searches_match_brute_force(n):
-    oracle = brute_vanishing_sums(n, 5)
-    for max_len in range(1, 6):
+    # lengths 6 and 7 build the triple table; at n = 1 and 2 every lookup
+    # tail shares its image with others
+    top = 7 if n <= 8 else 5
+    oracle = brute_vanishing_sums(n, top)
+    for max_len in range(1, top + 1):
         found = minimal_vanishing_sums(n, max_len)
         want = [row for row in oracle if len(row[0]) <= max_len]
         assert [(s.multiset.exponents, s.minimal) for s in found] == want
@@ -296,10 +299,65 @@ def test_pair_table_built_partway_matches_scan_oracle():
 
 def test_pair_lookup_shrinks_the_search():
     # 95,478 states when every last level is scanned; 47,305 with the pair
-    # table, whose 465 entries count as states
+    # table alone; 15,087 with the triple table too, once 4960 states are
+    # counted, its 4960 entries counting as states like the pair table's 465
+    assert len(minimal_vanishing_sums(30, 6, budget=15_087)) == 1061
+    with pytest.raises(BudgetExceeded):
+        minimal_vanishing_sums(30, 6, budget=15_086)
+
+
+def test_triple_table_built_partway_matches_scan_oracle(monkeypatch):
+    # prefixes with three roots to go are scanned until the count reaches
+    # the triple table's size, then closed by one lookup each
+    builds = []
+    real = vanishing._triple_table
+
+    def counting(powers, modulus):
+        builds.append(len(powers))
+        return real(powers, modulus)
+
+    monkeypatch.setattr(vanishing, "_triple_table", counting)
+    for n, max_len, first in ((30, 6, None), (27, 7, 0), (42, 7, 0)):
+        want = list(scan_vanishing_tuples(n, max_len, DEFAULT_BUDGET, first=first))
+        assert list(_vanishing_tuples(n, max_len, DEFAULT_BUDGET, first=first)) == want, (n, max_len)
+    assert builds == [30, 27, 42]
+
+
+def test_search_with_pairs_but_no_triples_matches_scan_oracle(monkeypatch):
+    # 465 pair entries fit under this cap, 4960 triple entries do not
+    monkeypatch.setattr(vanishing, "MAX_PAIR_TABLE", 1000)
+    monkeypatch.setattr(vanishing, "_triple_table", None)
+    for n, max_len, first in ((30, 6, None), (27, 7, 0)):
+        want = list(scan_vanishing_tuples(n, max_len, DEFAULT_BUDGET, first=first))
+        assert list(_vanishing_tuples(n, max_len, DEFAULT_BUDGET, first=first)) == want, (n, max_len)
     assert len(minimal_vanishing_sums(30, 6, budget=47_305)) == 1061
     with pytest.raises(BudgetExceeded):
         minimal_vanishing_sums(30, 6, budget=47_304)
+
+
+def test_triple_table_lists_every_triple_of_an_image():
+    # the n/2 triples (a, a + n/2, c) share the image of zeta^c; a 3-gon has image 0
+    n = 12
+    emb = key_embedding(n, 18)
+    triples = vanishing._triple_table(emb.powers, emb.modulus)
+    decode = lambda code: (code // (n * n), code // n % n, code % n)
+    assert sum(1 if type(v) is int else len(v) for v in triples.values()) == n * (n + 1) * (n + 2) // 6
+    for image, codes in triples.items():
+        codes = (codes,) if type(codes) is int else codes
+        assert list(codes) == sorted(set(codes))
+        for code in codes:
+            assert sum(emb.powers[e] for e in decode(code)) % emb.modulus == image
+    shared = triples[emb.powers[5]]
+    assert {decode(code) for code in shared} >= {tuple(sorted((a, a + 6, 5))) for a in range(6)}
+    assert [decode(code) for code in triples[0]] == [(0, 4, 8), (1, 5, 9), (2, 6, 10), (3, 7, 11)]
+
+
+def test_triple_table_is_never_paid_up_front():
+    # 77 * 78 * 79 / 6 = 79,079 triples; the first 7-gon comes after 37,585
+    # states, with the pair table (3003 entries) built and counted
+    assert find_vanishing_multiset(77, 7, budget=37_585).exponents == tuple(range(0, 77, 11))
+    with pytest.raises(BudgetExceeded):
+        find_vanishing_multiset(77, 7, budget=37_584)
 
 
 def test_search_without_pair_table_matches_scan_oracle(monkeypatch):

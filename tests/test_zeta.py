@@ -10,7 +10,7 @@ from mpmath.libmp import mpf_add, round_nearest
 from dtorus import cli, zeta
 from dtorus.errors import BudgetExceeded
 from dtorus.zeta import cjk_table, r2_upto, zeta_continuum_partial, zeta_discrete
-from helpers import brute_r2, libmp_continuum_partial, libmp_shell_terms, traced_peak
+from helpers import brute_r2, closed_form_continuum, libmp_continuum_partial, libmp_shell_terms, traced_peak
 
 
 def test_r2_examples():
@@ -276,6 +276,41 @@ def test_cjk_table_checks_n_list_before_work(monkeypatch):
     monkeypatch.setattr(zeta, "zeta_continuum_partial", unreachable)
     with pytest.raises(ValueError, match="n >= 3"):
         cjk_table(2, [8, 2], 10**6)
+
+
+def lattice_tail_bound(s, cutoff):
+    """An upper bound on the sum of (4 pi^2 |v|^2)^-s over |v|^2 > cutoff.
+
+    Each such v owns the unit square centred on it, whose points w satisfy
+    |v| >= |w| - sqrt(2)/2 > sqrt(cutoff) - sqrt(2), and t^-2s decreases,
+    so the sum is at most the integral of (4 pi^2)^-s (|w| - sqrt(2)/2)^-2s
+    over |w| > sqrt(cutoff) - sqrt(2)/2: with t = |w| - sqrt(2)/2 and
+    U = sqrt(cutoff) - sqrt(2), 2 pi times the integral of
+    t^-2s (t + sqrt(2)/2) over t > U.
+    """
+    u = mpmath.sqrt(cutoff) - mpmath.sqrt(2)
+    return (4 * mpmath.pi**2) ** -s * 2 * mpmath.pi * (
+        u ** (2 - 2 * s) / (2 * s - 2) + mpmath.sqrt(2) / 2 * u ** (1 - 2 * s) / (2 * s - 1)
+    )
+
+
+@pytest.mark.parametrize("s", [1.5, 2, 2.5, 3])
+def test_continuum_partial_falls_short_of_the_closed_form_by_its_tail(s):
+    # the partial sum adds one rounded 96-bit term per nonzero shell and
+    # rounds each sum, so it errs by at most 4 * shells * 2^-96 * value
+    with mpmath.workprec(256):
+        closed = closed_form_continuum(s, prec=256)
+        counts = r2_upto(10**4)
+        for cutoff in (10**2, 10**3, 10**4):
+            shells = sum(1 for m in range(1, cutoff + 1) if counts[m])
+            eps = 4 * shells * mpmath.mpf(2) ** -96 * closed
+            gap = closed - zeta_continuum_partial(s, cutoff)
+            assert -eps <= gap <= lattice_tail_bound(mpmath.mpf(s), cutoff) + eps, (s, cutoff)
+
+
+@pytest.mark.parametrize("s", [1.5, 2, 2.5, 3])
+def test_closed_form_continuum_holds_its_printed_digits(s):
+    assert mpmath.nstr(closed_form_continuum(s, 128), 30) == mpmath.nstr(closed_form_continuum(s, 256), 30)
 
 
 def test_zeta_continuum_requires_s_above_one():
