@@ -20,12 +20,13 @@ from .cyclotomic import key_embedding
 from .errors import BudgetExceeded, NotApplicable, ZeroEigenvalue
 from .spectrum import DEFAULT_BUDGET
 
-# entries of each lookup table of _vanishing_tuples, n(n+1)/2 pairs (so
-# n <= 723) or n(n+1)(n+2)/6 triples (n <= 115) for modulus n.  Measured with
-# tracemalloc: 90-110 bytes a pair while M has at most 180 bits, 230 at
-# n = 723 (M of 990 bits, 57 MB); 95-115 bytes a triple up to n = 114
-# (27.5 MB there), 130-140 at n = 115 (M of 240-330 bits, 32-35 MB)
-MAX_PAIR_TABLE = 1 << 18
+# the most pairs, n(n+1)/2 (so n <= 723), or triples, n(n+1)(n+2)/6
+# (n <= 115), that _vanishing_tuples adds to its tail table for modulus n.
+# Measured with tracemalloc on the whole table: 100-180 bytes an entry while
+# M has at most 570 bits (n <= 700), 230-250 at n = 723 (M of 990-1140 bits,
+# 60-66 MB); with the triples, 100-135 bytes up to n = 114 (29.6 MB there),
+# 130 at n = 115 (M of 240-270 bits, 34-35 MB)
+MAX_TAIL_TABLE = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -266,35 +267,40 @@ class FoundSum:
     minimal: bool
 
 
-def _pair_table(powers: tuple[int, ...], modulus: int) -> dict[int, int]:
-    """F(zeta^a + zeta^b) -> a * n + b for a <= b < n, given the n powers
-    omega^e mod M of F (see _vanishing_tuples)."""
-    n = len(powers)
-    pairs: dict[int, int] = {}
-    for a, pa in enumerate(powers):
-        pairs.update(zip([(pa + w) % modulus for w in powers[a:]], range(a * n + a, a * n + n)))
-    return pairs
+def _add_tails(tails: dict[int, int | tuple[int, ...]], powers: tuple[int, ...], modulus: int, k: int) -> None:
+    """List in ``tails``, under its F image, each nondecreasing tail of
+    k <= 3 roots, given the n powers omega^e mod M of F (see
+    _vanishing_tuples).
 
-
-def _triple_table(powers: tuple[int, ...], modulus: int) -> dict[int, int | tuple[int, ...]]:
-    """F(zeta^a + zeta^b + zeta^c) -> (a * n + b) * n + c for a <= b <= c < n,
-    or the ascending tuple of those codes where several triples share the
-    image, given the n powers omega^e mod M of F (see _vanishing_tuples)."""
+    A tail (a_1, ..., a_k) is coded by the digits a_i + 1 in base n + 1,
+    right-padded with zeros to 3 digits, so codes order as the tuples do.
+    An image holds one code, or the ascending tuple of the codes of every
+    tail listed under it.
+    """
     n = len(powers)
-    triples: dict[int, int | tuple[int, ...]] = {}
-    for a, pa in enumerate(powers):
-        for b in range(a, n):
-            pab, codes = pa + powers[b], range((a * n + b) * n + b, (a * n + b + 1) * n)
-            images = [(pab + w) % modulus for w in powers[b:]]
-            if triples.keys().isdisjoint(images):
-                triples.update(zip(images, codes))
-                continue
-            # codes come in ascending order, so each shared tuple stays sorted
-            for image, code in zip(images, codes):
-                old = triples.setdefault(image, code)
-                if old != code:
-                    triples[image] = (*old, code) if type(old) is tuple else (old, code)
-    return triples
+    base = n + 1
+    scale = base ** (3 - k)
+    heads = [(0, 0, 0)]  # the image, code and last root of each head of k - 1 roots
+    for _ in range(k - 1):
+        heads = [(shift + powers[a], code * base + a + 1, a) for shift, code, last in heads for a in range(last, n)]
+    shared = set()
+    for shift, code, last in heads:
+        images = [(shift + w) % modulus for w in powers[last:]]
+        codes = range((code * base + last + 1) * scale, (code + 1) * base * scale, scale)
+        # setdefault keeps the codes listed under an image and hashes each
+        # image once, which an isdisjoint test before update would do twice
+        listed = len(tails)
+        olds = [*map(tails.setdefault, images, codes)]
+        if len(tails) - listed == len(images):
+            continue
+        for image, c, old in zip(images, codes, olds):
+            if old != c:
+                tails[image] = (*old, c) if type(old) is tuple else (old, c)
+                shared.add(image)
+    # codes come in ascending order, but one listed before this call can
+    # sort after a new one
+    for image in shared:
+        tails[image] = tuple(sorted(tails[image]))
 
 
 def _vanishing_tuples(n: int, max_len: int, budget: int, first: int | None = None):
@@ -302,65 +308,40 @@ def _vanishing_tuples(n: int, max_len: int, budget: int, first: int | None = Non
 
     Yields in depth-first, hence lexicographic, order; ``first`` pins the
     smallest exponent.  The budget counts visited partial-sum states, one
-    per exponent tried, and each entry of the lookup tables below.  Memory
-    is O(n log M) for the powers of omega below, O(n * phi(n)) floats for
-    the conjugate tables, O(max_len * phi(n)) for the stack and at most
-    MAX_PAIR_TABLE images for each lookup table.
+    per exponent tried, and each pair and triple added to the tail table
+    below.  Memory is O(n log M) for the powers of omega below,
+    O(n * phi(n)) floats for the conjugate tables, O(max_len * phi(n)) for
+    the stack and at most n + 2 * MAX_TAIL_TABLE entries for the tail
+    table.
 
     Vanishing is decided exactly on F images, under one embedding
     F: zeta -> omega mod M per call, key_embedding(n, ceil(max_len^2 / 2)),
     whose M^2 > (max_len^2)^phi(n).  If a sum S of at most max_len roots
     has F(S) = 0, S lies in a degree-one prime above each prime of M, so
     M divides its norm to Q, which is at most max_len^phi(n) in absolute
-    value; hence S = 0.  The stack holds minus each prefix's image mod M: a prefix
-    vanishes when that is 0, and a prefix with one root to go is closed by
-    one lookup of it in {omega^e mod M: e}.  omega has exact order n modulo
-    each prime of M, so the powers are distinct, at most one exponent
-    closes the prefix, and that exponent counts no state.
+    value; hence S = 0.  The stack holds minus each prefix's image mod M: a
+    prefix vanishes when that is 0.
 
-    A prefix with two roots to go is closed, once the pair table is built,
-    by two lookups of minus its image: in {omega^e mod M: e} for the root
-    that closes it one root shorter, and in ``pairs``, which maps
-    F(zeta^a + zeta^b), a <= b, to a * n + b, for the pair that closes it.
-    One pair per image suffices, for max_len >= 4.  The difference of two
-    pair sums is a signed sum of 4 roots, whose norm is at most
-    4^phi(n) <= max_len^phi(n) < M in absolute value, so equal images mean
-    equal sums.  Two roots lie symmetric about their sum, at the angle its
-    length fixes, so equal nonzero pair sums come from the same pair.  The
-    roots zeta^k with 0 < k < n/2 lie above the real axis, so a vanishing
-    sum has its largest exponent at least n/2.  Hence no pair a >= e closes
-    a vanishing prefix (whose image 0 the antipodal pairs (a, a + n/2),
-    a < n/2, share), and when a root s and a pair (a, b) both close a
-    prefix, zeta^a + zeta^b = zeta^s puts a at s - n/6 or s + n/6 - n,
-    below s, so the pair comes first in lexicographic order.
-
-    A prefix with three roots to go is closed, once the triple table is
-    built too, by three lookups of minus its image: in {omega^e mod M: e},
-    in ``pairs`` and in ``triples``, which maps
-    F(zeta^a + zeta^b + zeta^c), a <= b <= c, to (a * n + b) * n + c, or to
-    the ascending tuple of every such code where triples share the image
-    (the triples (a, a + n/2, c), a < n/2, all share that of zeta^c).  A
-    listed triple closes the prefix exactly, since the two make a sum of at
+    ``tails`` maps F images to every nondecreasing tail of at most
+    ``closes`` roots with that image (see _add_tails): the single roots
+    from the start, then the pairs and the triples.  A prefix with
+    left <= closes roots to go is closed by one lookup of minus its image.
+    A listed tail of at most ``left`` roots whose first root is at least
+    the prefix's last closes it exactly, since the two make a sum of at
     most max_len roots, which F sends to 0 only when it is 0; and every
-    triple that closes it has minus its image, so is listed.  A vanishing
-    prefix, whose last exponent e is at least n/2, has no such triple
-    a >= e either: three roots vanish only as a rotated 3-gon
-    {a, a + n/3, a + 2n/3}, whose smallest exponent a is below n/3.  The
-    root, pair and triples that start at e or later are all the vanishing
-    tuples below the prefix; they are sorted and yielded, in the order
-    depth first would give, and the search descends no further.
+    tail that closes it has minus its image, so is listed.  The codes of
+    an image ascend as the tails do, so they are yielded in the order depth
+    first would give, and the search descends no further.
 
-    Neither table is built above MAX_PAIR_TABLE entries.  The pair table,
-    n(n+1)/2 entries, is built only for max_len >= 4, and only for the
-    first prefix with two roots to go that comes after the last-level scans
-    have visited as many states as it has entries.  The triple table,
-    n(n+1)(n+2)/6 entries, is built only for max_len >= 6 (at length 5 it
-    costs about as much as the scans it replaces), after the pair table,
-    and only for the first prefix with three roots to go that comes after
-    the count, pair entries included, has reached its entries.  So an
-    early exit never pays for a table, a table at most doubles the count
-    so far, and no search counts more than four times the states it
-    visits, which are no more than scanning alone visits.
+    The k-root tails, C(n + k - 1, k) entries counted as states, are added
+    only for k = 2 and 3, only for max_len >= 2k (at length 5 the triples
+    cost about as much as the scans they replace), only up to
+    MAX_TAIL_TABLE entries, and only when the search takes up prefixes
+    with k roots to go once the count, entries of earlier tails included,
+    has reached their number.  So an early exit never pays for them,
+    adding them at most doubles the count so far, and no search counts
+    more than four times the states it visits, which are no more than
+    scanning alone visits.
 
     Floats only prune.  A partial sum S of `depth` roots that `left` more
     roots bring to zero has |sigma_a(S)| <= left for every unit a mod n,
@@ -380,15 +361,13 @@ def _vanishing_tuples(n: int, max_len: int, budget: int, first: int | None = Non
     """
     emb = key_embedding(n, -(-max_len * max_len // 2))
     powers, modulus = emb.powers, emb.modulus
-    closer = dict(zip(powers, range(n)))
-    nn = n * n
-    size = n * (n + 1) // 2
-    build_at = size if max_len >= 4 and size <= MAX_PAIR_TABLE else math.inf
-    size3 = size * (n + 2) // 3
-    build3_at = size3 if max_len >= 6 and size3 <= MAX_PAIR_TABLE else math.inf
-    pairs: dict[int, int] | None = None
-    triples: dict[int, int | tuple[int, ...]] | None = None
-    scanned = 0  # states of the last-level scans pushed so far
+    base = n + 1
+    bb = base * base
+    tails: dict[int, int | tuple[int, ...]] = {}
+    _add_tails(tails, powers, modulus, 1)
+    closes = 1
+    size = n * (n + 1) // 2  # the tails of closes + 1 roots
+    build_at = size if max_len >= 4 and size <= MAX_TAIL_TABLE else math.inf
     root = [complex(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)) for k in range(n)]
     # a conjugate is tested only where depth > left >= 2, so from max_len 5 on
     units = [a for a in range(2, n // 2 + 1) if math.gcd(a, n) == 1] if max_len >= 5 else []
@@ -405,6 +384,15 @@ def _vanishing_tuples(n: int, max_len: int, budget: int, first: int | None = Non
         left = max_len - depth
         lim = left + slack
         shallow = depth <= left or not units
+        if left == closes + 1 and visited >= build_at:
+            visited += size
+            if visited > budget:
+                raise BudgetExceeded(f"more than {budget} partial-sum states")
+            _add_tails(tails, powers, modulus, left)
+            closes, size = left, size * (n + left) // (left + 1)
+            build_at = size if left == 2 and max_len >= 6 and size <= MAX_TAIL_TABLE else math.inf
+        unit = base ** max(3 - left, 0)  # divides the code of every tail of <= left roots
+        closing = left <= closes
         for e in levels[-1]:
             visited += 1
             if visited > budget:
@@ -412,39 +400,14 @@ def _vanishing_tuples(n: int, max_len: int, budget: int, first: int | None = Non
             neg2 = (neg - powers[e]) % modulus
             if not neg2:
                 yield (*path, e)
-            if left == 1:
-                last = closer.get(neg2)
-                if last is not None and last >= e:
-                    yield (*path, e, last)
-            elif left == 2 and (pairs is not None or scanned >= build_at):
-                if pairs is None:
-                    visited += size
-                    if visited > budget:
-                        raise BudgetExceeded(f"more than {budget} partial-sum states")
-                    pairs = _pair_table(powers, modulus)
-                ab = pairs.get(neg2, -1)
-                if ab >= e * n:
-                    yield (*path, e, *divmod(ab, n))
-                last = closer.get(neg2, -1)
-                if last >= e:
-                    yield (*path, e, last)
-            elif left == 3 and pairs is not None and (triples is not None or visited >= build3_at):
-                if triples is None:
-                    visited += size3
-                    if visited > budget:
-                        raise BudgetExceeded(f"more than {budget} partial-sum states")
-                    triples = _triple_table(powers, modulus)
-                last = closer.get(neg2, -1)
-                ab = pairs.get(neg2, -1)
-                abc = triples.get(neg2, ())
-                if last >= e or ab >= e * n or abc:
-                    tails = [(last,)] if last >= e else []
-                    if ab >= e * n:
-                        tails.append(divmod(ab, n))
-                    tails += [(c // nn, c // n % n, c % n) for c in ((abc,) if type(abc) is int else abc) if c // nn >= e]
-                    for tail in sorted(tails):
-                        yield (*path, e, *tail)
-            elif left > 1:
+            if closing:
+                hit = tails.get(neg2)
+                if hit is not None:
+                    lo = (e + 1) * bb
+                    for c in (hit,) if type(hit) is int else hit:
+                        if c >= lo and not c % unit:
+                            yield (*path, e, *(d - 1 for d in (c // bb, c // base % base, c % base) if d))
+            else:
                 z2 = z + root[e]
                 if abs(z2) > lim:
                     continue
@@ -453,8 +416,6 @@ def _vanishing_tuples(n: int, max_len: int, budget: int, first: int | None = Non
                     path.append(e)
                     sums.append((neg2, z2, conj2))
                     levels.append(iter(range(e, n)))
-                    if left == 2:
-                        scanned += n - e
                     break
         else:
             levels.pop()

@@ -286,6 +286,34 @@ def scan_vanishing_tuples(n: int, max_len: int, budget: int, first: int | None =
                 path.pop()
 
 
+def polygon_unions(n, max_len):
+    """(exponents, minimal) for every vanishing nondecreasing exponent tuple
+    over the n-th roots of length <= max_len, in lexicographic order, where
+    n has at most two prime divisors.
+
+    For such n every vanishing sum of roots with nonnegative coefficients
+    is a sum of rotated p-gons {a, a + n/p, ..., a + (p - 1)n/p} for primes
+    p dividing n (de Bruijn, Indag. Math. 15 (1953); Lam and Leung,
+    J. Algebra 224 (2000)), so the tuples are the multiset unions of such
+    polygons, and the minimal ones are the polygons themselves.
+    """
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, isqrt(p) + 1))]
+    assert len(primes) <= 2, f"{n} has more than two prime divisors"
+    polygons = [tuple(range(a, n, n // p)) for p in primes for a in range(n // p)]
+    unions = set()
+
+    def grow(union, start):
+        for i in range(start, len(polygons)):
+            if len(union) + len(polygons[i]) <= max_len:
+                bigger = union + polygons[i]
+                unions.add(tuple(sorted(bigger)))
+                grow(bigger, i)
+
+    grow((), 0)
+    minimal = set(polygons)
+    return [(exps, exps in minimal) for exps in sorted(unions)]
+
+
 def closed_form_continuum(s, prec=128):
     """The full continuum sum over Z^2 minus 0 of (4 pi^2 |v|^2)^-s, s > 1, in
     closed form: 4 zeta(s) beta(s) / (4 pi^2)^s at ``prec`` working bits.

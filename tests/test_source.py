@@ -10,9 +10,9 @@ FLOAT_TRIG = re.compile(r"\bmath\.(cos|sin)\b|\bfrom math import\b[^\n]*\b(cos|s
 
 
 def test_float_trig_only_in_vanishing_pruning():
-    # values are certified by approx_value alone, from the exponents of a
-    # row's representative; float cosines and sines are left only as the
-    # pruning tables of the vanishing searches
+    # values are certified by fixed_midpoint, from the exponents of a row's
+    # representative; float cosines and sines are left only as the pruning
+    # tables of the vanishing searches
     sources = sorted(Path(dtorus.__file__).parent.glob("*.py"))
     assert {"spectrum.py", "vanishing.py"} <= {p.name for p in sources}
     offenders = [p.name for p in sources if p.name != "vanishing.py" and FLOAT_TRIG.search(p.read_text())]
@@ -213,6 +213,20 @@ def test_one_vanishing_search():
     )
     assert "_is_minimal" in functions_defined(planted)
     assert self_calling(planted) == {"part", "_roots_sum_is_zero"}
+
+
+def test_one_tail_table():
+    # the search closes its last roots through one table of tails, which
+    # one builder fills, so no second lookup grows beside it
+    source = (Path(dtorus.__file__).parent / "vanishing.py").read_text()
+    assert not {"_pair_table", "_triple_table"} & functions_defined(source)
+    assert set(callers(source, "_add_tails")) == {("_vanishing_tuples",)}
+    planted = (
+        "def _pair_table(powers, modulus):\n    return {}\n\n\n"
+        "def find_vanishing_multiset(n, length):\n    _add_tails({}, (), 3, 2)\n"
+    )
+    assert "_pair_table" in functions_defined(planted)
+    assert set(callers(planted, "_add_tails")) == {("find_vanishing_multiset",)}
 
 
 KEY_BUILDERS = ("key_of", "key_of_tuple", "get_context")

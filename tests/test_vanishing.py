@@ -1,6 +1,7 @@
 import json
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd, lcm
 
 import pytest
@@ -27,7 +28,7 @@ from dtorus.vanishing import (
 )
 from dtorus.spectrum import DEFAULT_BUDGET
 
-from helpers import brute_vanishing_sums, scan_vanishing_tuples
+from helpers import brute_vanishing_sums, polygon_unions, scan_vanishing_tuples
 
 moduli = st.integers(min_value=2, max_value=40)
 exponent_lists = st.lists(st.integers(min_value=0, max_value=200), min_size=1, max_size=8)
@@ -298,75 +299,102 @@ def test_pair_table_built_partway_matches_scan_oracle():
 
 
 def test_pair_lookup_shrinks_the_search():
-    # 95,478 states when every last level is scanned; 47,305 with the pair
-    # table alone; 15,087 with the triple table too, once 4960 states are
-    # counted, its 4960 entries counting as states like the pair table's 465
-    assert len(minimal_vanishing_sums(30, 6, budget=15_087)) == 1061
+    # 95,478 states when only the last root is looked up; 47,059 with the
+    # pairs too; 15,062 with the triples as well, added once 4960 states
+    # are counted, their 4960 entries counting as states like the pairs' 465
+    assert len(minimal_vanishing_sums(30, 6, budget=15_062)) == 1061
     with pytest.raises(BudgetExceeded):
-        minimal_vanishing_sums(30, 6, budget=15_086)
+        minimal_vanishing_sums(30, 6, budget=15_061)
 
 
-def test_triple_table_built_partway_matches_scan_oracle(monkeypatch):
-    # prefixes with three roots to go are scanned until the count reaches
-    # the triple table's size, then closed by one lookup each
+@pytest.fixture
+def tail_builds(monkeypatch):
+    """(n, k) for each call of vanishing._add_tails."""
     builds = []
-    real = vanishing._triple_table
+    real = vanishing._add_tails
 
-    def counting(powers, modulus):
-        builds.append(len(powers))
-        return real(powers, modulus)
+    def counting(tails, powers, modulus, k):
+        builds.append((len(powers), k))
+        return real(tails, powers, modulus, k)
 
-    monkeypatch.setattr(vanishing, "_triple_table", counting)
+    monkeypatch.setattr(vanishing, "_add_tails", counting)
+    return builds
+
+
+def test_triple_table_built_partway_matches_scan_oracle(tail_builds):
+    # prefixes with three roots to go are scanned until the count reaches
+    # the number of triples, then closed by one lookup each
     for n, max_len, first in ((30, 6, None), (27, 7, 0), (42, 7, 0)):
         want = list(scan_vanishing_tuples(n, max_len, DEFAULT_BUDGET, first=first))
         assert list(_vanishing_tuples(n, max_len, DEFAULT_BUDGET, first=first)) == want, (n, max_len)
-    assert builds == [30, 27, 42]
+    assert tail_builds == [(n, k) for n in (30, 27, 42) for k in (1, 2, 3)]
 
 
-def test_search_with_pairs_but_no_triples_matches_scan_oracle(monkeypatch):
+def test_search_with_pairs_but_no_triples_matches_scan_oracle(monkeypatch, tail_builds):
     # 465 pair entries fit under this cap, 4960 triple entries do not
-    monkeypatch.setattr(vanishing, "MAX_PAIR_TABLE", 1000)
-    monkeypatch.setattr(vanishing, "_triple_table", None)
+    monkeypatch.setattr(vanishing, "MAX_TAIL_TABLE", 1000)
     for n, max_len, first in ((30, 6, None), (27, 7, 0)):
         want = list(scan_vanishing_tuples(n, max_len, DEFAULT_BUDGET, first=first))
         assert list(_vanishing_tuples(n, max_len, DEFAULT_BUDGET, first=first)) == want, (n, max_len)
-    assert len(minimal_vanishing_sums(30, 6, budget=47_305)) == 1061
+    assert tail_builds == [(30, 1), (30, 2), (27, 1), (27, 2)]
+    assert len(minimal_vanishing_sums(30, 6, budget=47_059)) == 1061
     with pytest.raises(BudgetExceeded):
-        minimal_vanishing_sums(30, 6, budget=47_304)
+        minimal_vanishing_sums(30, 6, budget=47_058)
 
 
 def test_triple_table_lists_every_triple_of_an_image():
-    # the n/2 triples (a, a + n/2, c) share the image of zeta^c; a 3-gon has image 0
+    # every tail of at most 3 roots once, under its image: the n/2 triples
+    # (a, a + n/2, c) share the image of zeta^c, and the 3-gons image 0
     n = 12
     emb = key_embedding(n, 18)
-    triples = vanishing._triple_table(emb.powers, emb.modulus)
-    decode = lambda code: (code // (n * n), code // n % n, code % n)
-    assert sum(1 if type(v) is int else len(v) for v in triples.values()) == n * (n + 1) * (n + 2) // 6
-    for image, codes in triples.items():
+    tails = {}
+    for k in (1, 2, 3):
+        vanishing._add_tails(tails, emb.powers, emb.modulus, k)
+    base = n + 1
+    decode = lambda code: tuple(d - 1 for d in (code // base**2, code // base % base, code % base) if d)
+    listed = [decode(code) for codes in tails.values() for code in ((codes,) if type(codes) is int else codes)]
+    assert sorted(listed) == sorted(t for k in (1, 2, 3) for t in combinations_with_replacement(range(n), k))
+    for image, codes in tails.items():
         codes = (codes,) if type(codes) is int else codes
         assert list(codes) == sorted(set(codes))
         for code in codes:
             assert sum(emb.powers[e] for e in decode(code)) % emb.modulus == image
-    shared = triples[emb.powers[5]]
-    assert {decode(code) for code in shared} >= {tuple(sorted((a, a + 6, 5))) for a in range(6)}
-    assert [decode(code) for code in triples[0]] == [(0, 4, 8), (1, 5, 9), (2, 6, 10), (3, 7, 11)]
+    shared = [decode(code) for code in tails[emb.powers[5]]]
+    assert set(shared) >= {tuple(sorted((a, a + 6, 5))) for a in range(6)}
+    assert [t for t in map(decode, tails[0]) if len(t) == 3] == [(0, 4, 8), (1, 5, 9), (2, 6, 10), (3, 7, 11)]
 
 
 def test_triple_table_is_never_paid_up_front():
-    # 77 * 78 * 79 / 6 = 79,079 triples; the first 7-gon comes after 37,585
-    # states, with the pair table (3003 entries) built and counted
-    assert find_vanishing_multiset(77, 7, budget=37_585).exponents == tuple(range(0, 77, 11))
+    # 77 * 78 * 79 / 6 = 79,079 triples; the first 7-gon comes after 40,487
+    # states, with the 3003 pairs added and counted
+    assert find_vanishing_multiset(77, 7, budget=40_487).exponents == tuple(range(0, 77, 11))
     with pytest.raises(BudgetExceeded):
-        find_vanishing_multiset(77, 7, budget=37_584)
+        find_vanishing_multiset(77, 7, budget=40_486)
 
 
 def test_search_without_pair_table_matches_scan_oracle(monkeypatch):
-    monkeypatch.setattr(vanishing, "MAX_PAIR_TABLE", 0)
+    monkeypatch.setattr(vanishing, "MAX_TAIL_TABLE", 0)
     for n, max_len in ((24, 6), (36, 5)):
         want = list(scan_vanishing_tuples(n, max_len, DEFAULT_BUDGET))
         assert list(_vanishing_tuples(n, max_len, DEFAULT_BUDGET)) == want, n
     with pytest.raises(BudgetExceeded):
         minimal_vanishing_sums(30, 6, budget=60_000)
+
+
+# two-prime moduli above the scan oracle's reach, with the triples added
+POLYGON_CASES = [(n, 6) for n in (54, 63, 75, 80, 91, 98, 100)] + [(50, 7), (56, 7)]
+
+
+def test_searches_match_polygon_unions(tail_builds):
+    for n, max_len in POLYGON_CASES:
+        want = polygon_unions(n, max_len)
+        tail_builds.clear()
+        found = minimal_vanishing_sums(n, max_len)
+        assert [(s.multiset.exponents, s.minimal) for s in found] == want, (n, max_len)
+        assert (n, 3) in tail_builds, n
+        least = next((exps for exps, _ in want if len(exps) == max_len and exps[0] == 0), None)
+        got = find_vanishing_multiset(n, max_len)
+        assert (None if got is None else got.exponents) == least, (n, max_len)
 
 
 def test_pair_table_is_never_paid_up_front():
