@@ -8,7 +8,6 @@ zeta comparisons against the continuum torus.
 
 from .arith import Factorization, factorize, semigroup_member
 from .cyclotomic import (
-    ApproxReal,
     CycContext,
     CycElt,
     approx_value,

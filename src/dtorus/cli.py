@@ -18,7 +18,6 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-import mpmath
 from json.encoder import encode_basestring_ascii
 from mpmath import libmp
 
@@ -32,7 +31,7 @@ from .criteria import (
     verify_table60,
     zero_growth,
 )
-from .cyclotomic import CycElt, approx_value, get_context, key_embedding
+from .cyclotomic import PREC, CycElt, approx_value, get_context, key_embedding
 from .errors import BudgetExceeded, Bound24Violated, DtorusError, NotApplicable
 from .spectrum import DEFAULT_BUDGET, by_value, check_cycle_keys, membership, multiplicity_of_tuple, torus_spectrum
 from .vanishing import (
@@ -51,10 +50,11 @@ SCHEMA = 1
 
 
 def _decimal(x, digits: int = 30) -> str:
-    # re-wrapping an mpf would round it to the ambient precision
-    if not isinstance(x, mpmath.mpf):
-        x = mpmath.mpf(x)
-    return libmp.to_str(x._mpf_, digits)  # what mpmath.nstr does for an mpf
+    """An mpf, or an int m that stands for m / 2^PREC (approx_value), to
+    ``digits`` significant digits as mpmath.nstr writes an mpf."""
+    if isinstance(x, int):
+        return libmp.to_str(libmp.from_man_exp(x, -PREC), digits)
+    return libmp.to_str(x._mpf_, digits)
 
 
 # the table fields: each is an iterable of row tuples in the order of its columns
@@ -154,8 +154,8 @@ def cmd_spectrum(args) -> int:
     table = torus_spectrum(args.n, args.d, args.budget)
     # a generator: each row's key and coefficients are built as _emit writes it
     rows = (
-        (_decimal(v.real), table.key_of(e.representative).coeffs, str(e.count), e.representative)
-        for v, _, e in by_value(table, table.counts)
+        (_decimal(mid), table.key_of(e.representative).coeffs, str(e.count), e.representative)
+        for mid, _, e in by_value(table, table.counts)
     )
     fields = {
         "n": args.n,
@@ -181,7 +181,7 @@ def cmd_mult(args) -> int:
         "d": args.d,
         "tuple": list(ks),
         "multiplicity": str(mult),
-        "value_decimal": _decimal(approx_value(args.n, exps).real),
+        "value_decimal": _decimal(approx_value(args.n, exps)),
         "closed_form": None if closed is None else str(closed),
     }
     _emit(args, fields)
@@ -344,8 +344,8 @@ def verify_bound24_cmd(args):
 def verify_table60_cmd(args) -> int:
     rep = verify_table60(args.budget)
     print(f"{'mult':>4}  {'value':>33}  representative")
-    for value, _, e in rep.high:
-        print(f"{e.count:>4}  {_decimal(value.real):>33}  {e.representative}")
+    for mid, _, e in rep.high:
+        print(f"{e.count:>4}  {_decimal(mid):>33}  {e.representative}")
     for mult in sorted(rep.printed):
         got = rep.computed.get(mult, frozenset())
         listed = rep.printed[mult]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 
 from .arith import factorize, is_prime, semigroup_member
-from .cyclotomic import ApproxReal, CycElt, key_embedding
+from .cyclotomic import CycElt, key_embedding
 from .errors import Bound24Violated, PreconditionViolated, ZeroNotEigenvalue
 from .spectrum import (
     DEFAULT_BUDGET,
@@ -242,15 +242,16 @@ class Table60Report:
     total, e.g. 2cos(pi/30) via cos(pi/30) = cos(3pi/10) + cos(11pi/30));
     it is reported rather than folded into ``ok`` because the omission is
     a defect of the published row, not of the computation.  ``high`` holds
-    by_value's (value, f, entry) for every eigenvalue above multiplicity
-    8, by multiplicity and then value descending.
+    by_value's (mid, f, entry), mid the value times 2^cyclotomic.PREC, for
+    every eigenvalue above multiplicity 8, by multiplicity and then value
+    descending.
     """
 
     ok: bool
     printed: dict
     computed: dict
     row16_extra: tuple[int, ...]
-    high: tuple[tuple[ApproxReal, int, Entry], ...]
+    high: tuple[tuple[int, int, Entry], ...]
 
 
 def verify_table60(budget: int = DEFAULT_BUDGET) -> Table60Report:

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import mpmath
-from mpmath import libmp
 
 from .arith import factorize, is_prime, totient
 from .errors import BudgetExceeded
@@ -178,28 +177,6 @@ def sum_reduce(ctx: CycContext, exponents: Iterable[int]) -> CycElt:
     return CycElt(n, sum(powers[e % n] for e in exponents))
 
 
-@dataclass(frozen=True)
-class ApproxReal:
-    """Certified enclosure of a real root-of-unity sum (approx_value).
-
-    ``real`` is a fixed-point midpoint and ``radius`` a rigorous bound on its
-    error: one unit of the last fixed-point bit per root, 2d for a key of
-    T^d_n; the zero row of a table is exactly 0, radius 0.
-    """
-
-    real: mpmath.mpf
-    radius: mpmath.mpf
-
-    def __float__(self) -> float:
-        return float(self.real)
-
-
-def fixed_mpf(m: int) -> mpmath.mpf:
-    """m / 2^PREC as an exact mpf."""
-    # mpf((m, -PREC)) would round m to the ambient 53 bits
-    return mpmath.mp.make_mpf(libmp.from_man_exp(m, -PREC))
-
-
 @functools.lru_cache(maxsize=8)
 def _fixed_tables(n: int, prec: int) -> tuple[int, ...]:
     """Integers within 1 of 2^prec cos(2 pi k / n), k < n.
@@ -234,26 +211,18 @@ def _fixed_tables(n: int, prec: int) -> tuple[int, ...]:
     return tuple(half + half[(n - 1) // 2 : 0 : -1])
 
 
-def fixed_midpoint(n: int, exponents: Iterable[int]) -> int:
-    """sum C_e over the exponent multiset, with the integers C_e within 1 of
-    2^PREC cos(2 pi e / n) (``_fixed_tables``): 2^PREC times the midpoint
-    approx_value certifies, for callers that order or sum many values
-    before they need an mpf."""
+def approx_value(n: int, exponents: Iterable[int]) -> int:
+    """Certify Re sum zeta_n^e over the exponent multiset, times 2^PREC.
+
+    The int sum C_e, with the integers C_e within 1 of 2^PREC cos(2 pi e / n)
+    (``_fixed_tables``): the value times 2^PREC within one unit per root, a
+    radius of at most 2^-128 below 2^64 roots, far below the last of the 30
+    digits printed.  Callers order and sum these ints exactly.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     table = _fixed_tables(n, PREC)
     return sum([table[e % n] for e in exponents])
-
-
-def approx_value(n: int, exponents: Iterable[int]) -> ApproxReal:
-    """Certify Re sum zeta_n^e over the exponent multiset, with a rigorous radius.
-
-    Fixed point at PREC bits: the value is fixed_midpoint / 2^PREC with
-    radius (number of roots) / 2^PREC, at most 2^-128 below 2^64 roots,
-    far below the last of the 30 digits printed.
-    """
-    exponents = list(exponents)
-    return ApproxReal(fixed_mpf(fixed_midpoint(n, exponents)), fixed_mpf(len(exponents)))
 
 
 @dataclass(frozen=True)

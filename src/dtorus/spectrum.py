@@ -30,7 +30,7 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .cyclotomic import PREC, ApproxReal, CycElt, ModEmbedding, fixed_midpoint, fixed_mpf, get_context, key_embedding
+from .cyclotomic import PREC, CycElt, ModEmbedding, approx_value, get_context, key_embedding
 from .cyclotomic import key_of_tuple, sum_reduce
 from .errors import AsymmetricGeneratingSet, BudgetExceeded
 
@@ -123,37 +123,35 @@ class SpectrumTable:
         return count if self.key_of(self.entry(f).representative) == key else 0
 
 
-def by_value(table: SpectrumTable, images) -> Iterator[tuple[ApproxReal, int, Entry]]:
-    """(value, f, entry) for the rows of ``table`` at the F images ``images``,
+def by_value(table: SpectrumTable, images) -> Iterator[tuple[int, int, Entry]]:
+    """(mid, f, entry) for the rows of ``table`` at the F images ``images``,
     value descending, as an iterator.
 
-    Each row is unpacked and evaluated once, from the exponents of its
-    representative (the row at f = 0 is exactly 0, as F is injective on
-    the keys and zero), and held beside its sort key and image as three
-    ints: its fixed-point midpoint (fixed_midpoint), its count and its
-    packed representative.  Rows sort on the float mid / 2^PREC, which int
-    division rounds to nearest, as float() of the certified mpf does.
-    Distinct values whose floats coincide stay distinct rows, in ascending
-    order of their F images, so no key is built to order rows.  The rows
-    are evaluated and sorted by the call; each row's value and entry are
-    built, and the row let go, as the iterator reaches it.
+    ``mid`` is the row's value times 2^PREC (approx_value), within one unit
+    per root: every representative has as many exponents as the zero tuple,
+    2d in a torus table and g in a Cayley table.  The row at f = 0 is exactly
+    0, radius 0, as F is injective on the keys and zero.  Each other row is
+    unpacked and evaluated once, from the exponents of its representative,
+    and held beside its sort key and image as three ints: mid, its count and
+    its packed representative.  Rows sort on the float mid / 2^PREC, which
+    int division rounds to nearest.  Distinct values whose floats coincide
+    stay distinct rows, in ascending order of their F images, so no key is
+    built to order rows.  The rows are evaluated and sorted by the call;
+    each row's entry is built, and the row let go, as the iterator reaches it.
     """
     n, d, counts, reps, exponents = table.n, table.d, table.counts, table.reps, table.exponents
     one = 1 << PREC
     rows = []
     for f in images:
         packed = reps[f]
-        mid = fixed_midpoint(n, exponents(_unpack(packed, n, d))) if f else 0
+        mid = approx_value(n, exponents(_unpack(packed, n, d))) if f else 0
         rows.append((-(mid / one), f, mid, counts[f], packed))
     rows.sort(reverse=True)  # taken from the end: ascending (-value, f)
-    # one unit per root: every representative has as many exponents as the
-    # zero tuple, 2d in a torus table and g in a Cayley table; 0 at f = 0
-    zero, radius = fixed_mpf(0), fixed_mpf(len(exponents((0,) * d)))
 
     def taken():
         while rows:
             _, f, mid, count, packed = rows.pop()
-            yield ApproxReal(fixed_mpf(mid), radius if f else zero), f, Entry(count, _unpack(packed, n, d))
+            yield mid, f, Entry(count, _unpack(packed, n, d))
 
     return taken()
 

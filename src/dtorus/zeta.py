@@ -15,6 +15,7 @@ import mpmath
 from mpmath.libmp import fzero, mpf_pow, mpf_pow_int
 from mpmath.libmp import round_nearest as rnd
 
+from .cyclotomic import PREC as FIXED_PREC
 from .errors import BudgetExceeded, PreconditionViolated
 from .spectrum import DEFAULT_BUDGET, by_value, torus_spectrum
 
@@ -98,9 +99,10 @@ class ZetaRow:
 def zeta_discrete(n: int, d: int, s, budget: int = DEFAULT_BUDGET) -> ZetaValue:
     """Sum of lambda^-s over the nonzero Laplacian eigenvalues of T^d_n.
 
-    lambda = 2d - mu is taken exactly from mu's fixed-point value
-    (by_value), radius 2d / 2^cyclotomic.PREC; the error bound tracks the
-    radii to first order plus summation rounding at DISCRETE_PREC bits.
+    lambda 2^FIXED_PREC = (2d << FIXED_PREC) - mid is formed as an exact
+    int from mu's fixed-point value mid (by_value), radius 2d units, 0 at
+    f = 0; the error bound tracks the radii to first order plus summation
+    rounding at DISCRETE_PREC bits.
     Terms are added in ascending eigenvalue order, which is by_value's
     descending mu, so output is deterministic.  The bound grows with s;
     past 10^-30 of the value, which would leave printed digits uncovered,
@@ -114,15 +116,16 @@ def zeta_discrete(n: int, d: int, s, budget: int = DEFAULT_BUDGET) -> ZetaValue:
         s_mp = mpmath.mpf(s)
         total = mpmath.mpf(0)
         err = mpmath.mpf(0)
-        for mu, _, e in rows:
+        for mid, f, e in rows:
             if not any(e.representative):
                 continue  # the tuple (0, ..., 0): mu = 2d, lambda = 0
-            lam = mpmath.fsub(2 * d, mu.real, exact=True)
-            if not lam > mu.radius:
+            lam, radius = (2 * d << FIXED_PREC) - mid, 2 * d if f else 0
+            if not lam > radius:
                 raise AssertionError("nonzero Laplacian eigenvalue not separated from 0")
+            lam, radius = (mpmath.mp.make_mpf(_mpf(m, -FIXED_PREC)) for m in (lam, radius))
             term = lam ** (-s_mp)
             total += e.count * term
-            err += e.count * s_mp * lam ** (-s_mp - 1) * mu.radius
+            err += e.count * s_mp * lam ** (-s_mp - 1) * radius
         # summation/powering rounding, a few ulps per term, one term per nonzero row
         err += (3 * (len(t.counts) - 1) + 4) * total * mpmath.mpf(2) ** (4 - DISCRETE_PREC)
         if err > total * mpmath.mpf(10) ** -30:

@@ -21,7 +21,7 @@ from mpmath.libmp import from_man_exp, fzero, mpf_add, mpf_mul_int, mpf_pow, mpf
 from mpmath.libmp import round_nearest as rnd
 
 from dtorus.cyclotomic import (
-    ApproxReal,
+    PREC,
     _fixed_tables,
     approx_value,
     cyclotomic_poly,
@@ -108,18 +108,24 @@ def plain_mitm_count(n, d, target):
     return total
 
 
+def fixed(m):
+    """m / 2^PREC as an exact mpf: the value an approx_value int stands for."""
+    return mpmath.mp.make_mpf(from_man_exp(m, -PREC))
+
+
 def plain_by_value(table, images):
-    """(value, f, entry) for the rows of ``table`` at ``images``, value
+    """(mid, f, entry) for the rows of ``table`` at ``images``, value
     descending, as dtorus.spectrum.by_value made them before it held rows
-    as ints: an Entry and an approx_value per row, sorted on (-float, f).
+    as ints: an Entry and an approx_value per row, sorted on (-float, f)
+    with the float of the exact mpf (fixed).
     """
     rows = []
     for f in images:
         e = table.entry(f)
-        value = approx_value(table.n, table.exponents(e.representative) if f else ())
-        rows.append((-float(value), f, value, e))
+        mid = approx_value(table.n, table.exponents(e.representative) if f else ())
+        rows.append((-float(fixed(mid)), f, mid, e))
     rows.sort(key=lambda row: row[:2])
-    return [(value, f, e) for _, f, value, e in rows]
+    return [(mid, f, e) for _, f, mid, e in rows]
 
 
 SPECTRUM_COLUMNS = ("value_decimal", "key_coeffs", "multiplicity", "representative")
@@ -132,8 +138,8 @@ def spectrum_output(n, d, fmt):
     one ``name=value`` line per row with lists printed as Python lists."""
     table = torus_spectrum(n, d)
     rows = [
-        (mpmath.nstr(v.real, 30), list(table.key_of(e.representative).coeffs), str(e.count), list(e.representative))
-        for v, _, e in plain_by_value(table, table.counts)
+        (mpmath.nstr(fixed(mid), 30), list(table.key_of(e.representative).coeffs), str(e.count), list(e.representative))
+        for mid, _, e in plain_by_value(table, table.counts)
     ]
     head = {"schema": 1, "command": "spectrum", "n": n, "d": d, "total": str(table.total)}
     if fmt == "json":
@@ -364,7 +370,8 @@ def libmp_continuum_partial(s, cutoff, bits=96):
 
 
 def residue_approx(e, bits=128):
-    """Certified real part of the residue e at zeta_n, from its phi(n) coefficients.
+    """Certified real part of the residue e at zeta_n, from its phi(n)
+    coefficients, as the exact mpf pair (midpoint, radius).
 
     The evaluation dtorus.cyclotomic.approx_value used before it summed
     exponent multisets: fixed point at prec = bits + 64 bits, with the
@@ -378,7 +385,7 @@ def residue_approx(e, bits=128):
     while w > 1 << (prec - bits):
         prec *= 2
     re = sum(map(operator.mul, coeffs, _fixed_tables(e.n, prec)))
-    return ApproxReal(*(mpmath.mp.make_mpf(from_man_exp(m, -prec)) for m in (re, w)))
+    return tuple(mpmath.mp.make_mpf(from_man_exp(m, -prec)) for m in (re, w))
 
 
 def interval_fixed_table(n, prec):

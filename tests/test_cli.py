@@ -105,7 +105,7 @@ def test_zero_value_is_exact(capsys, monkeypatch):
     # one unit off everywhere would leave a vanishing sum nonzero
     tables = cyclotomic._fixed_tables
     monkeypatch.setattr(cyclotomic, "_fixed_tables", lambda n, prec: tuple(c + 1 for c in tables(n, prec)))
-    assert cyclotomic.approx_value(5, (0, 0, 1, -1, 1, -1, 2, -2, 2, -2)).real != 0
+    assert cyclotomic.approx_value(5, (0, 0, 1, -1, 1, -1, 2, -2, 2, -2)) != 0
     code, out, _ = run_cli(capsys, "spectrum", "--n", "12", "--d", "2")
     zero_rows = [r for r in json.loads(out)["entries"] if not any(r["key_coeffs"])]
     assert code == 0 and [r["value_decimal"] for r in zero_rows] == ["0.0"]
@@ -710,3 +710,15 @@ def test_verify_bound24_small(capsys):
 def test_verify_semigroup(capsys):
     code, out, _ = run_cli(capsys, "verify", "semigroup", "--lmax", "5")
     assert code == 0 and "0 failed" in out
+
+
+def test_internal_consistency_violation_exits_3(capsys, monkeypatch):
+    # an AssertionError (here a bad two-prime witness) is one stderr line
+    # and exit 3, with no traceback
+    def bad_witness(p, q, d):
+        raise AssertionError(f"no witness for p={p} q={q} d={d}")
+
+    monkeypatch.setattr(cli, "lowerbound_pq_witness", bad_witness)
+    code, _, err = run_cli(capsys, "verify", "semigroup", "--lmax", "1")
+    assert code == 3
+    assert err == "internal consistency violation: no witness for p=3 q=5 d=5\n"

@@ -18,7 +18,7 @@ from dtorus.cyclotomic import (
     sum_reduce,
 )
 from dtorus.errors import BudgetExceeded
-from helpers import interval_fixed_table, phi_brute, reduce_mod_phi, split_primes_below
+from helpers import fixed, interval_fixed_table, phi_brute, reduce_mod_phi, split_primes_below
 
 moduli = st.integers(min_value=1, max_value=60)
 
@@ -172,24 +172,22 @@ def test_context_cap_raises_before_allocating(monkeypatch):
 
 
 def test_approx_examples():
-    av = approx_value(5, (1, -1))
+    # the value times 2^PREC, within one unit per root, at PREC = 192 bits
+    assert cyclotomic.PREC == 192
+    mid = approx_value(5, (1, -1))
     with mpmath.workprec(300):
-        assert abs(av.real - (mpmath.sqrt(5) - 1) / 2) <= av.radius
-    assert av.radius < mpmath.mpf(2) ** -128
+        assert abs(fixed(mid) - (mpmath.sqrt(5) - 1) / 2) <= fixed(2) < mpmath.mpf(2) ** -128
 
-    one = approx_value(12, (0,))
-    assert abs(one.real - 1) <= one.radius
-    two_cos_60 = approx_value(12, (2, -2))
-    assert abs(two_cos_60.real - 1) <= two_cos_60.radius
-    # one unit of the last fixed-point bit per root, at PREC = 192 bits
-    assert two_cos_60.radius == mpmath.ldexp(2, -192)
-    assert approx_value(12, ()).real == approx_value(12, ()).radius == 0
+    one = 1 << cyclotomic.PREC
+    assert abs(approx_value(12, (0,)) - one) <= 1
+    assert abs(approx_value(12, (2, -2)) - one) <= 2  # 2 cos(pi / 3)
+    assert approx_value(12, ()) == 0
 
 
 @given(moduli, st.integers(min_value=0, max_value=400))
 def test_approx_matches_float_cosine(n, k):
-    av = approx_value(n, (k, -k))
-    assert abs(float(av.real) - 2 * math.cos(2 * math.pi * k / n)) < 1e-9
+    mid = approx_value(n, (k, -k))
+    assert abs(float(fixed(mid)) - 2 * math.cos(2 * math.pi * k / n)) < 1e-9
 
 
 @given(
@@ -198,11 +196,8 @@ def test_approx_matches_float_cosine(n, k):
     st.lists(st.integers(min_value=0, max_value=100), max_size=6),
 )
 def test_approx_is_additive_within_radii(n, a, b):
-    va = approx_value(n, a)
-    vb = approx_value(n, b)
-    vab = approx_value(n, a + b)
-    with mpmath.workprec(300):
-        assert abs(vab.real - va.real - vb.real) <= va.radius + vb.radius + vab.radius
+    # a sum of fixed-point cosines: additive exactly, well within the radii
+    assert approx_value(n, a + b) == approx_value(n, a) + approx_value(n, b)
 
 
 def iv_enclosures(n, prec, exponents=None):
@@ -226,12 +221,12 @@ def iv_enclosures(n, prec, exponents=None):
     st.lists(st.integers(min_value=-1000, max_value=1000), max_size=40),
 )
 def test_approx_encloses_interval_reference(n, exponents):
-    av = approx_value(n, exponents)
+    mid, radius = approx_value(n, exponents), len(exponents)  # one unit per root
     # four times the fixed-point precision of approx_value
     [(re_lo, re_hi)] = iv_enclosures(n, 4 * cyclotomic.PREC, exponents)
-    assert av.radius == mpmath.ldexp(len(exponents), -cyclotomic.PREC) <= mpmath.ldexp(1, -128)
-    assert mpmath.fsub(av.real, av.radius, exact=True) <= re_lo
-    assert re_hi <= mpmath.fadd(av.real, av.radius, exact=True)
+    assert fixed(radius) <= mpmath.ldexp(1, -128)
+    assert fixed(mid - radius) <= re_lo
+    assert re_hi <= fixed(mid + radius)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 7, 27, 32, 97, 360, 420])

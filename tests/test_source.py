@@ -5,12 +5,13 @@ import re
 from pathlib import Path
 
 import dtorus
+import dtorus.cli
 
 FLOAT_TRIG = re.compile(r"\bmath\.(cos|sin)\b|\bfrom math import\b[^\n]*\b(cos|sin)\b")
 
 
 def test_float_trig_only_in_vanishing_pruning():
-    # values are certified by fixed_midpoint, from the exponents of a row's
+    # values are certified by approx_value, from the exponents of a row's
     # representative; float cosines and sines are left only as the pruning
     # tables of the vanishing searches
     sources = sorted(Path(dtorus.__file__).parent.glob("*.py"))
@@ -85,19 +86,62 @@ def attributes_read(source: str, function: str) -> set[str]:
     return {node.attr for d in defs for node in ast.walk(d) if isinstance(node, ast.Attribute)}
 
 
+def names_defined(source: str) -> set[str]:
+    """The names of the functions and classes defined anywhere in ``source``."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, defs)}
+
+
+def imports_from(source: str, package: str) -> list[str]:
+    """The names ``source`` binds by importing ``package`` or its submodules."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out += [a.asname or a.name for a in node.names if a.name.split(".")[0] == package]
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] == package:
+            out += [a.asname or a.name for a in node.names]
+    return out
+
+
+def namers(source: str, name: str) -> set[str]:
+    """The top-level functions and classes of ``source`` that use the name ``name``."""
+    return {scope[0] for scope in scopes(source, lambda node: getattr(node, "id", None) == name) if scope}
+
+
+RETIRED_VALUES = {"ApproxReal", "fixed_midpoint", "fixed_mpf"}
+
+
 def test_one_evaluation_path():
-    # every value is certified from an exponent multiset by fixed_midpoint,
-    # which approx_value and by_value call: the fixed-point cosines are read
-    # nowhere else, and no residue coefficients are summed against them
-    sources = sorted(Path(dtorus.__file__).parent.glob("*.py"))
+    # every value is certified from an exponent multiset by approx_value,
+    # which by_value calls: the fixed-point cosines are read nowhere else, no
+    # residue coefficients are summed against them, and the value stays the
+    # int approx_value returns, with no second form beside it
+    package = Path(dtorus.__file__).parent
+    sources = sorted(package.glob("*.py"))
     found = [(p.name,) + scope for p in sources for scope in callers(p.read_text(), "_fixed_tables")]
-    assert found == [("cyclotomic.py", "fixed_midpoint")]
-    cyclotomic = (Path(dtorus.__file__).parent / "cyclotomic.py").read_text()
-    assert ("approx_value",) in callers(cyclotomic, "fixed_midpoint")
-    for name in ("fixed_midpoint", "approx_value"):
-        assert "coeffs" not in attributes_read(cyclotomic, name)
+    assert found == [("cyclotomic.py", "approx_value")]
+    assert [p.name for p in sources if names_defined(p.read_text()) & RETIRED_VALUES] == []
+    assert not RETIRED_VALUES & set(vars(dtorus))
+    assert dtorus.approx_value is dtorus.cyclotomic.approx_value is dtorus.cli.approx_value
+    cyclotomic = (package / "cyclotomic.py").read_text()
+    assert "coeffs" not in attributes_read(cyclotomic, "approx_value")
     assert attributes_read(cyclotomic, "_fixed_tables")  # the walk sees attribute reads
     assert attributes_read("def approx_value(e):\n    return e.coeffs", "approx_value") == {"coeffs"}
+    # only the cosine tables use mpmath there; spectrum and criteria import none of it
+    assert imports_from(cyclotomic, "mpmath") == ["mpmath"]
+    assert namers(cyclotomic, "mpmath") == {"_fixed_tables"}
+    for name in ("spectrum.py", "criteria.py"):
+        assert imports_from((package / name).read_text(), "mpmath") == []
+    planted = (
+        "import mpmath\nfrom mpmath import libmp\nfrom .cyclotomic import PREC\n\n\n"
+        "class ApproxReal:\n    pass\n\n\n"
+        "def fixed_mpf(m):\n    return mpmath.mp.make_mpf(libmp.from_man_exp(m, -PREC))\n\n\n"
+        "def by_value(table):\n    return _fixed_tables(table.n, PREC)\n"
+    )
+    assert names_defined(planted) & RETIRED_VALUES == {"ApproxReal", "fixed_mpf"}
+    assert callers(planted, "_fixed_tables") == [("by_value",)]
+    assert imports_from(planted, "mpmath") == ["mpmath", "libmp"]
+    assert namers(planted, "mpmath") == {"fixed_mpf"}
 
 
 def test_cli_serializes_in_one_place():

@@ -16,7 +16,6 @@ from dtorus.cyclotomic import (
     CycElt,
     ModEmbedding,
     approx_value,
-    fixed_midpoint,
     get_context,
     key_embedding,
     sum_reduce,
@@ -37,6 +36,7 @@ from dtorus.spectrum import (
 from helpers import (
     brute_cayley_spectrum,
     enumerate_spectrum,
+    fixed,
     plain_by_value,
     plain_mitm_count,
     residue_approx,
@@ -119,10 +119,13 @@ def test_convolve_budget():
         convolve(t, t, budget=5)
 
 
-def test_torus_budget_applies_to_cached_tables():
-    torus_spectrum(14, 2)  # populate the cache
-    with pytest.raises(BudgetExceeded):
-        torus_spectrum(14, 2, budget=5)
+def test_torus_budget_applies_to_cached_tables(monkeypatch):
+    # the cycle table's 7 keys fit the budget, so the refusal is the cached
+    # table's, not check_cycle_keys' or a convolution's
+    monkeypatch.setattr(spectrum, "_TORUS_CACHE", OrderedDict())
+    torus_spectrum(12, 2)  # populate the cache
+    with pytest.raises(BudgetExceeded, match=r"^table for \(n=12, d=2\) has 21 keys, budget 10$"):
+        torus_spectrum(12, 2, budget=10)
 
 
 def test_torus_examples():
@@ -588,7 +591,7 @@ def test_cayley_rejects_asymmetric_set():
 
 def test_sorted_entries_descending():
     t = torus_spectrum(12, 2)
-    values = [float(value) for value, _, _ in spectrum.by_value(t, t.counts)]
+    values = [float(fixed(mid)) for mid, _, _ in spectrum.by_value(t, t.counts)]
     assert values == sorted(values, reverse=True)
 
 
@@ -604,7 +607,7 @@ def test_float_ties_break_on_f_images(monkeypatch):
         evaluated.append(n)
         return 1 << (PREC - 1)
 
-    monkeypatch.setattr(spectrum, "fixed_midpoint", half)
+    monkeypatch.setattr(spectrum, "approx_value", half)
 
     def unreachable(*args, **kwargs):
         raise RuntimeError("a key was built to order rows")
@@ -625,19 +628,22 @@ def test_sorted_entries_order_matches_reference(n):
         two_cos = [2 * mpmath.cos(2 * mpmath.pi * k / n) for k in range(n)]
         refs = [sum(two_cos[k] for k in e.representative) for _, _, e in rows]
         assert all(a > b for a, b in zip(refs, refs[1:]))
-        for (value, _, _), ref in zip(rows, refs):
-            assert abs(value.real - ref) <= value.radius + mpmath.mpf(2) ** -190
+        # one unit per root: 2d = 4 units at d = 2, 0 at f = 0
+        for (mid, f, _), ref in zip(rows, refs):
+            assert abs(fixed(mid) - ref) <= fixed(4 if f else 0) + mpmath.mpf(2) ** -190
 
 
 def assert_values_match_residue_oracle(table):
     # each row's value, from its representative, against the evaluation of
-    # its exact key from the phi(n) residue coefficients
-    for new, f, e in spectrum.by_value(table, table.counts):
-        old = residue_approx(table.key_of(e.representative))
+    # its exact key from the phi(n) residue coefficients; one unit per root,
+    # as many roots as the zero tuple has exponents, and 0 at f = 0
+    roots = len(table.exponents((0,) * table.d))
+    for mid, f, e in spectrum.by_value(table, table.counts):
+        old, old_radius = residue_approx(table.key_of(e.representative))
         with mpmath.workprec(400):
-            assert abs(new.real - old.real) <= new.radius + old.radius
+            assert abs(fixed(mid) - old) <= fixed(roots if f else 0) + old_radius
         if not f:
-            assert new.real == new.radius == old.real == 0
+            assert mid == old == 0
 
 
 @given(st.integers(min_value=3, max_value=60), st.integers(min_value=1, max_value=3))
@@ -672,14 +678,13 @@ def test_values_match_residue_oracle_cayley(seed):
 def test_by_value_matches_plain_oracle(table):
     # by_value holds each row as three ints and sorts on mid / 2^PREC; the
     # parent's way, an approx_value per row sorted on (-float, f), gives the
-    # same values, radii, images and entries in the same order, for all rows
-    # and for a subset given in another order
+    # same values, images and entries in the same order, for all rows and
+    # for a subset given in another order
     t = torus_spectrum(*table[1:]) if table[0] == "torus" else cayley_draw(*table[1:])
     images = list(t.counts)
     for some in (images, images[::-2]):
-        got = [(v.real, v.radius, f, e) for v, f, e in spectrum.by_value(t, some)]
-        assert got == [(v.real, v.radius, f, e) for v, f, e in plain_by_value(t, some)]
-    # int true division rounds to nearest, as float() of the certified mpf does
+        assert list(spectrum.by_value(t, some)) == plain_by_value(t, some)
+    # int true division rounds to nearest, as float() of the exact mpf does
     for f in images:
-        exps = t.exponents(t.entry(f).representative) if f else ()
-        assert fixed_midpoint(t.n, exps) / 2**PREC == float(approx_value(t.n, exps).real)
+        mid = approx_value(t.n, t.exponents(t.entry(f).representative) if f else ())
+        assert mid / 2**PREC == float(fixed(mid))

@@ -330,6 +330,17 @@ def test_triple_table_built_partway_matches_scan_oracle(tail_builds):
     assert tail_builds == [(n, k) for n in (30, 27, 42) for k in (1, 2, 3)]
 
 
+def test_budget_refuses_the_pair_tails(tail_builds):
+    # at n = 30, L = 5 the 465 pairs are due once 473 states are counted:
+    # 937 admits those states but not the pairs, 938 the pairs too
+    with pytest.raises(BudgetExceeded, match="more than 937 partial-sum states"):
+        list(_vanishing_tuples(30, 5, 937))
+    assert tail_builds == [(30, 1)]
+    with pytest.raises(BudgetExceeded, match="more than 938 partial-sum states"):
+        list(_vanishing_tuples(30, 5, 938))
+    assert tail_builds == [(30, 1), (30, 1), (30, 2)]
+
+
 def test_search_with_pairs_but_no_triples_matches_scan_oracle(monkeypatch, tail_builds):
     # 465 pair entries fit under this cap, 4960 triple entries do not
     monkeypatch.setattr(vanishing, "MAX_TAIL_TABLE", 1000)
