@@ -19,7 +19,6 @@ from collections import Counter
 from fractions import Fraction
 
 from json.encoder import encode_basestring_ascii
-from mpmath import libmp
 
 from .criteria import (
     d2_closed_form,
@@ -49,12 +48,60 @@ SCHEMA = 1
 # of omega, and a larger table exits 2 (BudgetExceeded) before allocating
 
 
+# libmp.to_digits_exp's bits per decimal digit, the same float
+_LOG2_10 = math.log(10, 2)
+
+
 def _decimal(x, digits: int = 30) -> str:
     """An mpf, or an int m that stands for m / 2^PREC (approx_value), to
-    ``digits`` significant digits as mpmath.nstr writes an mpf."""
-    if isinstance(x, int):
-        return libmp.to_str(libmp.from_man_exp(x, -PREC), digits)
-    return libmp.to_str(x._mpf_, digits)
+    ``digits`` >= 1 significant digits as mpmath.nstr writes an mpf.
+
+    An int is written with ints alone, by the steps of libmp.to_str (called
+    with digits + 3 for libmp.to_digits_exp) for libmp.from_man_exp(m, -PREC),
+    byte for byte: |m| / 2^PREC is floored to fixprec binary places, and that
+    to fixdps decimal places, as fixprec and fixdps are computed there; the
+    first ``digits`` digits of the result are rounded up when the next is
+    5 or more, carrying through nines; an exponent strictly between
+    min(-(digits // 3), -5) and ``digits`` is written in fixed notation,
+    others as e+N or e-N; trailing zeros go.  libmp's branch for values
+    beyond 2^(+-3500) is never taken: a nonzero m / 2^PREC is at least
+    2^-PREC, and approx_value sums fewer than 2^64 entries of at most 2^PREC.
+    """
+    if type(x) is not int:
+        from mpmath import libmp
+
+        return libmp.to_str(x._mpf_, digits)
+    if not x:
+        return "0.0"
+    a = abs(x)
+    bitprec = int((digits + 3) * _LOG2_10) + 10
+    fixprec = max(bitprec - a.bit_length() + PREC, 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    shift = fixprec - PREC
+    fixed = a << shift if shift >= 0 else a >> -shift
+    text = str(fixed * 10**fixdps >> fixprec)  # more than digits + 3 digits
+    exponent = len(text) - fixdps - 1
+    head = int(text[:digits])
+    if text[digits] in "56789":
+        head += 1
+        if head == 10**digits:  # the carry ran through every digit
+            head //= 10
+            exponent += 1
+    text = str(head)
+    split = 1
+    if min(-(digits // 3), -5) < exponent < digits:
+        if exponent < 0:
+            text = "0" * -exponent + text
+        else:
+            split = exponent + 1
+        exponent = 0
+    text = (text[:split] + "." + text[split:]).rstrip("0")
+    if text[-1] == ".":
+        text += "0"
+    sign = "-" if x < 0 else ""
+    if exponent == 0:
+        return sign + text
+    return sign + text + ("e+" if exponent > 0 else "e") + str(exponent)
 
 
 # the table fields: each is an iterable of row tuples in the order of its columns

@@ -32,8 +32,6 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable
 
-import mpmath
-
 from .arith import factorize, is_prime, totient
 from .errors import BudgetExceeded
 
@@ -45,6 +43,8 @@ KEY_PRIMES_BELOW = 1 << 30
 # fixed-point bits of approx_value: outputs print 30 significant digits (about
 # 100 bits), and a sum of fewer than 2^64 roots keeps its radius below 2^-128
 PREC = 192
+# guard bits of _fixed_tables' fixed-point series, dropped by its rounding
+_GUARD = 64
 
 
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
@@ -177,35 +177,73 @@ def sum_reduce(ctx: CycContext, exponents: Iterable[int]) -> CycElt:
     return CycElt(n, sum(powers[e % n] for e in exponents))
 
 
+def _pi_fixed(one: int) -> tuple[int, int]:
+    """(p, e) with p within e of pi * one, for one a power of two, by Machin's
+    formula pi = 16 atan(1/5) - 4 atan(1/239).
+
+    atan(1/x) = sum_j (-1)^j / ((2j + 1) x^(2j+1)).  The power
+    one // x^(2j+1) is taken by repeated floor division by x^2 and the term
+    by one more by 2j + 1; nested floors by positive integers are one floor,
+    so each term is within 1 of its exact value.  The sum stops at the first
+    power that floors to 0; the terms left out alternate and decrease from
+    one below 1, so they add less than 1.  Hence the j terms taken leave
+    atan(1/x) within j + 1, and e sums these bounds times |weight|.
+    """
+    p = e = 0
+    for x, weight in ((5, 16), (239, -4)):
+        power, j = one // x, 0
+        while power:
+            term = power // (2 * j + 1)
+            p += weight * (-term if j % 2 else term)
+            power //= x * x
+            j += 1
+        e += abs(weight) * (j + 1)
+    return p, e
+
+
 @functools.lru_cache(maxsize=8)
 def _fixed_tables(n: int, prec: int) -> tuple[int, ...]:
     """Integers within 1 of 2^prec cos(2 pi k / n), k < n.
 
-    Each entry for k <= n/2 (k <= n/4 for even n) is the integer nearest
-    the midpoint of one interval enclosure at prec + 32 bits, whose width
-    is asserted to be at most 1.  For even n the entry for n/4 < k <= n/2
-    is minus that for n/2 - k, as cos(2 pi k / n) = -cos(2 pi (n/2 - k) / n),
-    and the entry for k > n/2 is that for n - k, as cos is even.
+    The entries for k <= n/2 (k <= n/4 for even n) are computed in fixed
+    point: w = prec + _GUARD bits, one = 2^w, every error below in units of
+    2^-w.  _pi_fixed gives p within e_pi of pi one.  The angle
+    a = 2 k p // n is within e_pi + 1 of theta one, theta = 2 pi k / n,
+    as 2k <= n; |cos x - cos y| <= |x - y| carries that to the cosine.
+    The Taylor series sums (-1)^j t_j with t_0 = one and
+    t_j = t_(j-1) a^2 // (one^2 (2j - 1) 2j), one floor of the exact term
+    T_j = one (a / one)^(2j) / (2j)! computed from t_(j-1), so
+    0 <= T_j - t_j = e_j < c_j e_(j-1) + 1 with c_j = (a / one)^2 / ((2j - 1) 2j).
+    As a <= p <= pi one + e_pi, and e_pi < 2^(_GUARD - 1) <= one / 4 by the
+    assertion below (prec >= 1), a / one < 3.4 and c_j < 12 / ((2j - 1) 2j):
+    e_1 < 1, e_2 < 2, and e_j < 2 * 12 / 30 + 1 < 2 from then on.  The sum
+    stops at the first t_m = 0, so T_m < 2, and c_j < 1 for j > m (j >= 3,
+    or a^2 < 2 one^2 when m = 1): the terms left out alternate and
+    decrease, adding less than T_m.  The m terms taken are off by less
+    than 1 + 2(m - 1) in all, so the sum s is within
+    err = (e_pi + 1) + (2m - 1) + 2 of one cos theta, asserted to be under half
+    a guard unit, 2^(_GUARD - 1): (s + 2^(_GUARD - 1)) >> _GUARD, the nearest
+    integer to s / 2^_GUARD, is within 1/2 + 1/2 of 2^prec cos theta.
+
+    For even n the entry for n/4 < k <= n/2 is minus that for n/2 - k, as
+    cos(2 pi k / n) = -cos(2 pi (n/2 - k) / n), and the entry for k > n/2
+    is that for n - k, as cos is even.
     """
-    iv = mpmath.iv
-    old = iv.prec
-    try:
-        iv.prec = prec + 32
-        cosines = [iv.cos(2 * iv.pi * k / n) for k in range((n // 2 if n % 2 else n // 4) + 1)]
-    finally:
-        iv.prec = old
-
-    def nearest(x) -> int:
-        lo, hi = (mpmath.mp.make_mpf(end) for end in x._mpi_)
-        if not mpmath.ldexp(mpmath.fsub(hi, lo, exact=True), prec) <= 1:
-            raise AssertionError(f"cosine enclosure wider than 2^-{prec}")
-        mid = mpmath.ldexp(mpmath.fadd(lo, hi, exact=True), prec - 1)
-        return int(mpmath.nint(mid))
-
-    # the sum and the shifts are exact; nint rounds to the working precision,
-    # which must hold the (prec + 1)-bit result (the ambient 53 bits would not)
-    with mpmath.workprec(prec + 96):
-        half = list(map(nearest, cosines))
+    w = prec + _GUARD
+    one = 1 << w
+    p, e_pi = _pi_fixed(one)
+    half = []
+    for k in range((n // 2 if n % 2 else n // 4) + 1):
+        a2 = (2 * k * p // n) ** 2
+        s = term = one
+        m = 0
+        while term:
+            m += 1
+            term = (term * a2 >> 2 * w) // ((2 * m - 1) * 2 * m)
+            s += -term if m % 2 else term
+        if not e_pi + 2 * m + 2 < 1 << (_GUARD - 1):
+            raise AssertionError(f"cosine error bound not below half of 2^-{prec}")
+        half.append((s + (1 << (_GUARD - 1))) >> _GUARD)
     if n % 2 == 0:
         half += [-half[n // 2 - k] for k in range(len(half), n // 2 + 1)]
     return tuple(half + half[(n - 1) // 2 : 0 : -1])

@@ -3,17 +3,14 @@
 The discrete zeta sums lambda^-s over nonzero Laplacian eigenvalues taken
 from exact spectrum tables; the continuum reference sums over lattice
 shells 4 pi^2 (m^2 + n^2) using the two-squares representation count.
-Finite real s only.
+Finite real s only.  mpmath is imported inside the functions that
+compute with it, so importing this module (and dtorus) does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-
-import mpmath
-from mpmath.libmp import fzero, mpf_pow, mpf_pow_int
-from mpmath.libmp import round_nearest as rnd
 
 from .cyclotomic import PREC as FIXED_PREC
 from .errors import BudgetExceeded, PreconditionViolated
@@ -108,6 +105,8 @@ def zeta_discrete(n: int, d: int, s, budget: int = DEFAULT_BUDGET) -> ZetaValue:
     past 10^-30 of the value, which would leave printed digits uncovered,
     PreconditionViolated is raised.
     """
+    import mpmath
+
     if not (s > 0 and mpmath.isfinite(s)):
         raise ValueError("need finite s > 0")
     t = torus_spectrum(n, d, budget)
@@ -165,6 +164,8 @@ def _add(am: int, ae: int, bm: int, be: int) -> tuple[int, int]:
 def _mpf(man: int, exp: int) -> tuple:
     """The normalized libmp tuple of man * 2^exp (man >= 0)."""
     if not man:
+        from mpmath.libmp import fzero
+
         return fzero
     zeros = (man & -man).bit_length() - 1
     man >>= zeros
@@ -180,6 +181,10 @@ def _term_of(s):
     s every step acts on the mantissas alone: the term of (2^k m, rm) is
     that of (m, rm) with its exponent lowered by k s.
     """
+    import mpmath
+    from mpmath.libmp import mpf_pow, mpf_pow_int
+    from mpmath.libmp import round_nearest as rnd
+
     with mpmath.workprec(PREC):
         _, cm, ce, _ = (4 * mpmath.pi**2)._mpf_
         neg_s = (-mpmath.mpf(s))._mpf_
@@ -222,6 +227,8 @@ def zeta_continuum_partial(s, cutoff: int, budget: int = DEFAULT_BUDGET) -> mpma
     BudgetExceeded when cutoff exceeds budget, before the r2 list of
     cutoff + 1 ints is built.
     """
+    import mpmath
+
     if not (s > 1 and mpmath.isfinite(s)):
         raise ValueError("need finite s > 1")
     if cutoff < 0:
@@ -274,6 +281,8 @@ def cjk_table(s, n_list, cutoff: int, budget: int = DEFAULT_BUDGET) -> tuple[lis
     Returns (rows, reference) with rows (N, N^(-2s) zeta_{T^2_N}(s)); no
     convergence assertion is made here, callers compare as they see fit.
     """
+    import mpmath
+
     if not (s > 1 and mpmath.isfinite(s)):
         raise ValueError("need finite s > 1")
     if any(n < 3 for n in n_list):

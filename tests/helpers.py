@@ -389,9 +389,10 @@ def residue_approx(e, bits=128):
 
 
 def interval_fixed_table(n, prec):
-    """The integers nearest the midpoints of interval enclosures of
+    """The integers nearest the midpoints of mpmath.iv enclosures of
     2^prec cos(2 pi k / n) at prec + 32 bits, each enclosure computed, for
-    every k < n: the table dtorus.cyclotomic._fixed_tables mirrors from k <= n/2."""
+    every k < n: the oracle for dtorus.cyclotomic._fixed_tables, which sums
+    a fixed-point series with ints for k <= n/2 and mirrors the rest."""
     with mpmath.workprec(prec + 96):
         iv = mpmath.iv
         old = iv.prec

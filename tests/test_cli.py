@@ -7,12 +7,14 @@ import os
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from mpmath import libmp
 
 import dtorus
 from dtorus import cli, criteria, cyclotomic, spectrum, zeta
@@ -432,6 +434,61 @@ def test_emit_output_digest(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == EMIT_SHA256[argv]
 
 
+def libmp_decimal(m, digits):
+    """libmp.to_str of the exact value m / 2^PREC, the digits _decimal writes."""
+    return libmp.to_str(libmp.from_man_exp(m, -cyclotomic.PREC), digits)
+
+
+def fixed_near(lead, length, e, delta=0):
+    """The int nearest 2^PREC times the decimal whose ``length`` digits are
+    those of ``lead`` and whose exponent is ``e``, plus ``delta``."""
+    return round(Fraction(lead, 10 ** (length - 1)) * Fraction(10) ** e * 2**cyclotomic.PREC) + delta
+
+
+def test_decimal_matches_libmp_on_every_row():
+    # the rows print their ints through _decimal's integer steps
+    for n, d in [(240, 2), (180, 2), (60, 3)]:
+        table = spectrum.torus_spectrum(n, d)
+        for mid, _, _ in spectrum.by_value(table, table.counts):
+            for digits in (30, 6):
+                assert cli._decimal(mid, digits) == libmp_decimal(mid, digits), (n, d, mid, digits)
+
+
+# exponents on both sides of _decimal's switches to e-notation at 30 and 6 digits
+NOTATION_EDGES = [-11, -10, -9, 29, 30, 31, -6, -5, -4, 5, 6, 7]
+
+
+@st.composite
+def decimal_ints(draw):
+    """An int m, standing for m / 2^PREC, near a decimal of up to 40 digits:
+    often at an exponent of NOTATION_EDGES, often all nines (which round up
+    into the next power of ten), either sign."""
+    e = draw(st.sampled_from(NOTATION_EDGES) | st.integers(-45, 45))
+    length = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        lead = 10**length - draw(st.integers(1, 10))
+    else:
+        lead = draw(st.integers(10 ** (length - 1), 10**length - 1))
+    return fixed_near(lead, length, e, draw(st.integers(-2, 2))) * draw(st.sampled_from([1, -1]))
+
+
+@pytest.mark.parametrize("digits", [30, 6])
+@given(decimal_ints())
+@example(0)
+@example(-1)
+@example(fixed_near(5, 1, 0, 1))
+def test_decimal_matches_libmp(digits, m):
+    assert cli._decimal(m, digits) == libmp_decimal(m, digits)
+
+
+def test_decimal_notation_edges():
+    # 10^e, and nines that round up to -10^e, on both sides of each switch to e-notation
+    for digits in (30, 6):
+        for e in NOTATION_EDGES:
+            for m in (fixed_near(1, 1, e), -fixed_near(10**31 - 1, 31, e - 1)):
+                assert cli._decimal(m, digits) == libmp_decimal(m, digits), (digits, e)
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 @pytest.mark.parametrize("n, d", [(3, 1), (12, 2), (97, 2), (60, 3), (8, 4)])
 def test_spectrum_matches_plain_writer(capsys, n, d, fmt):
@@ -616,6 +673,38 @@ def test_deterministic_across_processes():
         return proc.stdout
 
     assert run("1") == run("2") != b""
+
+
+# runs each command in one fresh interpreter, then reports which modules it loaded
+STARTUP = """
+import json, sys
+import dtorus, dtorus.cli
+
+for argv in json.loads(sys.argv[1]):
+    assert dtorus.cli.main(argv) == 0, argv
+before = ["mpmath" in sys.modules, "dtorus.zeta" in sys.modules]
+assert dtorus.cli.main(["zeta", "--n", "8", "--d", "2", "--s", "2", "--cutoff", "10"]) == 0
+print(json.dumps(before + ["mpmath" in sys.modules]), file=sys.stderr)
+"""
+
+
+def test_only_zeta_loads_mpmath():
+    # every command but zeta and verify cjk computes and prints with ints
+    # alone; dtorus.zeta itself is imported with dtorus, without mpmath
+    argvs = [
+        ["mult", "--n", "60", "--d", "2", "--tuple", "24,10"],
+        ["spectrum", "--n", "30", "--d", "2"],
+        ["spectrum", "--n", "30", "--d", "2", "--format", "csv"],
+        ["verify", "table60"],
+        ["growth", "--n", "15", "--d", "4", "--tuple", "1,0,5,10"],
+        ["zero", "--n", "10", "--d", "3"],
+        ["vanishing", "--n", "30", "--max-len", "5"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP, json.dumps(argvs)], capture_output=True, env=child_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert json.loads(proc.stderr.decode().splitlines()[-1]) == [False, True, True]
 
 
 def test_closed_stdout_exits_141():

@@ -39,7 +39,8 @@ LEN_OF_PHI = re.compile(r"\blen\(\s*cyclotomic_poly\(")
 
 def scopes(source: str, found) -> list[tuple[str, ...]]:
     """The enclosing class and function names of each node of ``source``
-    for which ``found(node)`` holds."""
+    for which ``found(node)`` holds, annotations left out: ``from __future__
+    import annotations`` keeps them as strings that nothing evaluates."""
     out = []
 
     def visit(node, scope):
@@ -47,8 +48,11 @@ def scopes(source: str, found) -> list[tuple[str, ...]]:
             scope += (node.name,)
         if found(node):
             out.append(scope)
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
+        for field, value in ast.iter_fields(node):
+            if field not in ("annotation", "returns"):
+                for child in value if isinstance(value, list) else [value]:
+                    if isinstance(child, ast.AST):
+                        visit(child, scope)
 
     visit(ast.parse(source), ())
     return out
@@ -92,22 +96,6 @@ def names_defined(source: str) -> set[str]:
     return {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, defs)}
 
 
-def imports_from(source: str, package: str) -> list[str]:
-    """The names ``source`` binds by importing ``package`` or its submodules."""
-    out = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            out += [a.asname or a.name for a in node.names if a.name.split(".")[0] == package]
-        elif isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] == package:
-            out += [a.asname or a.name for a in node.names]
-    return out
-
-
-def namers(source: str, name: str) -> set[str]:
-    """The top-level functions and classes of ``source`` that use the name ``name``."""
-    return {scope[0] for scope in scopes(source, lambda node: getattr(node, "id", None) == name) if scope}
-
-
 RETIRED_VALUES = {"ApproxReal", "fixed_midpoint", "fixed_mpf"}
 
 
@@ -127,21 +115,51 @@ def test_one_evaluation_path():
     assert "coeffs" not in attributes_read(cyclotomic, "approx_value")
     assert attributes_read(cyclotomic, "_fixed_tables")  # the walk sees attribute reads
     assert attributes_read("def approx_value(e):\n    return e.coeffs", "approx_value") == {"coeffs"}
-    # only the cosine tables use mpmath there; spectrum and criteria import none of it
-    assert imports_from(cyclotomic, "mpmath") == ["mpmath"]
-    assert namers(cyclotomic, "mpmath") == {"_fixed_tables"}
-    for name in ("spectrum.py", "criteria.py"):
-        assert imports_from((package / name).read_text(), "mpmath") == []
     planted = (
-        "import mpmath\nfrom mpmath import libmp\nfrom .cyclotomic import PREC\n\n\n"
         "class ApproxReal:\n    pass\n\n\n"
-        "def fixed_mpf(m):\n    return mpmath.mp.make_mpf(libmp.from_man_exp(m, -PREC))\n\n\n"
+        "def fixed_mpf(m):\n    return m / 2**PREC\n\n\n"
         "def by_value(table):\n    return _fixed_tables(table.n, PREC)\n"
     )
     assert names_defined(planted) & RETIRED_VALUES == {"ApproxReal", "fixed_mpf"}
     assert callers(planted, "_fixed_tables") == [("by_value",)]
-    assert imports_from(planted, "mpmath") == ["mpmath", "libmp"]
-    assert namers(planted, "mpmath") == {"fixed_mpf"}
+
+
+def mpmath_uses(source: str) -> list[tuple[str, ...]]:
+    """The enclosing class and function names of each import of mpmath (or
+    of its submodules) and each use of the name mpmath in ``source``."""
+
+    def found(node):
+        if isinstance(node, ast.Import):
+            return any(a.name.split(".")[0] == "mpmath" for a in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return not node.level and node.module.split(".")[0] == "mpmath"
+        return isinstance(node, ast.Name) and node.id == "mpmath"
+
+    return scopes(source, found)
+
+
+def test_mpmath_only_where_it_computes():
+    # importing dtorus loads no mpmath: no module imports it at module level,
+    # and it is named only inside zeta's functions and in _decimal, whose mpf
+    # branch formats zeta's values (test_cli checks that the other commands
+    # run without it)
+    package = Path(dtorus.__file__).parent
+    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
+    uses = {name: set(mpmath_uses(source)) for name, source in sources.items()}
+    assert () not in set().union(*uses.values())
+    zeta_functions = {(node.name,) for node in ast.parse(sources["zeta.py"]).body if isinstance(node, ast.FunctionDef)}
+    computing = {(f,) for f in ("zeta_discrete", "_term_of", "zeta_continuum_partial", "cjk_table", "_mpf")}
+    assert computing <= uses.pop("zeta.py") <= zeta_functions
+    assert uses.pop("cli.py") == {("_decimal",)}
+    assert [name for name, found in uses.items() if found] == []
+    assert "from __future__ import annotations" in sources["zeta.py"]  # ZetaValue's mpf fields
+    planted = (
+        "from __future__ import annotations\n\nimport mpmath.libmp\n\n\n"
+        "class ZetaValue:\n    value: mpmath.mpf\n\n    def __float__(self):\n        return float(mpmath.mpf(1))\n\n\n"
+        "def zeta_discrete(n, d, s) -> mpmath.mpf:\n    from mpmath import workprec\n\n\n"
+        "def _decimal(x: mpmath.mpf, digits=30):\n    return x\n"
+    )
+    assert mpmath_uses(planted) == [(), ("ZetaValue", "__float__"), ("zeta_discrete",)]
 
 
 def test_cli_serializes_in_one_place():
