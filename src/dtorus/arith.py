@@ -1,8 +1,9 @@
-"""Factorization and numerical-semigroup helpers (desk scale)."""
+"""Factorization, numerical-semigroup and binary-to-decimal helpers (desk scale)."""
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
@@ -11,6 +12,11 @@ from .errors import BudgetExceeded
 # semigroup_member's table holds at most this many entries (p_1 p_k reduced)
 TRIAL_DIVISION_LIMIT = 1 << 20
 MAX_SEMIGROUP_TABLE = 1 << 24
+# libmp.to_digits_exp's bits per decimal digit, the same float
+_LOG2_10 = math.log(10, 2)
+# libmp.to_digits_exp first divides by a power of ten when the binary
+# exponent of the leading bit is beyond this in absolute value
+_SCALED_DIGITS_FROM = 3500
 
 
 @dataclass(frozen=True)
@@ -168,3 +174,56 @@ def _semigroup_dp(length: int, primes: tuple[int, ...]) -> tuple[bool, tuple[int
         coeffs[i] += 1
         x -= primes[i]
     return True, tuple(coeffs)
+
+
+def decimal(man: int, exp: int, digits: int) -> str:
+    """man * 2^exp to ``digits`` >= 1 significant digits, byte for byte as
+    mpmath.libmp.to_str writes libmp.from_man_exp(man, exp).
+
+    Written with ints alone, by to_str's steps (it calls
+    libmp.to_digits_exp with digits + 3): |man| 2^exp is floored to fixprec
+    binary places, and that to fixdps decimal places, as fixprec and fixdps
+    are computed there; the first ``digits`` digits of the result are
+    rounded up when the next is 5 or more, carrying through nines; an
+    exponent strictly between min(-(digits // 3), -5) and ``digits`` is
+    written in fixed notation, others as e+N or e-N; trailing zeros go.
+    Where the leading bit lies beyond 2^(+-_SCALED_DIGITS_FROM),
+    to_digits_exp first divides by a power of ten in floating point; that
+    branch calls to_str itself.
+    """
+    if not man:
+        return "0.0"
+    a = abs(man)
+    top = a.bit_length() + exp  # to_digits_exp's exp_from_1
+    if abs(top) > _SCALED_DIGITS_FROM:
+        from mpmath import libmp
+
+        return libmp.to_str(libmp.from_man_exp(man, exp), digits)
+    bitprec = int((digits + 3) * _LOG2_10) + 10
+    fixprec = max(bitprec - top, 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    shift = fixprec + exp
+    fixed = a << shift if shift >= 0 else a >> -shift
+    text = str(fixed * 10**fixdps >> fixprec)  # more than digits + 3 digits
+    exponent = len(text) - fixdps - 1
+    head = int(text[:digits])
+    if text[digits] in "56789":
+        head += 1
+        if head == 10**digits:  # the carry ran through every digit
+            head //= 10
+            exponent += 1
+    text = str(head)
+    split = 1
+    if min(-(digits // 3), -5) < exponent < digits:
+        if exponent < 0:
+            text = "0" * -exponent + text
+        else:
+            split = exponent + 1
+        exponent = 0
+    text = (text[:split] + "." + text[split:]).rstrip("0")
+    if text[-1] == ".":
+        text += "0"
+    sign = "-" if man < 0 else ""
+    if exponent == 0:
+        return sign + text
+    return sign + text + ("e+" if exponent > 0 else "e") + str(exponent)

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from json.encoder import encode_basestring_ascii
 
+from .arith import decimal
 from .criteria import (
     d2_closed_form,
     eigenvalue_growth,
@@ -40,7 +41,7 @@ from .vanishing import (
     minimal_vanishing_sums,
     w_membership,
 )
-from .zeta import check_cutoff, cjk_table, zeta_continuum_partial, zeta_discrete
+from .zeta import check_cutoff, cjk_gap, cjk_ratio, cjk_table, exceeds, zeta_continuum_partial, zeta_discrete
 
 SCHEMA = 1
 # no flag sizes the per-modulus power tables: cyclotomic.MAX_CONTEXT_DIGITS caps
@@ -48,60 +49,13 @@ SCHEMA = 1
 # of omega, and a larger table exits 2 (BudgetExceeded) before allocating
 
 
-# libmp.to_digits_exp's bits per decimal digit, the same float
-_LOG2_10 = math.log(10, 2)
-
-
 def _decimal(x, digits: int = 30) -> str:
-    """An mpf, or an int m that stands for m / 2^PREC (approx_value), to
-    ``digits`` >= 1 significant digits as mpmath.nstr writes an mpf.
-
-    An int is written with ints alone, by the steps of libmp.to_str (called
-    with digits + 3 for libmp.to_digits_exp) for libmp.from_man_exp(m, -PREC),
-    byte for byte: |m| / 2^PREC is floored to fixprec binary places, and that
-    to fixdps decimal places, as fixprec and fixdps are computed there; the
-    first ``digits`` digits of the result are rounded up when the next is
-    5 or more, carrying through nines; an exponent strictly between
-    min(-(digits // 3), -5) and ``digits`` is written in fixed notation,
-    others as e+N or e-N; trailing zeros go.  libmp's branch for values
-    beyond 2^(+-3500) is never taken: a nonzero m / 2^PREC is at least
-    2^-PREC, and approx_value sums fewer than 2^64 entries of at most 2^PREC.
-    """
-    if type(x) is not int:
-        from mpmath import libmp
-
-        return libmp.to_str(x._mpf_, digits)
-    if not x:
-        return "0.0"
-    a = abs(x)
-    bitprec = int((digits + 3) * _LOG2_10) + 10
-    fixprec = max(bitprec - a.bit_length() + PREC, 0)
-    fixdps = int(fixprec / _LOG2_10 + 0.5)
-    shift = fixprec - PREC
-    fixed = a << shift if shift >= 0 else a >> -shift
-    text = str(fixed * 10**fixdps >> fixprec)  # more than digits + 3 digits
-    exponent = len(text) - fixdps - 1
-    head = int(text[:digits])
-    if text[digits] in "56789":
-        head += 1
-        if head == 10**digits:  # the carry ran through every digit
-            head //= 10
-            exponent += 1
-    text = str(head)
-    split = 1
-    if min(-(digits // 3), -5) < exponent < digits:
-        if exponent < 0:
-            text = "0" * -exponent + text
-        else:
-            split = exponent + 1
-        exponent = 0
-    text = (text[:split] + "." + text[split:]).rstrip("0")
-    if text[-1] == ".":
-        text += "0"
-    sign = "-" if x < 0 else ""
-    if exponent == 0:
-        return sign + text
-    return sign + text + ("e+" if exponent > 0 else "e") + str(exponent)
+    """A value to ``digits`` >= 1 significant digits as mpmath.nstr writes
+    it (arith.decimal): an int m stands for m / 2^PREC (approx_value), a
+    pair (m, e) for m 2^e (dtorus.zeta's values)."""
+    if type(x) is int:
+        return decimal(x, -PREC, digits)
+    return decimal(*x, digits)
 
 
 # the table fields: each is an iterable of row tuples in the order of its columns
@@ -420,14 +374,16 @@ def verify_zero_cmd(args):
 @_checks
 def verify_cjk_cmd(args):
     rows, ref = cjk_table(args.s, args.n_list, args.cutoff, args.budget)
-    gaps = [abs(row.value - ref) for row in rows]
+    gaps = [cjk_gap(row.value, ref) for row in rows]
     for row, gap in zip(rows, gaps):
         print(f"N={row.n}: rescaled zeta {_decimal(row.value)} gap {_decimal(gap, 6)}")
     print(f"continuum reference (cutoff {args.cutoff}): {_decimal(ref)}")
     for i in range(len(gaps) - 1):
-        yield gaps[i] > gaps[i + 1], f"gap did not shrink from N={rows[i].n} to N={rows[i+1].n}"
+        yield exceeds(gaps[i], gaps[i + 1]), f"gap did not shrink from N={rows[i].n} to N={rows[i+1].n}"
     if gaps:
-        yield gaps[-1] / ref < 0.02, f"final relative gap {_decimal(gaps[-1] / ref, 6)} not below 2%"
+        ratio = cjk_ratio(gaps[-1], ref)
+        man, den = (0.02).as_integer_ratio()  # the float 0.02, exactly
+        yield exceeds((man, 1 - den.bit_length()), ratio), f"final relative gap {_decimal(ratio, 6)} not below 2%"
 
 
 @_checks

@@ -3,16 +3,23 @@
 The discrete zeta sums lambda^-s over nonzero Laplacian eigenvalues taken
 from exact spectrum tables; the continuum reference sums over lattice
 shells 4 pi^2 (m^2 + n^2) using the two-squares representation count.
-Finite real s only.  mpmath is imported inside the functions that
-compute with it, so importing this module (and dtorus) does not load it.
+Finite real s only.  Every value is a pair of ints (man, exp), the exact
+binary number man * 2^exp with man >= 0, and every step rounds as libmp
+(mpmath's arithmetic) rounds it in round-nearest, so each value is what
+mpmath's mpf code would compute, to the bit (README, "How the zeta values
+are computed").  Only where libmp leaves its exact integer powers, at a
+non-integer s or a large one (_libmp_pow, _term_of), is mpmath imported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from fractions import Fraction
+from math import inf, isfinite, isqrt, ldexp
 
+from .arith import decimal
 from .cyclotomic import PREC as FIXED_PREC
+from .cyclotomic import _pi_fixed
 from .errors import BudgetExceeded, PreconditionViolated
 from .spectrum import DEFAULT_BUDGET, by_value, torus_spectrum
 
@@ -20,6 +27,11 @@ from .spectrum import DEFAULT_BUDGET, by_value, torus_spectrum
 PREC = 96
 # working precision of the discrete sum and of cjk_table's rescaling, in bits
 DISCRETE_PREC = 160
+# mpmath's default working precision, at which verify cjk takes its gaps
+GAP_PREC = 53
+# libmp's mpf_pow_int powers a mantissa of bc bits exactly while bc * n is
+# below this; beyond, it rounds in a fixed direction as it squares
+_EXACT_POW_BITS = 1000
 # rm << _QUOT_SHIFT over a mantissa below 2^(PREC+1) is at least 2^(PREC+2):
 # the quotient keeps the round bit and two guard bits above the remainder
 _QUOT_SHIFT = 2 * PREC + 3
@@ -75,22 +87,34 @@ def r2_upto(limit: int) -> list[int]:
 
 @dataclass(frozen=True)
 class ZetaValue:
-    """A zeta evaluation with a first-order error bound."""
+    """A zeta evaluation with a first-order error bound, each a pair (man,
+    exp) of ints, the value man * 2^exp."""
 
-    value: mpmath.mpf
-    error: mpmath.mpf
+    value: tuple[int, int]
+    error: tuple[int, int]
 
     def __float__(self) -> float:
-        return float(self.value)
+        try:
+            return ldexp(*self.value)
+        except OverflowError:  # past the float range, where float(mpf) gives inf
+            return inf
 
 
 @dataclass(frozen=True)
 class ZetaRow:
-    """One rescaled discrete zeta value N^(-2s) zeta_{T^2_N}(s)."""
+    """One rescaled discrete zeta value N^(-2s) zeta_{T^2_N}(s), a pair
+    (man, exp) of ints."""
 
     n: int
     s: float
-    value: mpmath.mpf
+    value: tuple[int, int]
+
+
+def _exact(s):
+    """s as an int when it is integer-valued, else as a Fraction: so -s,
+    -s - 1 and -2s are exact, as mpmath forms them from mpf(s) at
+    DISCRETE_PREC bits (a float's 53 bits leave room for them)."""
+    return int(s) if s == int(s) else Fraction(s)
 
 
 def zeta_discrete(n: int, d: int, s, budget: int = DEFAULT_BUDGET) -> ZetaValue:
@@ -99,49 +123,57 @@ def zeta_discrete(n: int, d: int, s, budget: int = DEFAULT_BUDGET) -> ZetaValue:
     lambda 2^FIXED_PREC = (2d << FIXED_PREC) - mid is formed as an exact
     int from mu's fixed-point value mid (by_value), radius 2d units, 0 at
     f = 0; the error bound tracks the radii to first order plus summation
-    rounding at DISCRETE_PREC bits.
+    rounding at DISCRETE_PREC bits.  Each step rounds at DISCRETE_PREC as
+    the mpf code total += count * lambda^-s, err += count * s *
+    lambda^(-s-1) * radius rounds it (_power, _round, _add).
     Terms are added in ascending eigenvalue order, which is by_value's
     descending mu, so output is deterministic.  The bound grows with s;
     past 10^-30 of the value, which would leave printed digits uncovered,
     PreconditionViolated is raised.
     """
-    import mpmath
-
-    if not (s > 0 and mpmath.isfinite(s)):
+    if not (s > 0 and isfinite(s)):
         raise ValueError("need finite s > 0")
     t = torus_spectrum(n, d, budget)
     rows = by_value(t, t.counts)
-    with mpmath.workprec(DISCRETE_PREC):
-        s_mp = mpmath.mpf(s)
-        total = mpmath.mpf(0)
-        err = mpmath.mpf(0)
-        for mid, f, e in rows:
-            if not any(e.representative):
-                continue  # the tuple (0, ..., 0): mu = 2d, lambda = 0
-            lam, radius = (2 * d << FIXED_PREC) - mid, 2 * d if f else 0
-            if not lam > radius:
-                raise AssertionError("nonzero Laplacian eigenvalue not separated from 0")
-            lam, radius = (mpmath.mp.make_mpf(_mpf(m, -FIXED_PREC)) for m in (lam, radius))
-            term = lam ** (-s_mp)
-            total += e.count * term
-            err += e.count * s_mp * lam ** (-s_mp - 1) * radius
-        # summation/powering rounding, a few ulps per term, one term per nonzero row
-        err += (3 * (len(t.counts) - 1) + 4) * total * mpmath.mpf(2) ** (4 - DISCRETE_PREC)
-        if err > total * mpmath.mpf(10) ** -30:
-            raise PreconditionViolated(
-                f"zeta of T^{d}_{n} at s = {s}: relative error bound {mpmath.nstr(err / total, 3)} "
-                "exceeds 1e-30, so s is too large for 30 certified digits"
-            )
-        return ZetaValue(+total, +err)
+    prec = DISCRETE_PREC
+    x = _exact(s)
+    # s at prec bits, the error term's first factor
+    sm, den = x.as_integer_ratio()
+    sm, se = _round(sm, 1 - den.bit_length(), prec)
+    tm = te = em = ee = 0
+    for mid, f, e in rows:
+        if not any(e.representative):
+            continue  # the tuple (0, ..., 0): mu = 2d, lambda = 0
+        lam = (2 * d << FIXED_PREC) - mid
+        if not lam > (2 * d if f else 0):
+            raise AssertionError("nonzero Laplacian eigenvalue not separated from 0")
+        pm, pe = _power(lam, -FIXED_PREC, -x, prec)
+        tm, te = _add(tm, te, *_round(e.count * pm, pe, prec), prec)
+        if f:  # radius 2d units; 0 at f = 0 adds nothing
+            pm, pe = _power(lam, -FIXED_PREC, -x - 1, prec)
+            cm, ce = _round(e.count * sm, se, prec)
+            cm, ce = _round(cm * pm, ce + pe, prec)
+            em, ee = _add(em, ee, *_round(cm * 2 * d, ce - FIXED_PREC, prec), prec)
+    # summation/powering rounding, a few ulps per term, one term per nonzero row
+    cm, ce = _round((3 * (len(t.counts) - 1) + 4) * tm, te, prec)
+    em, ee = _add(em, ee, cm, ce + 4 - prec, prec)
+    cm, ce = _power(10, 0, -30, prec)
+    if exceeds((em, ee), _round(tm * cm, te + ce, prec)):
+        raise PreconditionViolated(
+            f"zeta of T^{d}_{n} at s = {s}: relative error bound {decimal(*_div(em, ee, tm, te, prec), 3)} "
+            "exceeds 1e-30, so s is too large for 30 certified digits"
+        )
+    return ZetaValue((tm, te), (em, ee))
 
 
-def _round(man: int, exp: int) -> tuple[int, int]:
-    """man * 2^exp (man >= 0) rounded to PREC bits, half to even.
+def _round(man: int, exp: int, prec: int = PREC) -> tuple[int, int]:
+    """man * 2^exp (man >= 0) rounded to prec bits, half to even.
 
     The rounding of libmp's normalize in round_nearest, without its
-    stripping of trailing zero bits: the value is the same.
+    stripping of trailing zero bits: the value is the same.  libmp's
+    mpf_add, mpf_mul, mpf_mul_int and mpf_div round their exact result so.
     """
-    n = man.bit_length() - PREC
+    n = man.bit_length() - prec
     if n <= 0:
         return man, exp
     t = man >> (n - 1)
@@ -150,26 +182,105 @@ def _round(man: int, exp: int) -> tuple[int, int]:
     return t >> 1, exp + n
 
 
-def _add(am: int, ae: int, bm: int, be: int) -> tuple[int, int]:
-    """am * 2^ae + bm * 2^be rounded as libmp's mpf_add rounds it at PREC
-    bits in round-nearest; both are PREC-bit numbers as _round returns them."""
+def _add(am: int, ae: int, bm: int, be: int, prec: int = PREC) -> tuple[int, int]:
+    """am * 2^ae + bm * 2^be rounded as libmp's mpf_add rounds it at prec
+    bits in round-nearest; both are prec-bit numbers as _round returns them."""
     if ae < be:
         am, ae, bm, be = bm, be, am, ae
     shift = ae - be
-    if shift > _NEGLIGIBLE_SHIFT and am:
-        return am, ae  # round-nearest drops the smaller one, so skip the long shift
-    return _round((am << shift) + bm, be)
+    if shift > 2 * prec + 1 and am:
+        return am, ae  # below a quarter of am's ulp: round-nearest drops it, so skip the long shift
+    return _round((am << shift) + bm, be, prec)
+
+
+def _div(am: int, ae: int, bm: int, be: int, prec: int) -> tuple[int, int]:
+    """am * 2^ae / (bm * 2^be), bm > 0, rounded to prec bits half to even,
+    as libmp's mpf_div rounds it: the quotient keeps at least two bits
+    under its round bit, and the remainder is a sticky bit below them."""
+    shift = max(prec + 3 + bm.bit_length() - am.bit_length(), 0)
+    q, r = divmod(am << shift, bm)
+    return _round(q << 1 | (r != 0), ae - be - shift - 1, prec)
+
+
+def exceeds(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """Whether the value a = (man, exp), man >= 0, is above the value b.
+
+    Mantissas are shifted only when the leading bits line up, so values
+    whose exponents lie far apart (a large s) compare at once.
+    """
+    (am, ae), (bm, be) = a, b
+    if not am or not bm:
+        return am > bm
+    top_a, top_b = ae + am.bit_length(), be + bm.bit_length()
+    if top_a != top_b:
+        return top_a > top_b
+    low = min(ae, be)
+    return am << (ae - low) > bm << (be - low)
+
+
+def _power(man: int, exp: int, t, prec: int) -> tuple[int, int]:
+    """(man * 2^exp)^t, man > 0, t < 0 from _exact, rounded as libmp's
+    mpf_pow rounds it at prec bits in round-nearest.
+
+    At an integer t = -k that is mpf_pow_int's branch for negative powers:
+    1 / x at prec bits for k = 1, else x^k rounded to prec + 5 bits, then
+    1 / that at prec bits.  x^k is the exact power for k = 2, for a
+    mantissa 1, and while bc * k < _EXACT_POW_BITS (bc the bits of the
+    mantissa without trailing zeros); there it is taken with ints.
+    Elsewhere libmp powers it (_libmp_pow).
+    """
+    if t == int(t):
+        k = -int(t)
+        if k.bit_length() > prec:  # mpmath holds -s - 1 at prec bits
+            k, shift = _round(k, 0, prec)
+            k, t = k << shift, -(k << shift)
+        zeros = (man & -man).bit_length() - 1
+        man, exp = man >> zeros, exp + zeros
+        if k == 1:
+            return _div(1, 0, man, exp, prec)
+        if k == 2 or man == 1 or man.bit_length() * k < _EXACT_POW_BITS:
+            return _div(1, 0, *_round(man**k, exp * k, prec + 5), prec)
+    return _libmp_pow(man, exp, t, prec)
+
+
+def _libmp_pow(man: int, exp: int, t, prec: int) -> tuple[int, int]:
+    """(man * 2^exp)^t by libmp's mpf_pow at prec bits in round-nearest, t
+    an int or a Fraction with a power-of-two denominator (_exact), rounded
+    to prec bits as mpmath rounds it there."""
+    from mpmath.libmp import from_man_exp, mpf_pow
+    from mpmath.libmp import round_nearest as rnd
+
+    tm, den = t.as_integer_ratio()
+    t = from_man_exp(tm, 1 - den.bit_length(), prec, rnd)
+    _, pm, pe, _ = mpf_pow(_mpf(man, exp), t, prec, rnd)
+    return pm, pe
 
 
 def _mpf(man: int, exp: int) -> tuple:
-    """The normalized libmp tuple of man * 2^exp (man >= 0)."""
+    """The normalized libmp tuple of man * 2^exp (man >= 0); (0, 0, 0, 0)
+    is libmp's zero."""
     if not man:
-        from mpmath.libmp import fzero
-
-        return fzero
+        return (0, 0, 0, 0)
     zeros = (man & -man).bit_length() - 1
     man >>= zeros
     return (0, man, exp + zeros, man.bit_length())
+
+
+def _four_pi_squared(prec: int) -> tuple[int, int]:
+    """4 pi^2 as mpmath's 4 * pi**2 forms it at prec bits: pi rounded to
+    nearest at prec bits, squared and rounded, times 4.
+
+    _pi_fixed(2^w) lies within e of pi 2^w; the assertion checks that both
+    ends of that interval round alike, so pi rounds so too.
+    """
+    w = prec + 64
+    p, e = _pi_fixed(1 << w)
+    pm, pe = _round(p - e, -w, prec)
+    if (pm, pe) != _round(p + e, -w, prec):
+        raise AssertionError(f"pi not rounded to {prec} bits")
+    pm, pe = _round(pm * pm, 2 * pe, prec)
+    zeros = (pm & -pm).bit_length() - 1
+    return pm >> zeros, pe + zeros + 2
 
 
 def _term_of(s):
@@ -181,14 +292,12 @@ def _term_of(s):
     s every step acts on the mantissas alone: the term of (2^k m, rm) is
     that of (m, rm) with its exponent lowered by k s.
     """
-    import mpmath
-    from mpmath.libmp import mpf_pow, mpf_pow_int
-    from mpmath.libmp import round_nearest as rnd
-
-    with mpmath.workprec(PREC):
-        _, cm, ce, _ = (4 * mpmath.pi**2)._mpf_
-        neg_s = (-mpmath.mpf(s))._mpf_
+    cm, ce = _four_pi_squared(PREC)
     if s != int(s):
+        from mpmath.libmp import from_float, mpf_pow
+        from mpmath.libmp import round_nearest as rnd
+
+        neg_s = from_float(-float(s))
 
         def term(m, rm):
             bm, be = _round(cm * m, ce)  # mpf_mul_int(c, m)
@@ -197,9 +306,12 @@ def _term_of(s):
 
         return term
     s = int(s)
-    # mpf_pow_int powers exactly while bc * s < 1000 and rounds in a fixed
-    # direction beyond; s * PREC < 1000 keeps every base on the exact side
-    exact_pow = s * PREC < 1000
+    # mpf_pow_int powers exactly while bc * s < _EXACT_POW_BITS and rounds in
+    # a fixed direction beyond; s * PREC below it keeps every base exact
+    exact_pow = s * PREC < _EXACT_POW_BITS
+    if not exact_pow:
+        from mpmath.libmp import mpf_pow_int
+        from mpmath.libmp import round_nearest as rnd
 
     def term(m, rm):
         bm, be = _round(cm * m, ce)  # mpf_mul_int(c, m)
@@ -214,8 +326,9 @@ def _term_of(s):
     return term
 
 
-def zeta_continuum_partial(s, cutoff: int, budget: int = DEFAULT_BUDGET) -> mpmath.mpf:
-    """Partial sum of the continuum torus zeta over shells 0 < m^2+n^2 <= cutoff.
+def zeta_continuum_partial(s, cutoff: int, budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
+    """Partial sum of the continuum torus zeta over shells 0 < m^2+n^2 <= cutoff,
+    as a pair (man, exp), the value man * 2^exp.
 
     Each shell M contributes r2(M) * (4 pi^2 M)^-s; requires s > 1 (where
     the full series converges).  Terms are added in shell order, each sum
@@ -227,9 +340,7 @@ def zeta_continuum_partial(s, cutoff: int, budget: int = DEFAULT_BUDGET) -> mpma
     BudgetExceeded when cutoff exceeds budget, before the r2 list of
     cutoff + 1 ints is built.
     """
-    import mpmath
-
-    if not (s > 1 and mpmath.isfinite(s)):
+    if not (s > 1 and isfinite(s)):
         raise ValueError("need finite s > 1")
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
@@ -272,27 +383,52 @@ def zeta_continuum_partial(s, cutoff: int, budget: int = DEFAULT_BUDGET) -> mpma
                     am = man
                     continue
             am, ae = _add(am, ae, bm, be)
-    return mpmath.mp.make_mpf(_mpf(am, ae))
+    return am, ae
 
 
-def cjk_table(s, n_list, cutoff: int, budget: int = DEFAULT_BUDGET) -> tuple[list[ZetaRow], mpmath.mpf]:
+def cjk_table(s, n_list, cutoff: int, budget: int = DEFAULT_BUDGET) -> tuple[list[ZetaRow], tuple[int, int]]:
     """Rescaled discrete zeta rows next to the continuum partial sum.
 
-    Returns (rows, reference) with rows (N, N^(-2s) zeta_{T^2_N}(s)); no
-    convergence assertion is made here, callers compare as they see fit.
+    Returns (rows, reference) with rows (N, N^(-2s) zeta_{T^2_N}(s)), the
+    power and the product each rounded at DISCRETE_PREC as mpmath rounds
+    them there (_power, _round); no convergence assertion is made here,
+    callers compare as they see fit (cjk_gap, cjk_ratio).
     """
-    import mpmath
-
-    if not (s > 1 and mpmath.isfinite(s)):
+    if not (s > 1 and isfinite(s)):
         raise ValueError("need finite s > 1")
     if any(n < 3 for n in n_list):
         raise ValueError("need n >= 3")
     check_cutoff(cutoff, budget)
     rows = []
     for n in n_list:
-        zv = zeta_discrete(n, 2, s, budget)
-        with mpmath.workprec(DISCRETE_PREC):
-            scale = mpmath.mpf(n) ** (-2 * mpmath.mpf(s))
-            rows.append(ZetaRow(n, float(s), +(scale * zv.value)))
+        zm, ze = zeta_discrete(n, 2, s, budget).value
+        pm, pe = _power(n, 0, -2 * _exact(s), DISCRETE_PREC)
+        rows.append(ZetaRow(n, float(s), _round(pm * zm, pe + ze, DISCRETE_PREC)))
     # last: the discrete rows may refuse s, and at a large s this sum is slow
     return rows, zeta_continuum_partial(s, cutoff, budget)
+
+
+def cjk_gap(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """|a - b| for values (man, exp), rounded to GAP_PREC bits as mpmath's
+    abs(a - b) rounds it at its default precision.
+
+    A b below the unit 2^exp of the larger a is replaced by half that unit:
+    no rounding boundary of |a - b| lies strictly between a - 2^exp and a,
+    so the result is the same, and no shift runs over the exponents' gap.
+    """
+    if exceeds(b, a):
+        a, b = b, a
+    (am, ae), (bm, be) = a, b
+    pad = GAP_PREC + 2 - am.bit_length()
+    if pad > 0:  # with GAP_PREC + 2 bits, every boundary near a is on a's grid
+        am, ae = am << pad, ae - pad
+    if not bm or be + bm.bit_length() <= ae:  # b is 0 or below 2^ae
+        bm, be = min(bm, 1), ae - 1
+    low = min(ae, be)
+    return _round((am << (ae - low)) - (bm << (be - low)), low, GAP_PREC)
+
+
+def cjk_ratio(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a / b for values (man, exp), b > 0, rounded to GAP_PREC bits as
+    mpmath's a / b rounds it at its default precision."""
+    return _div(*a, *b, GAP_PREC)

@@ -29,8 +29,9 @@ from dtorus.cyclotomic import (
     key_embedding,
     key_of_tuple,
 )
-from dtorus.errors import BudgetExceeded
-from dtorus.spectrum import torus_spectrum
+from dtorus.errors import BudgetExceeded, PreconditionViolated
+from dtorus.spectrum import by_value, torus_spectrum
+from dtorus.zeta import DISCRETE_PREC
 
 
 def reduce_mod_phi(poly, n):
@@ -111,6 +112,11 @@ def plain_mitm_count(n, d, target):
 def fixed(m):
     """m / 2^PREC as an exact mpf: the value an approx_value int stands for."""
     return mpmath.mp.make_mpf(from_man_exp(m, -PREC))
+
+
+def as_mpf(value):
+    """A zeta value (man, exp), the number man * 2^exp, as an exact mpf."""
+    return mpmath.mp.make_mpf(from_man_exp(*value))
 
 
 def plain_by_value(table, images):
@@ -367,6 +373,46 @@ def libmp_continuum_partial(s, cutoff, bits=96):
     for term in libmp_shell_terms(s, enumerate(counts[1:], 1), bits):
         total = mpf_add(total, term, bits, rnd)
     return total
+
+
+def libmp_zeta_discrete(n, d, s):
+    """(value, error) of zeta_discrete(n, d, s) as raw ``_mpf_`` tuples, by
+    the mpf code dtorus.zeta used before its integer rewrite: lambda^-s and
+    lambda^(-s-1) as mpf powers, and every sum and product with mpf
+    operators at DISCRETE_PREC.  Raises PreconditionViolated, with the same
+    text, where that code refused s.
+    """
+    t = torus_spectrum(n, d)
+    with mpmath.workprec(DISCRETE_PREC):
+        s_mp = mpmath.mpf(s)
+        total = mpmath.mpf(0)
+        err = mpmath.mpf(0)
+        for mid, f, e in by_value(t, t.counts):
+            if not any(e.representative):
+                continue
+            lam, radius = (2 * d << PREC) - mid, 2 * d if f else 0
+            lam, radius = (mpmath.mp.make_mpf(from_man_exp(m, -PREC)) for m in (lam, radius))
+            total += e.count * lam ** (-s_mp)
+            err += e.count * s_mp * lam ** (-s_mp - 1) * radius
+        err += (3 * (len(t.counts) - 1) + 4) * total * mpmath.mpf(2) ** (4 - DISCRETE_PREC)
+        if err > total * mpmath.mpf(10) ** -30:
+            raise PreconditionViolated(
+                f"zeta of T^{d}_{n} at s = {s}: relative error bound {mpmath.nstr(err / total, 3)} "
+                "exceeds 1e-30, so s is too large for 30 certified digits"
+            )
+        return (+total)._mpf_, (+err)._mpf_
+
+
+def libmp_cjk_rows(s, n_list):
+    """The raw ``_mpf_`` values N^(-2s) zeta_{T^2_N}(s) of cjk_table's rows,
+    by the mpf code cjk_table used before its integer rewrite."""
+    rows = []
+    for n in n_list:
+        value = mpmath.mp.make_mpf(libmp_zeta_discrete(n, 2, s)[0])
+        with mpmath.workprec(DISCRETE_PREC):
+            scale = mpmath.mpf(n) ** (-2 * mpmath.mpf(s))
+            rows.append((+(scale * value))._mpf_)
+    return rows
 
 
 def residue_approx(e, bits=128):

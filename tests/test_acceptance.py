@@ -35,7 +35,7 @@ from dtorus.vanishing import (
     w_membership,
 )
 from dtorus.zeta import cjk_table, r2_upto
-from helpers import brute_r2_upto
+from helpers import as_mpf, brute_r2_upto
 
 
 def report(num, name, ok):
@@ -178,7 +178,8 @@ def test_criterion_08_r2_formula():
 def test_criterion_09_cjk_limit():
     rows, ref = cjk_table(2, [16, 32, 64, 128], 10**6)
     with mpmath.workprec(200):
-        gaps = [abs(row.value - ref) for row in rows]
+        ref = as_mpf(ref)
+        gaps = [abs(as_mpf(row.value) - ref) for row in rows]
         decreasing = all(gaps[i] > gaps[i + 1] for i in range(len(gaps) - 1))
         final_ok = gaps[-1] / ref < 0.02
     report(9, "rescaled zeta approaches continuum (s=2)", decreasing and final_ok)

@@ -489,6 +489,58 @@ def test_decimal_notation_edges():
                 assert cli._decimal(m, digits) == libmp_decimal(m, digits), (digits, e)
 
 
+# the exponent of the leading bit past which libmp.to_digits_exp first
+# divides by a power of ten, and _decimal calls to_str itself
+SCALED_FROM = 3500
+
+
+@st.composite
+def decimal_pairs(draw):
+    """A pair (m, e), the value m 2^e, e in [-6000, 6000] (both sides of
+    SCALED_FROM): m a power of two, or near a decimal of up to 40 nines
+    (which round up into the next power of ten), or up to 200 random bits,
+    either sign."""
+    e = draw(st.integers(-6000, 6000))
+    bits = draw(st.integers(1, 200))
+    kind = draw(st.sampled_from(["power", "nines", "bits"]))
+    if kind == "power":
+        m = 1 << (bits - 1)
+    elif kind == "nines":
+        length = draw(st.integers(1, 40))
+        q = int((bits + e) * 0.30103) - length  # m near 2^bits
+        m = max(round(Fraction(10**length - draw(st.integers(1, 3))) * Fraction(10) ** q / Fraction(2) ** e), 1)
+        m += draw(st.integers(-2, 2))
+    else:
+        m = draw(st.integers(1, 2**bits - 1))
+    return m * draw(st.sampled_from([1, -1])), e
+
+
+@pytest.mark.parametrize("digits", [30, 6, 5, 3])
+@given(decimal_pairs())
+@example((1, SCALED_FROM - 1))
+@example((1, SCALED_FROM))
+@example((-(2**60 - 1), -SCALED_FROM - 60))
+@example((-(2**60 - 1), -SCALED_FROM - 61))
+def test_decimal_of_pairs_matches_libmp(digits, pair):
+    # zeta's values (man, exp) print as to_str prints the exact binary number
+    assert cli._decimal(pair, digits) == libmp.to_str(libmp.from_man_exp(*pair), digits)
+
+
+def test_decimal_calls_to_str_only_past_its_switch(monkeypatch):
+    # the integer steps print every value whose leading bit lies within
+    # 2^(+-SCALED_FROM); to_str itself prints the ones beyond
+    calls = []
+    to_str = libmp.to_str
+    monkeypatch.setattr(libmp, "to_str", lambda *args: calls.append(args) or to_str(*args))
+    for top in (-SCALED_FROM, SCALED_FROM):
+        for man in (1, 3, 2**100 - 1):
+            cli._decimal((man, top - man.bit_length()), 30)
+    assert calls == []
+    for top in (-SCALED_FROM - 1, SCALED_FROM + 1):
+        cli._decimal((3, top - 2), 30)
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 @pytest.mark.parametrize("n, d", [(3, 1), (12, 2), (97, 2), (60, 3), (8, 4)])
 def test_spectrum_matches_plain_writer(capsys, n, d, fmt):
@@ -675,22 +727,36 @@ def test_deterministic_across_processes():
     assert run("1") == run("2") != b""
 
 
-# runs each command in one fresh interpreter, then reports which modules it loaded
+# runs each command in one fresh interpreter, each to its exit status (0
+# unless given after the command), then reports which modules it loaded
+# before the last command and after it
 STARTUP = """
 import json, sys
 import dtorus, dtorus.cli
 
-for argv in json.loads(sys.argv[1]):
-    assert dtorus.cli.main(argv) == 0, argv
+*argvs, last = json.loads(sys.argv[1])
+for argv in argvs:
+    status = argv.pop() if type(argv[-1]) is int else 0
+    assert dtorus.cli.main(argv) == status, argv
 before = ["mpmath" in sys.modules, "dtorus.zeta" in sys.modules]
-assert dtorus.cli.main(["zeta", "--n", "8", "--d", "2", "--s", "2", "--cutoff", "10"]) == 0
+assert dtorus.cli.main(last) == 0, last
 print(json.dumps(before + ["mpmath" in sys.modules]), file=sys.stderr)
 """
 
 
+def modules_loaded(argvs):
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP, json.dumps(argvs)], capture_output=True, env=child_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    return json.loads(proc.stderr.decode().splitlines()[-1])
+
+
 def test_only_zeta_loads_mpmath():
-    # every command but zeta and verify cjk computes and prints with ints
-    # alone; dtorus.zeta itself is imported with dtorus, without mpmath
+    # every command computes and prints with ints alone, zeta and verify cjk
+    # too at a small integer s; only zeta's libmp fallbacks load mpmath, at a
+    # non-integer s and where libmp leaves its exact powers (bc * s >= 1000);
+    # dtorus.zeta itself is imported with dtorus, without mpmath
     argvs = [
         ["mult", "--n", "60", "--d", "2", "--tuple", "24,10"],
         ["spectrum", "--n", "30", "--d", "2"],
@@ -699,12 +765,13 @@ def test_only_zeta_loads_mpmath():
         ["growth", "--n", "15", "--d", "4", "--tuple", "1,0,5,10"],
         ["zero", "--n", "10", "--d", "3"],
         ["vanishing", "--n", "30", "--max-len", "5"],
+        # the gap at N = 16 is 6 % of the reference, over the 2 % the check asks
+        ["verify", "cjk", "--s", "2", "--cutoff", "1000", "--n-list", "8", "16", 1],
     ]
-    proc = subprocess.run(
-        [sys.executable, "-c", STARTUP, json.dumps(argvs)], capture_output=True, env=child_env(), timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
-    assert json.loads(proc.stderr.decode().splitlines()[-1]) == [False, True, True]
+    at_s2 = ["zeta", "--n", "16", "--d", "2", "--s", "2", "--cutoff", "100"]
+    assert modules_loaded([*argvs, at_s2]) == [False, True, False]
+    assert modules_loaded([*argvs, ["zeta", "--n", "16", "--d", "2", "--s", "2.5"]]) == [False, True, True]
+    assert modules_loaded([["zeta", "--n", "16", "--d", "2", "--s", "1000"]]) == [False, True, True]
 
 
 def test_closed_stdout_exits_141():

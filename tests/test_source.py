@@ -140,19 +140,17 @@ def mpmath_uses(source: str) -> list[tuple[str, ...]]:
 
 def test_mpmath_only_where_it_computes():
     # importing dtorus loads no mpmath: no module imports it at module level,
-    # and it is named only inside zeta's functions and in _decimal, whose mpf
-    # branch formats zeta's values (test_cli checks that the other commands
-    # run without it)
+    # and it is named only in libmp's fallbacks: zeta's powers where libmp
+    # leaves its exact branch or s is not an integer (_libmp_pow, _term_of),
+    # and arith.decimal past to_str's 2^(+-3500) switch (test_cli checks
+    # that the other commands, and zeta at a small integer s, run without it)
     package = Path(dtorus.__file__).parent
     sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
     uses = {name: set(mpmath_uses(source)) for name, source in sources.items()}
     assert () not in set().union(*uses.values())
-    zeta_functions = {(node.name,) for node in ast.parse(sources["zeta.py"]).body if isinstance(node, ast.FunctionDef)}
-    computing = {(f,) for f in ("zeta_discrete", "_term_of", "zeta_continuum_partial", "cjk_table", "_mpf")}
-    assert computing <= uses.pop("zeta.py") <= zeta_functions
-    assert uses.pop("cli.py") == {("_decimal",)}
+    assert uses.pop("zeta.py") == {("_libmp_pow",), ("_term_of",)}
+    assert uses.pop("arith.py") == {("decimal",)}
     assert [name for name, found in uses.items() if found] == []
-    assert "from __future__ import annotations" in sources["zeta.py"]  # ZetaValue's mpf fields
     planted = (
         "from __future__ import annotations\n\nimport mpmath.libmp\n\n\n"
         "class ZetaValue:\n    value: mpmath.mpf\n\n    def __float__(self):\n        return float(mpmath.mpf(1))\n\n\n"

@@ -3,14 +3,23 @@ import random
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import mpf_add, round_nearest
+from mpmath.libmp import mpf_add, mpf_sub, round_nearest
 
 from dtorus import cli, zeta
-from dtorus.errors import BudgetExceeded
+from dtorus.errors import BudgetExceeded, PreconditionViolated
 from dtorus.zeta import cjk_table, r2_upto, zeta_continuum_partial, zeta_discrete
-from helpers import brute_r2, closed_form_continuum, libmp_continuum_partial, libmp_shell_terms, traced_peak
+from helpers import (
+    as_mpf,
+    brute_r2,
+    closed_form_continuum,
+    libmp_cjk_rows,
+    libmp_continuum_partial,
+    libmp_shell_terms,
+    libmp_zeta_discrete,
+    traced_peak,
+)
 
 
 def test_r2_examples():
@@ -42,11 +51,11 @@ def test_continuum_keeps_each_reused_term_in_one_int():
 
 def test_zeta_discrete_hand_values():
     z3 = zeta_discrete(3, 2, 1)
-    assert abs(z3.value - 2) <= z3.error
+    assert abs(as_mpf(z3.value) - 2) <= as_mpf(z3.error)
     z4 = zeta_discrete(4, 2, 1)
     with mpmath.workprec(300):
-        assert abs(z4.value - mpmath.mpf(103) / 24) <= z4.error
-    assert z4.error < 1e-30
+        assert abs(as_mpf(z4.value) - mpmath.mpf(103) / 24) <= as_mpf(z4.error)
+    assert as_mpf(z4.error) < 1e-30
 
 
 @given(
@@ -56,14 +65,14 @@ def test_zeta_discrete_hand_values():
 )
 def test_zeta_discrete_matches_enumeration(n, d, s):
     z = zeta_discrete(n, d, s)
-    assert z.value > 0
+    assert z.value[0] > 0
     brute = 0.0
     for t in __import__("itertools").product(range(n), repeat=d):
         if all(k == 0 for k in t):
             continue
         lam = 2 * d - sum(2 * math.cos(2 * math.pi * k / n) for k in t)
         brute += lam ** (-s)
-    assert abs(float(z.value) - brute) < 1e-8 * max(1.0, brute)
+    assert abs(float(z) - brute) < 1e-8 * max(1.0, brute)
 
 
 @pytest.mark.parametrize("s", [2, 2.5])
@@ -74,7 +83,7 @@ def test_zeta_discrete_error_bound_holds(n, s):
         cos = [2 * mpmath.cos(2 * mpmath.pi * k / n) for k in range(n)]
         lams = [4 - cos[a] - cos[b] for a in range(n) for b in range(n) if a or b]
         reference = mpmath.fsum(lam ** -mpmath.mpf(s) for lam in lams)
-        assert abs(z.value - reference) <= z.error
+        assert abs(as_mpf(z.value) - reference) <= as_mpf(z.error)
 
 
 @pytest.mark.parametrize("s", [1.5, 2, 3])
@@ -89,6 +98,86 @@ def test_zeta_discrete_printed_digits_hold(n, s):
         assert printed == mpmath.nstr(reference, 30)
 
 
+# integer s below, at and past where libmp leaves its exact powers: a
+# lambda of up to 196 bits powers exactly while bc * k < 1000, so k = 5
+# (the term at s = 5, the error term's power at s = 4) is exact and k = 6
+# (the error term at s = 5) is not; half-integer, quarter-integer and huge
+# s take libmp's mpf_pow on the same tuple
+ORACLE_S = [1, 2, 3, 4, 5, 6, 1.5, 2.5, 7.25, 1e20]
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(st.integers(min_value=3, max_value=40), st.sampled_from([1, 2, 3]))
+def test_zeta_discrete_matches_libmp_oracle(n, d):
+    # value and error, bit for bit, against the mpf code they replace
+    for s in ORACLE_S:
+        z = zeta_discrete(n, d, s)
+        assert (zeta._mpf(*z.value), zeta._mpf(*z.error)) == libmp_zeta_discrete(n, d, s), s
+
+
+@pytest.mark.parametrize("s, n, d", [(1e40, 16, 2), (1e308, 3, 1), (1e308, 4, 3)])
+def test_zeta_discrete_refuses_as_libmp_oracle(capsys, s, n, d):
+    with pytest.raises(PreconditionViolated) as want:
+        libmp_zeta_discrete(n, d, s)
+    with pytest.raises(PreconditionViolated) as got:
+        zeta_discrete(n, d, s)
+    assert str(got.value) == str(want.value)
+    assert cli.main(["zeta", "--n", str(n), "--d", str(d), "--s", str(s)]) == 64
+    assert capsys.readouterr().err == f"error: {want.value}\n"
+
+
+@pytest.mark.parametrize("s", [0.1, 1.7, 2.0**170 + 2**100])
+def test_zeta_discrete_exponents_match_libmp_oracle(s):
+    # mpmath forms -s - 1 at DISCRETE_PREC bits: exactly for a float s
+    # whose s + 1 needs 54 bits (0.1, 1.7), rounded for an s of 171 bits
+    # (refused there; at N = 4 a lambda of 2 powers exactly, and its
+    # error term moves the printed bound by a factor 2 per unit of -s - 1)
+    def outcome(zeta_of):
+        try:
+            return zeta_of(4, 2, s)
+        except PreconditionViolated as exc:
+            return str(exc)
+
+    z = outcome(zeta_discrete)
+    if isinstance(z, zeta.ZetaValue):
+        z = zeta._mpf(*z.value), zeta._mpf(*z.error)
+    assert z == outcome(libmp_zeta_discrete)
+
+
+def test_zeta_value_float_past_the_float_range():
+    # float(mpf) gives inf there, and ldexp would raise
+    assert float(zeta_discrete(16, 2, 1000)) == math.inf
+
+
+@pytest.mark.parametrize("s", [s for s in ORACLE_S if s > 1])
+def test_cjk_rows_match_libmp_oracle(s):
+    # the rows N^(-2s) zeta, and the gaps and the final ratio verify cjk
+    # takes at mpmath's default 53 bits, bit for bit
+    n_list = [3, 7, 16, 32]
+    rows, ref = cjk_table(s, n_list, 10)
+    assert [zeta._mpf(*row.value) for row in rows] == libmp_cjk_rows(s, n_list)
+    gaps = [zeta.cjk_gap(row.value, ref) for row in rows]
+    with mpmath.workprec(53):
+        want = [abs(as_mpf(row.value) - as_mpf(ref)) for row in rows]
+        assert [zeta._mpf(*gap) for gap in gaps] == [gap._mpf_ for gap in want]
+        assert zeta._mpf(*zeta.cjk_ratio(gaps[-1], ref)) == (want[-1] / as_mpf(ref))._mpf_
+
+
+def test_cjk_gap_matches_mpf_sub():
+    # mantissas of 1 to 160 bits, exponents near and far apart: libmp's
+    # mpf_sub perturbs a far smaller operand instead of shifting it, and a
+    # mantissa over 53 bits has its own bits under the rounding point
+    rng = random.Random(34)
+    for _ in range(3000):
+        pair = []
+        for _ in range(2):
+            bits = rng.choice([1, 2, 53, 54, 55, 96, 160, rng.randint(1, 160)])
+            pair.append((rng.getrandbits(bits) | 1 << (bits - 1), rng.randint(-400, 400)))
+        a, b = pair
+        want = mpf_sub(zeta._mpf(*a), zeta._mpf(*b), 53, round_nearest)  # mpmath's default precision
+        assert zeta._mpf(*zeta.cjk_gap(a, b)) == (0, *want[1:]), (a, b)
+
+
 def test_zeta_discrete_matches_enumeration_n24():
     z = zeta_discrete(24, 2, 2)
     brute = 0.0
@@ -98,23 +187,23 @@ def test_zeta_discrete_matches_enumeration_n24():
                 continue
             lam = 4 - 2 * math.cos(2 * math.pi * k1 / 24) - 2 * math.cos(2 * math.pi * k2 / 24)
             brute += lam**-2
-    assert abs(float(z.value) - brute) < 1e-8 * brute
+    assert abs(float(z) - brute) < 1e-8 * brute
 
 
 def test_zeta_continuum_single_term():
-    val = zeta_continuum_partial(2, 1)
+    val = as_mpf(zeta_continuum_partial(2, 1))
     with mpmath.workprec(300):
         assert abs(val - 1 / (4 * mpmath.pi**4)) < 1e-25
-    assert zeta_continuum_partial(2, 0) == 0
+    assert as_mpf(zeta_continuum_partial(2, 0)) == 0
 
 
 def test_zeta_continuum_monotone_in_cutoff():
-    vals = [zeta_continuum_partial(2, c) for c in (0, 1, 10, 100, 1000)]
+    vals = [as_mpf(zeta_continuum_partial(2, c)) for c in (0, 1, 10, 100, 1000)]
     for a, b in zip(vals, vals[1:]):
         assert b >= a
 
 
-# zeta_continuum_partial(s, cutoff)._mpf_ recorded from the loop written with
+# zeta_continuum_partial(s, cutoff) recorded, as its libmp tuple, from the loop written with
 # mpf operators (total += rm / (c*m)**s); (2, 10**6), the benchmark's emit
 # input, and (11, 10**4) recorded from the libmp loop (helpers); the shell
 # loop must match every bit, at integer and non-integer s alike.
@@ -134,14 +223,14 @@ CONTINUUM_PINNED = {
 
 @pytest.mark.parametrize("s, cutoff", sorted(CONTINUUM_PINNED))
 def test_zeta_continuum_bit_identical(s, cutoff):
-    assert zeta_continuum_partial(s, cutoff)._mpf_ == CONTINUUM_PINNED[s, cutoff]
+    assert zeta._mpf(*zeta_continuum_partial(s, cutoff)) == CONTINUUM_PINNED[s, cutoff]
 
 
 # s >= 11 reaches mpf_pow_int's directed rounding, non-integer s mpf_pow
 @pytest.mark.parametrize("cutoff", [0, 1, 2, 3, 5, 25, 1000])
 @pytest.mark.parametrize("s", [1.5, 2, 2.5, 3, 4, 7.25, 10, 11, 12, 13])
 def test_zeta_continuum_matches_libmp(s, cutoff):
-    assert zeta_continuum_partial(s, cutoff)._mpf_ == libmp_continuum_partial(s, cutoff)
+    assert zeta._mpf(*zeta_continuum_partial(s, cutoff)) == libmp_continuum_partial(s, cutoff)
 
 
 # shells m where mpf_pow_int's directed rounding at s >= 11 gives another
@@ -206,7 +295,7 @@ def test_grid_step_matches_mpf_add(monkeypatch):
     assert len(cases) == 4 * 193 * 12
     for am, ae, bm, shift in cases:
         terms[1], terms[2] = (am, ae), (bm, ae - shift)
-        got = zeta_continuum_partial(1.5, 2)._mpf_
+        got = zeta._mpf(*zeta_continuum_partial(1.5, 2))
         want = mpf_add(zeta._mpf(am, ae), zeta._mpf(bm, ae - shift), zeta.PREC, round_nearest)
         assert got == want, (am, ae, bm, shift)
 
@@ -228,7 +317,7 @@ def test_zeta_continuum_stops_early_bit_identical(s):
     # past the first shells every term lies far under the total's ulp, and
     # the loop stops, at non-integer s too; the libmp loop adds (and drops)
     # every one of them
-    assert zeta_continuum_partial(s, 10**4)._mpf_ == libmp_continuum_partial(s, 10**4)
+    assert zeta._mpf(*zeta_continuum_partial(s, 10**4)) == libmp_continuum_partial(s, 10**4)
 
 
 def test_zeta_continuum_large_s_computes_few_terms(monkeypatch):
@@ -245,7 +334,7 @@ def test_zeta_continuum_large_s_computes_few_terms(monkeypatch):
     for s in (10**6, 10**6 + 0.5):
         calls.clear()
         value = zeta_continuum_partial(s, 10**6)
-        assert value == zeta_continuum_partial(s, 1) > 0
+        assert value == zeta_continuum_partial(s, 1) and value[0] > 0
         assert calls and max(calls) < 8, s
 
 
@@ -253,7 +342,7 @@ def test_zeta_continuum_large_s_computes_few_terms(monkeypatch):
 def test_zeta_continuum_negligible_terms_match_libmp(s):
     # the terms of the larger shells lie more than 2 * PREC + 1 exponent bits
     # under the total (from m = 32 at s = 40, m = 85 at s = 30.5): _add skips them
-    assert zeta_continuum_partial(s, 1000)._mpf_ == libmp_continuum_partial(s, 1000)
+    assert zeta._mpf(*zeta_continuum_partial(s, 1000)) == libmp_continuum_partial(s, 1000)
 
 
 def test_zeta_continuum_cutoff_over_budget_refused_before_work(monkeypatch):
@@ -304,7 +393,7 @@ def test_continuum_partial_falls_short_of_the_closed_form_by_its_tail(s):
         for cutoff in (10**2, 10**3, 10**4):
             shells = sum(1 for m in range(1, cutoff + 1) if counts[m])
             eps = 4 * shells * mpmath.mpf(2) ** -96 * closed
-            gap = closed - zeta_continuum_partial(s, cutoff)
+            gap = closed - as_mpf(zeta_continuum_partial(s, cutoff))
             assert -eps <= gap <= lattice_tail_bound(mpmath.mpf(s), cutoff) + eps, (s, cutoff)
 
 
@@ -331,8 +420,8 @@ def test_zeta_rejects_non_finite_s(s):
 def test_zeta_continuum_cauchy_tail():
     # The tail between cutoffs X and 2X shrinks like pi/(2X (4 pi^2)^2),
     # about 1e-7 at X = 1e4; the measured value must sit near it.
-    a = zeta_continuum_partial(2, 10**4)
-    b = zeta_continuum_partial(2, 2 * 10**4)
+    a = as_mpf(zeta_continuum_partial(2, 10**4))
+    b = as_mpf(zeta_continuum_partial(2, 2 * 10**4))
     assert 0 < b - a < 1e-6
 
 
@@ -341,18 +430,18 @@ def test_zeta_continuum_cauchy_tail_at_million():
     # tighter bound like 1e-12 is not attainable for this series.  The sum
     # at 1e6 is pinned, and test_zeta_continuum_bit_identical checks it.
     a = mpmath.mp.make_mpf(CONTINUUM_PINNED[2, 10**6])
-    b = zeta_continuum_partial(2, 2 * 10**6)
+    b = as_mpf(zeta_continuum_partial(2, 2 * 10**6))
     assert 0 < b - a < 1e-8
 
 
 def test_cjk_table_shapes():
     rows, ref = cjk_table(2, [8], 10**4)
-    assert len(rows) == 1 and rows[0].n == 8 and rows[0].value > 0
+    assert len(rows) == 1 and rows[0].n == 8 and rows[0].value[0] > 0
     rows, ref = cjk_table(2, [], 100)
-    assert rows == [] and ref > 0
+    assert rows == [] and ref[0] > 0
 
 
 def test_cjk_gap_shrinks_modestly():
     rows, ref = cjk_table(2, [8, 16, 32], 10**5)
-    gaps = [abs(r.value - ref) for r in rows]
+    gaps = [abs(as_mpf(r.value) - as_mpf(ref)) for r in rows]
     assert gaps[0] > gaps[1] > gaps[2]
