@@ -516,9 +516,6 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2
-    except Bound24Violated as exc:
-        print(f"claim violated: {exc}", file=sys.stderr)
-        return 1
     except (DtorusError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64

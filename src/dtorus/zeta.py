@@ -8,11 +8,12 @@ binary number man * 2^exp with man >= 0, and every step rounds as libmp
 (mpmath's arithmetic) rounds it in round-nearest, so each value is what
 mpmath's mpf code would compute, to the bit (README, "How the zeta values
 are computed").  Only where libmp leaves its exact integer powers, at a
-non-integer s or a large one (_libmp_pow, _term_of), is mpmath imported.
+non-integer s or a large one, is mpmath imported, by _libmp_pow alone.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isfinite, isqrt, ldexp
@@ -49,12 +50,14 @@ _MAN_MASK = (1 << _MAN_BITS) - 1
 
 
 def check_cutoff(cutoff: int, budget: int) -> None:
-    """Refuse a continuum cutoff above the budget.
+    """Refuse a negative continuum cutoff, or one above the budget.
 
     The sum keeps an r2 list of cutoff + 1 ints; for an integer s the slots
     of the nonzero shells up to cutoff / 2 hold their terms instead, one
     packed int each, about 13 bytes per unit of cutoff in all at 10^6.
     """
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
     if cutoff > budget:
         raise BudgetExceeded(f"continuum cutoff {cutoff} exceeds the budget {budget}")
 
@@ -137,9 +140,7 @@ def zeta_discrete(n: int, d: int, s, budget: int = DEFAULT_BUDGET) -> ZetaValue:
     rows = by_value(t, t.counts)
     prec = DISCRETE_PREC
     x = _exact(s)
-    # s at prec bits, the error term's first factor
-    sm, den = x.as_integer_ratio()
-    sm, se = _round(sm, 1 - den.bit_length(), prec)
+    sm, se = _at_prec(x, prec)  # s at prec bits, the error term's first factor
     tm = te = em = ee = 0
     for mid, f, e in rows:
         if not any(e.representative):
@@ -147,17 +148,17 @@ def zeta_discrete(n: int, d: int, s, budget: int = DEFAULT_BUDGET) -> ZetaValue:
         lam = (2 * d << FIXED_PREC) - mid
         if not lam > (2 * d if f else 0):
             raise AssertionError("nonzero Laplacian eigenvalue not separated from 0")
-        pm, pe = _power(lam, -FIXED_PREC, -x, prec)
+        pm, pe = _power(lam, -FIXED_PREC, x, prec)
         tm, te = _add(tm, te, *_round(e.count * pm, pe, prec), prec)
         if f:  # radius 2d units; 0 at f = 0 adds nothing
-            pm, pe = _power(lam, -FIXED_PREC, -x - 1, prec)
+            pm, pe = _power(lam, -FIXED_PREC, x + 1, prec)
             cm, ce = _round(e.count * sm, se, prec)
             cm, ce = _round(cm * pm, ce + pe, prec)
             em, ee = _add(em, ee, *_round(cm * 2 * d, ce - FIXED_PREC, prec), prec)
     # summation/powering rounding, a few ulps per term, one term per nonzero row
     cm, ce = _round((3 * (len(t.counts) - 1) + 4) * tm, te, prec)
     em, ee = _add(em, ee, cm, ce + 4 - prec, prec)
-    cm, ce = _power(10, 0, -30, prec)
+    cm, ce = _power(10, 0, 30, prec)
     if exceeds((em, ee), _round(tm * cm, te + ce, prec)):
         raise PreconditionViolated(
             f"zeta of T^{d}_{n} at s = {s}: relative error bound {decimal(*_div(em, ee, tm, te, prec), 3)} "
@@ -218,52 +219,59 @@ def exceeds(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return am << (ae - low) > bm << (be - low)
 
 
-def _power(man: int, exp: int, t, prec: int) -> tuple[int, int]:
-    """(man * 2^exp)^t, man > 0, t < 0 from _exact, rounded as libmp's
-    mpf_pow rounds it at prec bits in round-nearest.
-
-    At an integer t = -k that is mpf_pow_int's branch for negative powers:
-    1 / x at prec bits for k = 1, else x^k rounded to prec + 5 bits, then
-    1 / that at prec bits.  x^k is the exact power for k = 2, for a
-    mantissa 1, and while bc * k < _EXACT_POW_BITS (bc the bits of the
-    mantissa without trailing zeros); there it is taken with ints.
-    Elsewhere libmp powers it (_libmp_pow).
-    """
-    if t == int(t):
-        k = -int(t)
-        if k.bit_length() > prec:  # mpmath holds -s - 1 at prec bits
-            k, shift = _round(k, 0, prec)
-            k, t = k << shift, -(k << shift)
-        zeros = (man & -man).bit_length() - 1
-        man, exp = man >> zeros, exp + zeros
-        if k == 1:
-            return _div(1, 0, man, exp, prec)
-        if k == 2 or man == 1 or man.bit_length() * k < _EXACT_POW_BITS:
-            return _div(1, 0, *_round(man**k, exp * k, prec + 5), prec)
-    return _libmp_pow(man, exp, t, prec)
+def _at_prec(x, prec: int) -> tuple[int, int]:
+    """x > 0, an int, a float or a Fraction from _exact, rounded to prec
+    bits as mpmath holds s, s + 1 or 2s there, as a pair (man, exp)."""
+    man, den = x.as_integer_ratio()
+    return _round(man, 1 - den.bit_length(), prec)
 
 
-def _libmp_pow(man: int, exp: int, t, prec: int) -> tuple[int, int]:
-    """(man * 2^exp)^t by libmp's mpf_pow at prec bits in round-nearest, t
-    an int or a Fraction with a power-of-two denominator (_exact), rounded
-    to prec bits as mpmath rounds it there."""
+def _power(man: int, exp: int, k, prec: int) -> tuple[int, int]:
+    """1 / (man * 2^exp)^k, man > 0, k > 0 from _exact, rounded as libmp's
+    mpf_pow rounds x^-k at prec bits in round-nearest.  At an integer k
+    that is mpf_pow_int's branch for negative powers: x^k at prec + 5 bits
+    (_pow_int) unless k = 1, then 1 / that at prec bits."""
+    km, ke = _at_prec(k, prec)
+    if ke < 0:
+        return _libmp_pow(-km, ke, prec)(man, exp)
+    if km << ke > 1:
+        man, exp = _pow_int(man, exp, km << ke, prec + 5)
+    return _div(1, 0, man, exp, prec)
+
+
+def _pow_int(man: int, exp: int, k: int, prec: int) -> tuple[int, int]:
+    """(man * 2^exp)^k, man > 0, k >= 2, rounded as libmp's mpf_pow_int
+    rounds it at prec bits in round-nearest: the exact power, rounded once,
+    for k = 2, a mantissa 1, or while bc * k < _EXACT_POW_BITS (bc the bits
+    of the mantissa without trailing zeros); elsewhere libmp's own."""
+    zeros = (man & -man).bit_length() - 1
+    man, exp = man >> zeros, exp + zeros
+    if k == 2 or man == 1 or man.bit_length() * k < _EXACT_POW_BITS:
+        return _round(man**k, exp * k, prec)
+    return _libmp_pow(k, 0, prec)(man, exp)
+
+
+# _pow_int asks for its function at every power: building it anew cost
+# 1.4 us of a 4.5 us continuum term at s = 11
+@functools.lru_cache(maxsize=8)
+def _libmp_pow(tm: int, te: int, prec: int):
+    """The function (man, exp) -> (man * 2^exp)^(tm * 2^te), man > 0, by
+    libmp's mpf_pow at prec bits in round-nearest; the one function of this
+    module that names mpmath."""
     from mpmath.libmp import from_man_exp, mpf_pow
     from mpmath.libmp import round_nearest as rnd
 
-    tm, den = t.as_integer_ratio()
-    t = from_man_exp(tm, 1 - den.bit_length(), prec, rnd)
-    _, pm, pe, _ = mpf_pow(_mpf(man, exp), t, prec, rnd)
-    return pm, pe
+    t = from_man_exp(tm, te)
 
+    def power(man: int, exp: int) -> tuple[int, int]:
+        # libmp's normalized tuple, built here: from_man_exp took 0.5 us more
+        # on an even mantissa, 7 % of a continuum term at s = 2.5
+        zeros = (man & -man).bit_length() - 1
+        man >>= zeros
+        _, pm, pe, _ = mpf_pow((0, man, exp + zeros, man.bit_length()), t, prec, rnd)
+        return pm, pe
 
-def _mpf(man: int, exp: int) -> tuple:
-    """The normalized libmp tuple of man * 2^exp (man >= 0); (0, 0, 0, 0)
-    is libmp's zero."""
-    if not man:
-        return (0, 0, 0, 0)
-    zeros = (man & -man).bit_length() - 1
-    man >>= zeros
-    return (0, man, exp + zeros, man.bit_length())
+    return power
 
 
 def _four_pi_squared(prec: int) -> tuple[int, int]:
@@ -294,31 +302,24 @@ def _term_of(s):
     """
     cm, ce = _four_pi_squared(PREC)
     if s != int(s):
-        from mpmath.libmp import from_float, mpf_pow
-        from mpmath.libmp import round_nearest as rnd
-
-        neg_s = from_float(-float(s))
+        sm, se = _at_prec(s, PREC)
+        power = _libmp_pow(-sm, se, PREC)
 
         def term(m, rm):
             bm, be = _round(cm * m, ce)  # mpf_mul_int(c, m)
-            _, pm, pe, _ = mpf_pow(_mpf(bm, be), neg_s, PREC, rnd)
+            pm, pe = power(bm, be)
             return _round(pm * rm, pe)  # mpf_mul_int(base^-s, rm)
 
         return term
     s = int(s)
-    # mpf_pow_int powers exactly while bc * s < _EXACT_POW_BITS and rounds in
-    # a fixed direction beyond; s * PREC below it keeps every base exact
+    # _pow_int's rule powers every base of PREC bits exactly while s * PREC
+    # < _EXACT_POW_BITS; there the power and the division stay inline, as a
+    # call to _pow_int or _div costs 13-25 % of a term at s = 2
     exact_pow = s * PREC < _EXACT_POW_BITS
-    if not exact_pow:
-        from mpmath.libmp import mpf_pow_int
-        from mpmath.libmp import round_nearest as rnd
 
     def term(m, rm):
         bm, be = _round(cm * m, ce)  # mpf_mul_int(c, m)
-        if exact_pow:
-            pm, pe = _round(bm**s, be * s)
-        else:
-            _, pm, pe, _ = mpf_pow_int(_mpf(bm, be), s, PREC, rnd)
+        pm, pe = _round(bm**s, be * s) if exact_pow else _pow_int(bm, be, s, PREC)
         # mpf_rdiv_int(rm, base^s), the remainder as a sticky bit
         q, r = divmod(rm << _QUOT_SHIFT, pm)
         return _round(q << 1 | (r != 0), -pe - _QUOT_SHIFT - 1)
@@ -342,8 +343,6 @@ def zeta_continuum_partial(s, cutoff: int, budget: int = DEFAULT_BUDGET) -> tupl
     """
     if not (s > 1 and isfinite(s)):
         raise ValueError("need finite s > 1")
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
     check_cutoff(cutoff, budget)
     counts = r2_upto(cutoff)
     term = _term_of(s)
@@ -402,7 +401,7 @@ def cjk_table(s, n_list, cutoff: int, budget: int = DEFAULT_BUDGET) -> tuple[lis
     rows = []
     for n in n_list:
         zm, ze = zeta_discrete(n, 2, s, budget).value
-        pm, pe = _power(n, 0, -2 * _exact(s), DISCRETE_PREC)
+        pm, pe = _power(n, 0, 2 * _exact(s), DISCRETE_PREC)
         rows.append(ZetaRow(n, float(s), _round(pm * zm, pe + ze, DISCRETE_PREC)))
     # last: the discrete rows may refuse s, and at a large s this sum is slow
     return rows, zeta_continuum_partial(s, cutoff, budget)

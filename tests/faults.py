@@ -95,9 +95,18 @@ FAULTS = [
     Fault(
         "the reciprocal's power rounded at prec instead of prec + 5 bits",
         "src/dtorus/zeta.py",
-        "            return _div(1, 0, *_round(man**k, exp * k, prec + 5), prec)\n",
-        "            return _div(1, 0, *_round(man**k, exp * k, prec), prec)\n",
+        "        man, exp = _pow_int(man, exp, km << ke, prec + 5)\n",
+        "        man, exp = _pow_int(man, exp, km << ke, prec)\n",
         ("tests/test_zeta.py::test_zeta_discrete_matches_libmp_oracle",),
+    ),
+    Fault(
+        # s * PREC < 2000 keeps the continuum's powers exact up to s = 20,
+        # where mpf_pow_int truncates as it squares from s = 11
+        "libmp's exact powers taken up to bc * k < 2000 instead of 1000",
+        "src/dtorus/zeta.py",
+        "_EXACT_POW_BITS = 1000\n",
+        "_EXACT_POW_BITS = 2000\n",
+        ("tests/test_zeta.py::test_shell_terms_match_libmp",),
     ),
     Fault(
         "verify cjk's gaps rounded at 54 bits",

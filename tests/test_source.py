@@ -140,24 +140,26 @@ def mpmath_uses(source: str) -> list[tuple[str, ...]]:
 
 def test_mpmath_only_where_it_computes():
     # importing dtorus loads no mpmath: no module imports it at module level,
-    # and it is named only in libmp's fallbacks: zeta's powers where libmp
-    # leaves its exact branch or s is not an integer (_libmp_pow, _term_of),
-    # and arith.decimal past to_str's 2^(+-3500) switch (test_cli checks
-    # that the other commands, and zeta at a small integer s, run without it)
+    # and it is named only in libmp's fallbacks: zeta's one call of mpf_pow,
+    # where libmp leaves its exact powers or s is not an integer
+    # (_libmp_pow), and arith.decimal past to_str's 2^(+-3500) switch
+    # (test_cli checks that the other commands, and zeta at a small integer
+    # s, run without it)
     package = Path(dtorus.__file__).parent
     sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
     uses = {name: set(mpmath_uses(source)) for name, source in sources.items()}
     assert () not in set().union(*uses.values())
-    assert uses.pop("zeta.py") == {("_libmp_pow",), ("_term_of",)}
+    assert uses.pop("zeta.py") == {("_libmp_pow",)}
     assert uses.pop("arith.py") == {("decimal",)}
     assert [name for name, found in uses.items() if found] == []
     planted = (
         "from __future__ import annotations\n\nimport mpmath.libmp\n\n\n"
         "class ZetaValue:\n    value: mpmath.mpf\n\n    def __float__(self):\n        return float(mpmath.mpf(1))\n\n\n"
         "def zeta_discrete(n, d, s) -> mpmath.mpf:\n    from mpmath import workprec\n\n\n"
-        "def _decimal(x: mpmath.mpf, digits=30):\n    return x\n"
+        "def _decimal(x: mpmath.mpf, digits=30):\n    return x\n\n\n"
+        "def _term_of(s):\n    from mpmath.libmp import mpf_pow_int\n"
     )
-    assert mpmath_uses(planted) == [(), ("ZetaValue", "__float__"), ("zeta_discrete",)]
+    assert mpmath_uses(planted) == [(), ("ZetaValue", "__float__"), ("zeta_discrete",), ("_term_of",)]
 
 
 def test_cli_serializes_in_one_place():

@@ -1,11 +1,12 @@
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import mpf_add, mpf_sub, round_nearest
+from mpmath.libmp import from_man_exp, mpf_add, mpf_sub, round_nearest
 
 from dtorus import cli, zeta
 from dtorus.errors import BudgetExceeded, PreconditionViolated
@@ -112,7 +113,7 @@ def test_zeta_discrete_matches_libmp_oracle(n, d):
     # value and error, bit for bit, against the mpf code they replace
     for s in ORACLE_S:
         z = zeta_discrete(n, d, s)
-        assert (zeta._mpf(*z.value), zeta._mpf(*z.error)) == libmp_zeta_discrete(n, d, s), s
+        assert (from_man_exp(*z.value), from_man_exp(*z.error)) == libmp_zeta_discrete(n, d, s), s
 
 
 @pytest.mark.parametrize("s, n, d", [(1e40, 16, 2), (1e308, 3, 1), (1e308, 4, 3)])
@@ -140,7 +141,7 @@ def test_zeta_discrete_exponents_match_libmp_oracle(s):
 
     z = outcome(zeta_discrete)
     if isinstance(z, zeta.ZetaValue):
-        z = zeta._mpf(*z.value), zeta._mpf(*z.error)
+        z = from_man_exp(*z.value), from_man_exp(*z.error)
     assert z == outcome(libmp_zeta_discrete)
 
 
@@ -155,12 +156,12 @@ def test_cjk_rows_match_libmp_oracle(s):
     # takes at mpmath's default 53 bits, bit for bit
     n_list = [3, 7, 16, 32]
     rows, ref = cjk_table(s, n_list, 10)
-    assert [zeta._mpf(*row.value) for row in rows] == libmp_cjk_rows(s, n_list)
+    assert [from_man_exp(*row.value) for row in rows] == libmp_cjk_rows(s, n_list)
     gaps = [zeta.cjk_gap(row.value, ref) for row in rows]
     with mpmath.workprec(53):
         want = [abs(as_mpf(row.value) - as_mpf(ref)) for row in rows]
-        assert [zeta._mpf(*gap) for gap in gaps] == [gap._mpf_ for gap in want]
-        assert zeta._mpf(*zeta.cjk_ratio(gaps[-1], ref)) == (want[-1] / as_mpf(ref))._mpf_
+        assert [from_man_exp(*gap) for gap in gaps] == [gap._mpf_ for gap in want]
+        assert from_man_exp(*zeta.cjk_ratio(gaps[-1], ref)) == (want[-1] / as_mpf(ref))._mpf_
 
 
 def test_cjk_gap_matches_mpf_sub():
@@ -174,8 +175,20 @@ def test_cjk_gap_matches_mpf_sub():
             bits = rng.choice([1, 2, 53, 54, 55, 96, 160, rng.randint(1, 160)])
             pair.append((rng.getrandbits(bits) | 1 << (bits - 1), rng.randint(-400, 400)))
         a, b = pair
-        want = mpf_sub(zeta._mpf(*a), zeta._mpf(*b), 53, round_nearest)  # mpmath's default precision
-        assert zeta._mpf(*zeta.cjk_gap(a, b)) == (0, *want[1:]), (a, b)
+        want = mpf_sub(from_man_exp(*a), from_man_exp(*b), 53, round_nearest)  # mpmath's default precision
+        assert from_man_exp(*zeta.cjk_gap(a, b)) == (0, *want[1:]), (a, b)
+
+
+def test_exceeds_matches_fractions():
+    # zero on either side, equal values written with other exponents, the
+    # same leading bit with different exponents, and exponents thousands of
+    # bits apart, against the exact comparison
+    values = [(0, 0), (0, 9), (1, 0), (2**95, -95), (3, 5), (6, 4), (7, 4), (13, 3)]
+    values += [(1, -3000), (2**160 - 1, 2000), (3, 2157), (2**96 - 1, -4096)]
+    for a in values:
+        for b in values:
+            want = Fraction(a[0]) * Fraction(2) ** a[1] > Fraction(b[0]) * Fraction(2) ** b[1]
+            assert zeta.exceeds(a, b) == want, (a, b)
 
 
 def test_zeta_discrete_matches_enumeration_n24():
@@ -223,14 +236,14 @@ CONTINUUM_PINNED = {
 
 @pytest.mark.parametrize("s, cutoff", sorted(CONTINUUM_PINNED))
 def test_zeta_continuum_bit_identical(s, cutoff):
-    assert zeta._mpf(*zeta_continuum_partial(s, cutoff)) == CONTINUUM_PINNED[s, cutoff]
+    assert from_man_exp(*zeta_continuum_partial(s, cutoff)) == CONTINUUM_PINNED[s, cutoff]
 
 
 # s >= 11 reaches mpf_pow_int's directed rounding, non-integer s mpf_pow
 @pytest.mark.parametrize("cutoff", [0, 1, 2, 3, 5, 25, 1000])
 @pytest.mark.parametrize("s", [1.5, 2, 2.5, 3, 4, 7.25, 10, 11, 12, 13])
 def test_zeta_continuum_matches_libmp(s, cutoff):
-    assert zeta._mpf(*zeta_continuum_partial(s, cutoff)) == libmp_continuum_partial(s, cutoff)
+    assert from_man_exp(*zeta_continuum_partial(s, cutoff)) == libmp_continuum_partial(s, cutoff)
 
 
 # shells m where mpf_pow_int's directed rounding at s >= 11 gives another
@@ -244,7 +257,7 @@ def test_shell_terms_match_libmp(s):
     shells = [(m, 1 + m % 7) for m in range(1, 3001)]
     shells += [(m, 1) for m in DIRECTED_POW_SHELLS.values()]
     term = zeta._term_of(s)
-    terms = [zeta._mpf(*term(m, rm)) for m, rm in shells]
+    terms = [from_man_exp(*term(m, rm)) for m, rm in shells]
     assert terms == list(libmp_shell_terms(s, shells))
 
 
@@ -279,8 +292,8 @@ def test_add_matches_mpf_add():
     cases += grid_step_cases()
     for am, ae, bm, shift in cases:
         got = zeta._add(am, ae, bm, ae - shift)
-        want = mpf_add(zeta._mpf(am, ae), zeta._mpf(bm, ae - shift), zeta.PREC, round_nearest)
-        assert zeta._mpf(*got) == want, (am, ae, bm, shift)
+        want = mpf_add(from_man_exp(am, ae), from_man_exp(bm, ae - shift), zeta.PREC, round_nearest)
+        assert from_man_exp(*got) == want, (am, ae, bm, shift)
 
 
 def test_grid_step_matches_mpf_add(monkeypatch):
@@ -295,8 +308,8 @@ def test_grid_step_matches_mpf_add(monkeypatch):
     assert len(cases) == 4 * 193 * 12
     for am, ae, bm, shift in cases:
         terms[1], terms[2] = (am, ae), (bm, ae - shift)
-        got = zeta._mpf(*zeta_continuum_partial(1.5, 2))
-        want = mpf_add(zeta._mpf(am, ae), zeta._mpf(bm, ae - shift), zeta.PREC, round_nearest)
+        got = from_man_exp(*zeta_continuum_partial(1.5, 2))
+        want = mpf_add(from_man_exp(am, ae), from_man_exp(bm, ae - shift), zeta.PREC, round_nearest)
         assert got == want, (am, ae, bm, shift)
 
 
@@ -317,7 +330,7 @@ def test_zeta_continuum_stops_early_bit_identical(s):
     # past the first shells every term lies far under the total's ulp, and
     # the loop stops, at non-integer s too; the libmp loop adds (and drops)
     # every one of them
-    assert zeta._mpf(*zeta_continuum_partial(s, 10**4)) == libmp_continuum_partial(s, 10**4)
+    assert from_man_exp(*zeta_continuum_partial(s, 10**4)) == libmp_continuum_partial(s, 10**4)
 
 
 def test_zeta_continuum_large_s_computes_few_terms(monkeypatch):
@@ -342,7 +355,20 @@ def test_zeta_continuum_large_s_computes_few_terms(monkeypatch):
 def test_zeta_continuum_negligible_terms_match_libmp(s):
     # the terms of the larger shells lie more than 2 * PREC + 1 exponent bits
     # under the total (from m = 32 at s = 40, m = 85 at s = 30.5): _add skips them
-    assert zeta._mpf(*zeta_continuum_partial(s, 1000)) == libmp_continuum_partial(s, 1000)
+    assert from_man_exp(*zeta_continuum_partial(s, 1000)) == libmp_continuum_partial(s, 1000)
+
+
+def test_negative_cutoff_refused_before_any_sum(monkeypatch):
+    # cjk_table refuses the cutoff before the discrete rows, as it does one
+    # over the budget, with zeta_continuum_partial's message
+    calls = []
+    discrete = zeta.zeta_discrete
+    monkeypatch.setattr(zeta, "zeta_discrete", lambda *args: calls.append(args) or discrete(*args))
+    with pytest.raises(ValueError, match="^cutoff must be nonnegative$"):
+        cjk_table(2, [16, 32, 64], -1)
+    assert calls == []
+    with pytest.raises(ValueError, match="^cutoff must be nonnegative$"):
+        zeta_continuum_partial(2, -1)
 
 
 def test_zeta_continuum_cutoff_over_budget_refused_before_work(monkeypatch):
